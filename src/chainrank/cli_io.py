@@ -174,8 +174,8 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
         return rest.strip()
 
     fields["cost"] = take("cost")
-    fields["student_order"] = take("student_order")
-    fields["question_order"] = take("question_order")
+    student_order = _parse_ints(take("student_order"), lines[idx - 1][0])
+    question_order = _parse_ints(take("question_order"), lines[idx - 1][0])
     for key in ("additions", "deletions"):
         count_text = take(key)
         try:
@@ -189,7 +189,7 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
             toks = line.split()
             if len(toks) != 2:
                 raise ParseError(f"expected 'student question', got {line!r}", line=lineno)
-            pairs[key].append((int(toks[0]), int(toks[1])))
+            pairs[key].append(_parse_ints(line, lineno))
             idx += 1
     fields["solver_tag"] = take("solver_tag")
     verified_text = take("verified")
@@ -203,8 +203,8 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
         raise ParseError(f"bad cost {fields['cost']!r}") from None
     sol = Solution(
         cost=cost,
-        student_order=tuple(int(t) for t in fields["student_order"].split()),
-        question_order=tuple(int(t) for t in fields["question_order"].split()),
+        student_order=student_order,
+        question_order=question_order,
         edits=EditSet.of(pairs["additions"], pairs["deletions"]),
         solver_tag=fields["solver_tag"],
     )

@@ -453,16 +453,14 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
         nested = True
         detail = "every weaker student's neighborhood is contained in every stronger one's"
         by_pos = [edited[s - 1] for s in sol.student_order]
-        for weak in range(n):
-            for strong in range(weak + 1, n):
-                if not by_pos[weak] <= by_pos[strong]:
-                    nested = False
-                    detail = (
-                        f"students {sol.student_order[weak]} (position {weak + 1}) and "
-                        f"{sol.student_order[strong]} (position {strong + 1}) break nesting"
-                    )
-                    break
-            if not nested:
+        # Containment is transitive, so adjacent pairs decide all pairs.
+        for weak in range(n - 1):
+            if not by_pos[weak] <= by_pos[weak + 1]:
+                nested = False
+                detail = (
+                    f"students {sol.student_order[weak]} (position {weak + 1}) and "
+                    f"{sol.student_order[weak + 1]} (position {weak + 2}) break nesting"
+                )
                 break
         checks.append(CheckResult("nested_property", nested, detail))
     else:

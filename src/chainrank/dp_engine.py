@@ -1,19 +1,28 @@
 """Dynamic programs for the polynomial k-near variants.
 
+Two engines cover the three variants:
+
+- The frontier engine (``_frontier_table``) takes separate student and
+  question displacement bounds (ks, kq). Constrained k-near is the engine at
+  kq = 0, where the question order is the base order; both-near k-near runs
+  it at ks = kq = k.
+- The unconstrained-addition DP tracks no frontier at all.
+
 All solvers relabel entities by their base-order positions, so internally a
 student (or question) label equals its base position and the k-near
-constraint reads |output position - label| <= k. States track the occupant of
-the current position, the undetermined part of the prefix set inside the
-displacement window, and the frontier: the hardest question answered so far
-(0 = none). Tables store costs only; reconstruction re-derives parents, which
-keeps the hot loops small.
+constraint reads |output position - label| <= k. Student states track the
+occupant of the current position and the undetermined part of the prefix set
+inside the displacement window. Question states track the frontier: the
+hardest question answered so far, by its position, identity and easier set
+(position 0 = none). Tables store costs only; reconstruction re-derives
+parents, which keeps the hot loops small.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from operator import add
 
 from . import ideal
 from .core_model import (
@@ -23,6 +32,7 @@ from .core_model import (
     InvalidInstanceError,
     MissingBaseOrderError,
     Mode,
+    Side,
     Solution,
     inverse_positions,
 )
@@ -38,24 +48,23 @@ class CorruptTableError(ChainRankError):
 # Window-set machinery
 
 
-def _prefix_realizable(prefix_sorted: Sequence[int], occupant: int, i: int, k: int, n: int) -> bool:
-    """Can some permutation with displacement <= k put exactly
-    ``prefix_sorted`` before position i and ``occupant`` at i?
+def _window_realizable(combo: tuple[int, ...], pool: list[int], lo: int, i: int, k: int) -> bool:
+    """Can some permutation with displacement <= k put the labels below
+    ``lo`` plus ``combo`` before position i and the occupant at i, where
+    ``pool`` is the window [lo, i+k-1] minus the occupant?
 
     Sorted assignment is optimal for interval constraints, so it suffices to
     check the sorted prefix against positions 1..i-1 and the sorted
-    complement against positions i+1..n.
+    complement against positions i+1..n. Labels below ``lo`` then sit at
+    their own positions, and so do the labels above the window, since they
+    fill the last positions; only the window labels need a check.
     """
-    if abs(occupant - i) > k:
-        return False
-    for pos, e in enumerate(prefix_sorted, start=1):
+    for pos, e in enumerate(combo, start=lo):
         if abs(e - pos) > k:
             return False
-    taken = set(prefix_sorted)
-    taken.add(occupant)
     pos = i + 1
-    for e in range(1, n + 1):
-        if e in taken:
+    for e in pool:
+        if e in combo:
             continue
         if abs(e - pos) > k:
             return False
@@ -75,16 +84,16 @@ def enumerate_window_sets(i: int, occupant: int, k: int, n_side: int) -> list[tu
     n = n_side
     if not max(1, i - k) <= occupant <= min(n, i + k):
         return []
-    forced = list(range(1, max(0, i - k - 1) + 1))
-    need = (i - 1) - len(forced)
-    pool = [x for x in range(max(1, i - k), min(n, i + k - 1) + 1) if x != occupant]
-    if need < 0 or need > len(pool):
+    lo = max(1, i - k)
+    need = i - lo
+    pool = [x for x in range(lo, min(n, i + k - 1) + 1) if x != occupant]
+    if need > len(pool):
         return []
-    out = []
-    for combo in itertools.combinations(pool, need):
-        if _prefix_realizable(forced + list(combo), occupant, i, k, n):
-            out.append(combo)
-    return out
+    return [
+        combo
+        for combo in itertools.combinations(pool, need)
+        if _window_realizable(combo, pool, lo, i, k)
+    ]
 
 
 def _window_sets_bruteforce(i: int, occupant: int, k: int, n_side: int) -> set[tuple[int, ...]]:
@@ -140,10 +149,9 @@ def _parent_candidates(i: int, window: tuple[int, ...], k: int) -> list[tuple[in
 class DPTable:
     """Cost tables for one solve, enough to reconstruct the optimum.
 
-    ``layers[i-1]`` maps a position-i state to its cost: for the constrained
-    DP states are (occupant, window) with a cost list indexed by frontier;
-    for unconstrained addition the cost is a scalar; for the both-near DP the
-    cost list is indexed by question-state.
+    ``layers[i-1]`` maps a position-i student state (occupant, window) to
+    its cost: for the frontier engine a list indexed by question state, for
+    unconstrained addition a scalar.
     """
 
     kind: str
@@ -151,16 +159,6 @@ class DPTable:
     k: int
     layers: list[dict]
     ctx: dict = field(repr=False, default_factory=dict)
-
-
-def _prefix_min(arr: list) -> list:
-    out = []
-    run = _INF
-    for v in arr:
-        if v < run:
-            run = v
-        out.append(run)
-    return out
 
 
 def _bits_to_labels(bits: int) -> list[int]:
@@ -173,169 +171,296 @@ def _bits_to_labels(bits: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Constrained k-near (editing and addition)
+# Frontier engine: constrained k-near (kq = 0) and both k-near
+
+
+def _check_base_orders(inst: Instance, k: int, variant: str) -> None:
+    if inst.base_student_order is None or inst.base_question_order is None:
+        raise MissingBaseOrderError(f"{variant} needs both base orders")
+    if k < 0:
+        raise InvalidInstanceError("k must be non-negative")
 
 
 def solve_constrained_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
     """Minimum edits (or additions) with the question order fixed and the
     student order within k of its base order.
 
-    States (i, occupant, window, frontier) with frontier the hardest question
-    position answered by the weakest i students; compatible predecessors must
-    not exceed the frontier, so thresholds are non-decreasing along the
-    output order.
+    This is the frontier engine with question bound 0. Frontiers must not
+    decrease along the output order, so thresholds are nested. A bound
+    k >= n-1 admits every student order, which the fixed-side solver handles
+    directly.
     """
-    table, terminal = _constrained_table(inst, k, mode)
-    return reconstruct(table, terminal, inst)
+    _check_base_orders(inst, k, "constrained k-near")
+    if k >= inst.num_students - 1:
+        sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
+    else:
+        table, terminal = _frontier_table(inst, k, 0, mode)
+        sol = reconstruct(table, terminal, inst)
+    return replace(sol, solver_tag=f"dp.constrained_knear.{mode.value}")
 
 
-def _constrained_table(inst: Instance, k: int, mode: Mode):
-    if inst.base_student_order is None or inst.base_question_order is None:
-        raise MissingBaseOrderError("constrained k-near needs both base orders")
-    if k < 0:
-        raise InvalidInstanceError("k must be non-negative")
+def solve_both_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
+    """Minimum edits (or additions) with both output orders within k of
+    their base orders: the frontier engine with both bounds k."""
+    _check_base_orders(inst, k, "both k-near")
+    table, terminal = _frontier_table(inst, k, k, mode)
+    return replace(reconstruct(table, terminal, inst), solver_tag=f"dp.both_knear.{mode.value}")
+
+
+def _question_states(m: int, k: int, fams_q) -> list[tuple[int, int, tuple[int, ...], int, int]]:
+    """(j, v, window, prefix_bits, target_bits) tuples, j=0 sentinel first,
+    then sorted by (j, v, window)."""
+    states = [(0, 0, (), 0, 0)]
+    for j in range(1, m + 1):
+        forced_bits = (1 << max(0, j - k - 1)) - 1
+        for v in range(max(1, j - k), min(m, j + k) + 1):
+            for window in fams_q.get((j, v), []):
+                prefix_bits = forced_bits
+                for w in window:
+                    prefix_bits |= 1 << (w - 1)
+                states.append((j, v, window, prefix_bits, prefix_bits | 1 << (v - 1)))
+    return states
+
+
+def _covering_edges(qstates) -> list[tuple[int, int]]:
+    """(q, p) index pairs, sorted by q, such that state p covers state q:
+    p's frontier position is q's minus one and p's target set is q's prefix
+    set.
+
+    Say p precedes q when some k-near question order puts p's frontier at
+    position j' and q's at j > j'. Then p precedes q iff p reaches q along
+    covering edges, so relaxing over these edges in order of q replaces a
+    scan over all earlier states:
+
+    - A k-near order passes through one state per position, and each state
+      covers the next; the states from j' to j form the path.
+    - Conversely, a path from p to q spells out the questions at positions
+      j'+1..j. A k-near order through p, cut after j', followed by that
+      path, followed by a k-near order through q from position j+1 on, is
+      a k-near order through both.
+    - The DP only needs the compatible pairs: p's target set lies inside
+      q's prefix set and the gap, q's prefix minus p's target, fits
+      positions j'+1..j-1 within k. Splice a witness order through p (up to
+      j'), the gap in ascending order, and a witness order through q (from
+      j on). Sorted assignment fills the gap whenever any assignment does,
+      so the splice is k-near and passes through p and then q.
+    """
+    by_target: dict[int, list[int]] = {}
+    for qi, st in enumerate(qstates):
+        by_target.setdefault(st[4], []).append(qi)
+    # A target set's size is its frontier position, so equal sets share one.
+    return [
+        (qi, p)
+        for qi, st in enumerate(qstates)
+        if st[0] > 0
+        for p in by_target.get(st[3], ())
+    ]
+
+
+def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
+    """Cost table over (student state, question state) pairs with student
+    bound ks and question bound kq; the callers check the base orders."""
     n, m = inst.num_students, inst.num_questions
-    k = min(k, n)
+    ks, kq = min(ks, n - 1), min(kq, m - 1)
     alpha = inst.base_student_order
-    qpos = inverse_positions(inst.base_question_order)
+    beta0 = inst.base_question_order
+    qpos = inverse_positions(beta0)
 
     nb = [0] * (n + 1)
     for lab in range(1, n + 1):
         for q in inst.adjacency[alpha[lab - 1] - 1]:
             nb[lab] |= 1 << (qpos[q] - 1)
-    deg = [b.bit_count() for b in nb]
-    maxnb = [b.bit_length() for b in nb]
-    prefmax = [0] * (n + 1)
+    pref_union = [0] * (n + 1)
     for lab in range(1, n + 1):
-        prefmax[lab] = max(prefmax[lab - 1], maxnb[lab])
+        pref_union[lab] = pref_union[lab - 1] | nb[lab]
 
-    local = []
-    for lab in range(n + 1):
-        row = [0] * (m + 1)
-        c = deg[lab] if mode == Mode.EDITING else 0
-        row[0] = c
-        for v in range(1, m + 1):
-            hit = nb[lab] >> (v - 1) & 1
-            c += (-1 if hit else 1) if mode == Mode.EDITING else (0 if hit else 1)
-            row[v] = c
-        local.append(row)
+    fams_s = _window_families(ks, n)
+    qstates = _question_states(m, kq, _window_families(kq, m))
+    edges = _covering_edges(qstates)
+    nq = len(qstates)
+    targets = [st[4] for st in qstates]
+    first_at = [nq] * (m + 2)  # first question state at frontier position >= j
+    for qi in range(nq - 1, -1, -1):
+        first_at[qstates[qi][0]] = qi
 
-    fams = _window_families(k, n)
+    editing = mode == Mode.EDITING
+    if editing:
+        cost_table = [[(b ^ t).bit_count() for t in targets] for b in nb]
+    else:
+        cost_table = [[(t & ~b).bit_count() for t in targets] for b in nb]
 
-    def addition_bound(i: int, u: int, window: tuple[int, ...]) -> int:
-        b = max(prefmax[max(0, i - k - 1)], maxnb[u])
+    def union_with(i: int, u: int, window: tuple[int, ...]) -> int:
+        bits = pref_union[max(0, i - ks - 1)] | nb[u]
         for w in window:
-            if maxnb[w] > b:
-                b = maxnb[w]
-        return b
+            bits |= nb[w]
+        return bits
 
-    layers: list[dict] = []
-    first: dict = {}
-    for u in range(1, min(n, 1 + k) + 1):
-        for window in fams.get((1, u), []):
-            if mode == Mode.ADDITION:
-                lo = addition_bound(1, u, window)
-                arr = [_INF] * lo + local[u][lo:]
-            else:
-                arr = list(local[u])
-            first[(u, window)] = arr
-    layers.append(first)
+    def fill(i: int, u: int, window: tuple[int, ...], merged: list) -> list:
+        """merged + state cost per question state. In addition mode the
+        target set must contain the union of the prefix's neighborhoods.
+        States whose frontier lies more than kq below the union's hardest
+        label miss it; states kq or more above it contain every label up to
+        it. Only the band between needs the subset test."""
+        row = cost_table[u]
+        if editing:
+            return list(map(add, merged, row))
+        un = union_with(i, u, window)
+        hi = un.bit_length()
+        lo_q, hi_q = first_at[max(0, hi - kq)], first_at[min(m + 1, hi + kq)]
+        out = [_INF] * lo_q
+        for qi in range(lo_q, hi_q):
+            out.append(_INF if un & ~targets[qi] else merged[qi] + row[qi])
+        out.extend(map(add, itertools.islice(merged, hi_q, None), itertools.islice(row, hi_q, None)))
+        return out
 
+    zeros = [0] * nq
+    layers: list[dict] = [
+        {
+            (u, window): fill(1, u, window, zeros)
+            for u in range(1, min(n, 1 + ks) + 1)
+            for window in fams_s.get((1, u), [])
+        }
+    ]
     for i in range(2, n + 1):
         prev = layers[-1]
-        prev_pm = {key: _prefix_min(arr) for key, arr in prev.items()}
         cur: dict = {}
-        for u in range(max(1, i - k), min(n, i + k) + 1):
-            for window in fams.get((i, u), []):
+        for u in range(max(1, i - ks), min(n, i + ks) + 1):
+            for window in fams_s.get((i, u), []):
                 merged: list | None = None
-                for parent in _parent_candidates(i, window, k):
-                    pm = prev_pm.get(parent)
-                    if pm is None:
+                for parent in _parent_candidates(i, window, ks):
+                    arr = prev.get(parent)
+                    if arr is None:
                         continue
                     if merged is None:
-                        merged = list(pm)
+                        merged = list(arr)
                     else:
-                        merged = [a if a < b else b for a, b in zip(merged, pm)]
+                        merged = [a if a < b else b for a, b in zip(merged, arr)]
                 if merged is None:
                     continue
-                loc = local[u]
-                lo = addition_bound(i, u, window) if mode == Mode.ADDITION else 0
-                arr = [
-                    (_INF if v < lo else merged[v] + loc[v]) for v in range(m + 1)
-                ]
-                cur[(u, window)] = arr
+                for qi, p in edges:
+                    if merged[p] < merged[qi]:
+                        merged[qi] = merged[p]
+                cur[(u, window)] = fill(i, u, window, merged)
         layers.append(cur)
 
     best = _INF
     terminal = None
     for key in sorted(layers[-1]):
         arr = layers[-1][key]
-        for v, val in enumerate(arr):
+        for qi, val in enumerate(arr):
             if val < best:
                 best = val
-                terminal = (n, key[0], key[1], v)
+                terminal = (n, key[0], key[1], qi)
     if terminal is None:
         raise CorruptTableError("no feasible terminal state")
 
     table = DPTable(
-        kind="constrained",
+        kind="frontier",
         mode=mode,
-        k=k,
+        k=ks,
         layers=layers,
         ctx={
-            "inst": inst,
             "n": n,
             "m": m,
+            "kq": kq,
             "nb": nb,
-            "local": local,
-            "addition_bound": addition_bound,
+            "qstates": qstates,
+            "edges": edges,
+            "cost_table": cost_table,
+            "union_with": union_with,
             "alpha": alpha,
-            "beta0": inst.base_question_order,
+            "beta0": beta0,
         },
     )
     return table, terminal
 
 
-def _reconstruct_constrained(table: DPTable, terminal, inst: Instance) -> Solution:
-    ctx = table.ctx
-    n, m, k, mode = ctx["n"], ctx["m"], table.k, table.mode
-    nb, local = ctx["nb"], ctx["local"]
-    alpha, beta0 = ctx["alpha"], ctx["beta0"]
+def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
+    """qi and every question state that reaches it, ascending."""
+    seen = {qi}
+    stack = [qi]
+    while stack:
+        for p in covered_by[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(seen)
 
-    _, u, window, v = terminal
-    value = table.layers[n - 1][(u, window)][v]
-    chain = [(u, window, v)]
+
+def _reconstruct_frontier(table: DPTable, terminal, inst: Instance) -> Solution:
+    ctx = table.ctx
+    n, m = ctx["n"], ctx["m"]
+    ks, kq = table.k, ctx["kq"]
+    nb, alpha, beta0 = ctx["nb"], ctx["alpha"], ctx["beta0"]
+    qstates, cost_table, union_with = ctx["qstates"], ctx["cost_table"], ctx["union_with"]
+    mode = table.mode
+    covered_by: list[list[int]] = [[] for _ in qstates]
+    for qi, p in ctx["edges"]:
+        covered_by[qi].append(p)
+
+    def state_cost(i: int, u: int, window: tuple[int, ...], qi: int):
+        if mode == Mode.ADDITION and union_with(i, u, window) & ~qstates[qi][4]:
+            return _INF
+        return cost_table[u][qi]
+
+    _, u, window, qi = terminal
+    value = table.layers[n - 1][(u, window)][qi]
+    chain = [(u, window, qi)]
     for i in range(n, 1, -1):
-        lo = ctx["addition_bound"](i, u, window) if mode == Mode.ADDITION else 0
-        if v < lo:
-            raise CorruptTableError(f"infeasible frontier {v} at position {i}")
-        target = value - local[u][v]
+        target = value - state_cost(i, u, window, qi)
+        candidates = _reaching(qi, covered_by)
         found = None
-        for u_prev, w_prev in _parent_candidates(i, window, k):
+        for u_prev, w_prev in _parent_candidates(i, window, ks):
             arr = table.layers[i - 2].get((u_prev, w_prev))
             if arr is None:
                 continue
-            for v_prev in range(v + 1):
-                if arr[v_prev] == target:
-                    found = (u_prev, w_prev, v_prev)
+            for qp in candidates:
+                if arr[qp] == target:
+                    found = (u_prev, w_prev, qp)
                     break
             if found:
                 break
         if found is None:
             raise CorruptTableError(f"broken parent chain at position {i}")
-        u, window, v = found
+        u, window, qi = found
         value = target
         chain.append(found)
     chain.reverse()
+
+    # Build the question order from the distinct question states in order.
+    beta_labels = [0] * (m + 1)
+    prev_j, prev_target = 0, 0
+    seen_qis = []
+    for (_u, _w, q_idx) in chain:
+        if seen_qis and seen_qis[-1] == q_idx:
+            continue
+        seen_qis.append(q_idx)
+    for q_idx in seen_qis:
+        j, v, _wv, prefix_bits, target_bits = qstates[q_idx]
+        if j == 0:
+            continue
+        gap = _bits_to_labels(prefix_bits & ~prev_target)
+        for offset, lab in enumerate(gap):
+            beta_labels[prev_j + 1 + offset] = lab
+        beta_labels[j] = v
+        prev_j, prev_target = j, target_bits
+    tail = _bits_to_labels(((1 << m) - 1) & ~prev_target)
+    for offset, lab in enumerate(tail):
+        beta_labels[prev_j + 1 + offset] = lab
+    beta_label_order = beta_labels[1:]
+    if sorted(beta_label_order) != list(range(1, m + 1)):
+        raise CorruptTableError("reconstructed question order is not a permutation")
+    if any(abs(lab - pos) > kq for pos, lab in enumerate(beta_label_order, start=1)):
+        raise CorruptTableError("reconstructed question order exceeds displacement bound")
 
     additions: list[tuple[int, int]] = []
     deletions: list[tuple[int, int]] = []
     student_order = []
     total = 0
-    for (u_i, _w, v_i) in chain:
+    for (u_i, _w, q_idx) in chain:
         s = alpha[u_i - 1]
         student_order.append(s)
-        target_bits = (1 << v_i) - 1
+        target_bits = qstates[q_idx][4]
         add_bits = target_bits & ~nb[u_i]
         del_bits = nb[u_i] & ~target_bits
         additions.extend((s, beta0[lab - 1]) for lab in _bits_to_labels(add_bits))
@@ -347,12 +472,13 @@ def _reconstruct_constrained(table: DPTable, terminal, inst: Instance) -> Soluti
     if total != terminal_cost:
         raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
 
+    question_order = tuple(beta0[lab - 1] for lab in beta_label_order)
     return Solution(
         cost=total,
         student_order=tuple(student_order),
-        question_order=beta0,
+        question_order=question_order,
         edits=EditSet.of(additions, deletions),
-        solver_tag=f"dp.constrained_knear.{mode.value}",
+        solver_tag=f"dp.frontier.{mode.value}",
     )
 
 
@@ -497,279 +623,6 @@ def _reconstruct_unconstrained_addition(table: DPTable, terminal, inst: Instance
 
 
 # ---------------------------------------------------------------------------
-# Both k-near (editing and addition)
-
-
-def _question_states(m: int, k: int, fams_q) -> list[tuple[int, int, tuple[int, ...], int, int]]:
-    """(j, v, window, prefix_bits, target_bits) tuples, j=0 sentinel first,
-    then sorted by (j, v, window)."""
-    states = [(0, 0, (), 0, 0)]
-    for j in range(1, m + 1):
-        forced_bits = (1 << max(0, j - k - 1)) - 1
-        for v in range(max(1, j - k), min(m, j + k) + 1):
-            for window in fams_q.get((j, v), []):
-                prefix_bits = forced_bits
-                for w in window:
-                    prefix_bits |= 1 << (w - 1)
-                states.append((j, v, window, prefix_bits, prefix_bits | 1 << (v - 1)))
-    return states
-
-
-def _gap_fits(d_bits: int, first_pos: int, k: int) -> bool:
-    """Can the labels in d_bits fill consecutive positions starting at
-    first_pos with displacement <= k (sorted assignment)?"""
-    pos = first_pos
-    while d_bits:
-        low = d_bits & -d_bits
-        if abs(low.bit_length() - pos) > k:
-            return False
-        pos += 1
-        d_bits ^= low
-    return True
-
-
-def _question_predecessors(qstates, k: int) -> list[list[int]]:
-    """For each question state, the strictly-earlier states it may follow.
-
-    A jump from (j', v', V') to (j, v, V) needs V to contain V' + v' and the
-    newly revealed questions to fit the open positions j'+1..j-1 within
-    displacement k. Equal frontier positions must share the whole state, so
-    they are not listed here; the self-transition is always allowed.
-    """
-    preds: list[list[int]] = [[] for _ in qstates]
-    for qi, (j, _v, _w, prefix_bits, _t) in enumerate(qstates):
-        if j == 0:
-            continue
-        lst = preds[qi]
-        for qp, (jp, _vp, _wp, _pp, target_p) in enumerate(qstates):
-            if jp >= j:
-                break  # qstates are sorted by frontier position
-            if target_p & ~prefix_bits:
-                continue
-            if _gap_fits(prefix_bits & ~target_p, jp + 1, k):
-                lst.append(qp)
-    return preds
-
-
-def solve_both_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
-    """Minimum edits (or additions) with both output orders within k of
-    their base orders.
-
-    The state extends the constrained DP with the frontier question's
-    position, identity and easier-question set; compatibility lets the
-    frontier stand still (identical question state) or advance with nested
-    prefixes.
-    """
-    table, terminal = _both_table(inst, k, mode)
-    return reconstruct(table, terminal, inst)
-
-
-def _both_table(inst: Instance, k: int, mode: Mode):
-    if inst.base_student_order is None or inst.base_question_order is None:
-        raise MissingBaseOrderError("both k-near needs both base orders")
-    if k < 0:
-        raise InvalidInstanceError("k must be non-negative")
-    n, m = inst.num_students, inst.num_questions
-    ks = min(k, n)
-    kq = min(k, m)
-    alpha = inst.base_student_order
-    beta0 = inst.base_question_order
-    qpos = inverse_positions(beta0)
-
-    nb = [0] * (n + 1)
-    for lab in range(1, n + 1):
-        for q in inst.adjacency[alpha[lab - 1] - 1]:
-            nb[lab] |= 1 << (qpos[q] - 1)
-    pref_union = [0] * (n + 1)
-    for lab in range(1, n + 1):
-        pref_union[lab] = pref_union[lab - 1] | nb[lab]
-
-    fams_s = _window_families(ks, n)
-    fams_q = _window_families(kq, m)
-    qstates = _question_states(m, kq, fams_q)
-    preds = _question_predecessors(qstates, kq)
-    nq = len(qstates)
-    targets = [st[4] for st in qstates]
-
-    editing = mode == Mode.EDITING
-    cost_table = []
-    for lab in range(n + 1):
-        b = nb[lab]
-        if editing:
-            cost_table.append([(b ^ t).bit_count() for t in targets])
-        else:
-            cost_table.append([(t & ~b).bit_count() for t in targets])
-
-    def union_with(i: int, u: int, window: tuple[int, ...]) -> int:
-        bits = pref_union[max(0, i - ks - 1)] | nb[u]
-        for w in window:
-            bits |= nb[w]
-        return bits
-
-    def state_costs(i: int, u: int, window: tuple[int, ...]) -> list:
-        row = cost_table[u]
-        if editing:
-            return row
-        un = union_with(i, u, window)
-        return [row[qi] if not (un & ~targets[qi]) else _INF for qi in range(nq)]
-
-    layers: list[dict] = []
-    first: dict = {}
-    for u in range(1, min(n, 1 + ks) + 1):
-        for window in fams_s.get((1, u), []):
-            first[(u, window)] = list(state_costs(1, u, window))
-    layers.append(first)
-
-    for i in range(2, n + 1):
-        prev = layers[-1]
-        cur: dict = {}
-        for u in range(max(1, i - ks), min(n, i + ks) + 1):
-            for window in fams_s.get((i, u), []):
-                merged: list | None = None
-                for parent in _parent_candidates(i, window, ks):
-                    arr = prev.get(parent)
-                    if arr is None:
-                        continue
-                    if merged is None:
-                        merged = list(arr)
-                    else:
-                        merged = [a if a < b else b for a, b in zip(merged, arr)]
-                if merged is None:
-                    continue
-                costs = state_costs(i, u, window)
-                out = [_INF] * nq
-                for qi in range(nq):
-                    best = merged[qi]
-                    for qp in preds[qi]:
-                        val = merged[qp]
-                        if val < best:
-                            best = val
-                    out[qi] = best + costs[qi]
-                cur[(u, window)] = out
-        layers.append(cur)
-
-    best = _INF
-    terminal = None
-    for key in sorted(layers[-1]):
-        arr = layers[-1][key]
-        for qi, val in enumerate(arr):
-            if val < best:
-                best = val
-                terminal = (n, key[0], key[1], qi)
-    if terminal is None:
-        raise CorruptTableError("no feasible terminal state")
-
-    table = DPTable(
-        kind="both",
-        mode=mode,
-        k=k,
-        layers=layers,
-        ctx={
-            "inst": inst,
-            "n": n,
-            "m": m,
-            "ks": ks,
-            "kq": kq,
-            "nb": nb,
-            "qstates": qstates,
-            "preds": preds,
-            "state_costs": state_costs,
-            "alpha": alpha,
-            "beta0": beta0,
-        },
-    )
-    return table, terminal
-
-
-def _reconstruct_both(table: DPTable, terminal, inst: Instance) -> Solution:
-    ctx = table.ctx
-    n, m = ctx["n"], ctx["m"]
-    ks, kq = ctx["ks"], ctx["kq"]
-    nb, alpha, beta0 = ctx["nb"], ctx["alpha"], ctx["beta0"]
-    qstates, preds = ctx["qstates"], ctx["preds"]
-    state_costs = ctx["state_costs"]
-    mode = table.mode
-
-    _, u, window, qi = terminal
-    value = table.layers[n - 1][(u, window)][qi]
-    chain = [(u, window, qi)]
-    for i in range(n, 1, -1):
-        cost = state_costs(i, u, window)[qi]
-        target = value - cost
-        found = None
-        for u_prev, w_prev in _parent_candidates(i, window, ks):
-            arr = table.layers[i - 2].get((u_prev, w_prev))
-            if arr is None:
-                continue
-            for qp in sorted(preds[qi] + [qi]):
-                if arr[qp] == target:
-                    found = (u_prev, w_prev, qp)
-                    break
-            if found:
-                break
-        if found is None:
-            raise CorruptTableError(f"broken parent chain at position {i}")
-        u, window, qi = found
-        value = target
-        chain.append(found)
-    chain.reverse()
-
-    # Build the question order from the distinct question states in order.
-    beta_labels = [0] * (m + 1)
-    prev_j, prev_target = 0, 0
-    seen_qis = []
-    for (_u, _w, q_idx) in chain:
-        if seen_qis and seen_qis[-1] == q_idx:
-            continue
-        seen_qis.append(q_idx)
-    for q_idx in seen_qis:
-        j, v, _wv, prefix_bits, target_bits = qstates[q_idx]
-        if j == 0:
-            continue
-        gap = _bits_to_labels(prefix_bits & ~prev_target)
-        for offset, lab in enumerate(gap):
-            beta_labels[prev_j + 1 + offset] = lab
-        beta_labels[j] = v
-        prev_j, prev_target = j, target_bits
-    tail = _bits_to_labels(((1 << m) - 1) & ~prev_target)
-    for offset, lab in enumerate(tail):
-        beta_labels[prev_j + 1 + offset] = lab
-    beta_label_order = beta_labels[1:]
-    if sorted(beta_label_order) != list(range(1, m + 1)):
-        raise CorruptTableError("reconstructed question order is not a permutation")
-    if any(abs(lab - pos) > kq for pos, lab in enumerate(beta_label_order, start=1)):
-        raise CorruptTableError("reconstructed question order exceeds displacement bound")
-
-    additions: list[tuple[int, int]] = []
-    deletions: list[tuple[int, int]] = []
-    student_order = []
-    total = 0
-    for (u_i, _w, q_idx) in chain:
-        s = alpha[u_i - 1]
-        student_order.append(s)
-        target_bits = qstates[q_idx][4]
-        add_bits = target_bits & ~nb[u_i]
-        del_bits = nb[u_i] & ~target_bits
-        additions.extend((s, beta0[lab - 1]) for lab in _bits_to_labels(add_bits))
-        deletions.extend((s, beta0[lab - 1]) for lab in _bits_to_labels(del_bits))
-        total += add_bits.bit_count() + del_bits.bit_count()
-    if mode == Mode.ADDITION and deletions:
-        raise CorruptTableError("addition solve produced deletions")
-    terminal_cost = table.layers[n - 1][(terminal[1], terminal[2])][terminal[3]]
-    if total != terminal_cost:
-        raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
-
-    question_order = tuple(beta0[lab - 1] for lab in beta_label_order)
-    return Solution(
-        cost=total,
-        student_order=tuple(student_order),
-        question_order=question_order,
-        edits=EditSet.of(additions, deletions),
-        solver_tag=f"dp.both_knear.{mode.value}",
-    )
-
-
-# ---------------------------------------------------------------------------
 # Shared reconstruction entry point
 
 
@@ -777,10 +630,8 @@ def reconstruct(table: DPTable, terminal, inst: Instance) -> Solution:
     """Walk parent pointers from a terminal state back to position 1 and
     assemble the Solution; raises CorruptTableError if the chain breaks or
     the recomputed cost disagrees with the table."""
-    if table.kind == "constrained":
-        return _reconstruct_constrained(table, terminal, inst)
+    if table.kind == "frontier":
+        return _reconstruct_frontier(table, terminal, inst)
     if table.kind == "unconstrained_addition":
         return _reconstruct_unconstrained_addition(table, terminal, inst)
-    if table.kind == "both":
-        return _reconstruct_both(table, terminal, inst)
     raise ValueError(f"unknown table kind {table.kind!r}")

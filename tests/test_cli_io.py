@@ -111,6 +111,24 @@ class TestCli:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "good_line, bad_line",
+        [
+            ("1 3", "1 x"),
+            ("student_order: 1 2 3", "student_order: 1 two 3"),
+            ("question_order: 1 2 3 4 5", "question_order: 1 2 3 4 5x"),
+        ],
+    )
+    def test_check_rejects_non_integer_token(self, fig1_file, tmp_path, capsys, good_line, bad_line):
+        sol = Solution(1, (1, 2, 3), (1, 2, 3, 4, 5), EditSet.of([(1, 3)]), "t")
+        text = format_solution(sol, verified=False)
+        assert f"\n{good_line}\n" in text
+        sol_path = tmp_path / "sol.txt"
+        sol_path.write_text(text.replace(f"\n{good_line}\n", f"\n{bad_line}\n"))
+        code = main(["check", "--input", str(fig1_file), "--solution", str(sol_path)])
+        assert code == 1
+        assert "expected integers" in capsys.readouterr().err
+
     def test_check_catches_tampered_cost(self, fig1_file, tmp_path, capsys):
         sol_path = tmp_path / "sol.txt"
         main([

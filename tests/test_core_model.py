@@ -171,3 +171,25 @@ def test_edit_roundtrip_property(data):
     dels = [p for p in chosen if inst.has_edge(*p)]
     edits = EditSet.of(adds, dels)
     assert apply_edits(apply_edits(inst, edits), edits.reversed()) == inst
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nesting_verdict_matches_all_pairs(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 4))
+    # Mostly prefix neighborhoods with a few flips, so both verdicts occur.
+    rows = []
+    for _ in range(n):
+        cut = data.draw(st.integers(0, m))
+        flips = data.draw(st.sets(st.integers(1, m), max_size=1))
+        rows.append(set(range(1, cut + 1)) ^ flips)
+    inst = make_instance(n, m, [(s, q) for s, row in enumerate(rows, start=1) for q in row])
+    order = data.draw(st.permutations(range(1, n + 1)))
+    report = verify_solution(inst, ProblemSpec(Variant.IMO_RECOGNIZE), _solution(inst, order, range(1, m + 1)))
+    all_pairs = all(
+        rows[weak - 1] <= rows[strong - 1]
+        for a, weak in enumerate(order)
+        for strong in order[a + 1 :]
+    )
+    assert report["nested_property"].passed == all_pairs

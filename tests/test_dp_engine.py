@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,29 @@ class TestConstrainedKNear:
         with pytest.raises(MissingBaseOrderError):
             solve_constrained_knear(inst, 1)
 
+    def test_bound_at_least_n_minus_1_matches_oracle(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            inst = random_instance(rng, max_side=7)
+            n = inst.num_students
+            for k in (n - 1, n, n + 3):
+                for mode in (Mode.EDITING, Mode.ADDITION):
+                    sol = solve_constrained_knear(inst, k, mode)
+                    spec = ProblemSpec(Variant.CONSTRAINED_KNEAR, mode, k)
+                    assert sol.cost == oracle_solve(inst, spec).cost, (k, mode, inst)
+                    assert sol.solver_tag == f"dp.constrained_knear.{mode.value}"
+                    assert verify_solution(inst, spec, sol).ok
+
+    def test_bound_at_least_n_minus_1_is_fast(self):
+        rng = random.Random(27)
+        edges = [(s, q) for s in range(1, 17) for q in range(1, 17) if rng.random() < 0.5]
+        inst = make_instance(16, 16, edges, tuple(rng.sample(range(1, 17), 16)), tuple(range(1, 17)))
+        start = time.perf_counter()
+        sol = solve_constrained_knear(inst, 16, Mode.EDITING)
+        assert time.perf_counter() - start < 2.0
+        free = solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order)
+        assert sol.cost == free.cost
+
     def test_huge_k_recovers_fixed_side_cost(self):
         rng = random.Random(21)
         for _ in range(30):
@@ -206,14 +230,46 @@ class TestOracleAgreement:
 
 
 def test_reconstruct_rejects_tampered_table():
-    from chainrank.dp_engine import CorruptTableError, _constrained_table, reconstruct
+    from chainrank.dp_engine import CorruptTableError, _frontier_table, reconstruct
 
     inst = make_instance(2, 2, [(1, 1), (1, 2)], (1, 2), (1, 2))
-    table, terminal = _constrained_table(inst, 1, Mode.EDITING)
+    table, terminal = _frontier_table(inst, 1, 0, Mode.EDITING)
     for state in table.layers[0]:
         table.layers[0][state] = [c + 1 for c in table.layers[0][state]]
     with pytest.raises(CorruptTableError):
         reconstruct(table, terminal, inst)
+
+
+def test_covering_edge_closure_matches_knear_orders():
+    """p reaches q along covering edges iff some k-near question order
+    passes through p's frontier state and later through q's."""
+    from chainrank import enumerate_knear_permutations
+    from chainrank.dp_engine import _covering_edges, _question_states, _window_families
+
+    for m in range(1, 8):
+        for k in range(0, 4):
+            qstates = _question_states(m, k, _window_families(k, m))
+            index = {st[:3]: qi for qi, st in enumerate(qstates)}
+            brute = set()
+            for order in enumerate_knear_permutations(tuple(range(1, m + 1)), k):
+                path = [0]
+                for j in range(1, m + 1):
+                    window = tuple(sorted(x for x in order[: j - 1] if x > j - k - 1))
+                    path.append(index[(j, order[j - 1], window)])
+                brute.update(itertools.combinations(path, 2))
+
+            covered_by = [[] for _ in qstates]
+            for q, p in _covering_edges(qstates):
+                covered_by[q].append(p)
+            closure = set()
+            for q in range(len(qstates)):
+                stack = list(covered_by[q])
+                while stack:
+                    p = stack.pop()
+                    if (p, q) not in closure:
+                        closure.add((p, q))
+                        stack.extend(covered_by[p])
+            assert closure == brute, (m, k)
 
 
 @settings(max_examples=50, deadline=None)

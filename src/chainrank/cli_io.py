@@ -15,6 +15,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,15 +33,10 @@ from .core_model import (
     verify_solution,
     with_base_orders,
 )
-from .dp_engine import (
-    CorruptTableError,
-    solve_both_knear,
-    solve_constrained_knear,
-    solve_unconstrained_knear_addition,
-)
-from .exact_oracle import DEFAULT_CAP, oracle_solve, solve_unconstrained_knear_editing_exact
+from .dp_engine import CorruptTableError, solve
+from .exact_oracle import DEFAULT_CAP, oracle_solve
 from .hardness import build_reduction, parse_cnf
-from .ideal import NotIdeal, recognize_ideal, solve_fixed_side
+from .ideal import NotIdeal, recognize_ideal
 from .instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
 
 EXIT_OK = 0
@@ -223,62 +219,30 @@ def write_solution(sol: Solution, verified: bool, path: str | Path) -> None:
 # Commands
 
 
-def _spec_from_args(args: argparse.Namespace, default_variant: str = "imo") -> ProblemSpec:
-    variant = Variant(getattr(args, "variant", None) or default_variant)
+def _spec_from_args(args: argparse.Namespace) -> ProblemSpec:
+    """The spec named by --variant (recognition when absent), --mode, --k
+    (0 for ``bench``, which sweeps k itself) and --fixed-side."""
+    variant = Variant(args.variant or "imo")
     side = None
     if variant == Variant.FIXED_ONE_SIDE:
-        if not getattr(args, "fixed_side", None):
+        if not args.fixed_side:
             raise ChainRankError("--fixed-side is required with variant fixed-side")
         side = Side(args.fixed_side)
-    return ProblemSpec(
-        variant=variant,
-        mode=Mode(getattr(args, "mode", None) or "editing"),
-        k=getattr(args, "k", 0) or 0,
-        fixed_side=side,
-    )
+    return ProblemSpec(variant=variant, mode=Mode(args.mode), k=getattr(args, "k", 0), fixed_side=side)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = read_instance(args.input)
-    mode = Mode(args.mode)
-    k = args.k
-    if args.variant == "fixed-side":
-        side = Side(args.fixed_side) if args.fixed_side else None
-        if side is None:
-            print("error: --fixed-side {students,questions} is required", file=sys.stderr)
-            return EXIT_USAGE
-        fixed = (
-            inst.base_student_order if side == Side.STUDENTS_FIXED else inst.base_question_order
+    spec = _spec_from_args(args)
+    if spec.variant == Variant.UNCONSTRAINED_KNEAR and spec.mode == Mode.EDITING and not args.exponential_ok:
+        print(
+            "error: unconstrained k-near editing is NP-hard; there is no polynomial\n"
+            "solver. Re-run with --exponential-ok to accept exponential enumeration,\n"
+            "or use the `oracle` subcommand directly.",
+            file=sys.stderr,
         )
-        if fixed is None:
-            print(f"error: instance has no base order for {side.value}", file=sys.stderr)
-            return EXIT_USAGE
-        sol = solve_fixed_side(inst, side, fixed, mode)
-        spec = ProblemSpec(Variant.FIXED_ONE_SIDE, mode, 0, side)
-    elif args.variant == "constrained":
-        sol = solve_constrained_knear(inst, k, mode)
-        spec = ProblemSpec(Variant.CONSTRAINED_KNEAR, mode, k)
-    elif args.variant == "both":
-        sol = solve_both_knear(inst, k, mode)
-        spec = ProblemSpec(Variant.BOTH_KNEAR, mode, k)
-    elif args.variant == "unconstrained":
-        spec = ProblemSpec(Variant.UNCONSTRAINED_KNEAR, mode, k)
-        if mode == Mode.ADDITION:
-            sol = solve_unconstrained_knear_addition(inst, k)
-        elif args.exponential_ok:
-            sol = solve_unconstrained_knear_editing_exact(inst, k, cap=args.cap)
-        else:
-            print(
-                "error: unconstrained k-near editing is NP-hard; there is no polynomial\n"
-                "solver. Re-run with --exponential-ok to accept exponential enumeration,\n"
-                "or use the `oracle` subcommand directly.",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    else:
-        print(f"error: unknown variant {args.variant!r}", file=sys.stderr)
         return EXIT_USAGE
-
+    inst = read_instance(args.input)
+    sol = solve(inst, spec, cap=args.cap)
     report = verify_solution(inst, spec, sol)
     if not report.ok:
         print(
@@ -357,7 +321,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = read_instance(args.input)
-    spec = _spec_from_args(args, default_variant="imo")
+    spec = _spec_from_args(args)
     sol = oracle_solve(inst, spec, cap=args.cap)
     report = verify_solution(inst, spec, sol)
     if not report.ok:
@@ -372,26 +336,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_solve(inst: Instance, variant: str, mode: Mode, k: int, cap: int) -> Solution:
-    if variant == "constrained":
-        return solve_constrained_knear(inst, k, mode)
-    if variant == "both":
-        return solve_both_knear(inst, k, mode)
-    if variant == "unconstrained":
-        if mode == Mode.ADDITION:
-            return solve_unconstrained_knear_addition(inst, k)
-        return solve_unconstrained_knear_editing_exact(inst, k, cap=cap)
-    if variant == "fixed-side":
-        return solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
-    raise ChainRankError(f"unknown bench variant {variant!r}")
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(t) for t in args.sizes.split(",") if t]
-    ks = [int(t) for t in args.ks.split(",") if t != ""]
+    spec = _spec_from_args(args)
     rows = []
-    for size in sizes:
-        for k in ks:
+    for size in args.sizes:
+        for k in args.ks:
             for seed in range(args.seeds):
                 cfg = GenConfig(
                     num_students=size,
@@ -408,7 +357,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     question_order=perturb_order(true_q, k, seed + 1),
                 )
                 start = time.perf_counter()
-                sol = _bench_solve(inst, args.variant, Mode(args.mode), k, args.cap)
+                sol = solve(inst, replace(spec, k=k), cap=args.cap)
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 rows.append(
                     {
@@ -446,22 +395,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated non-negative integers; empty items are skipped."""
+    return [_non_negative_int(t) for t in text.split(",") if t]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_variant: bool, variants: tuple[str, ...]) -> None:
-        if with_variant:
-            p.add_argument("--variant", choices=variants, required=False)
+    def add_common(p, variants: tuple[str, ...], required: bool = False) -> None:
+        p.add_argument("--variant", choices=variants, required=required)
         p.add_argument("--mode", choices=["editing", "addition"], default="editing")
-        p.add_argument("--k", type=int, default=0)
+        p.add_argument("--k", type=_non_negative_int, default=0)
         p.add_argument("--fixed-side", choices=["students", "questions"], default=None)
 
     p = sub.add_parser("solve", help="run a polynomial solver")
-    p.add_argument("--variant", choices=["constrained", "unconstrained", "both", "fixed-side"], required=True)
-    p.add_argument("--mode", choices=["editing", "addition"], default="editing")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--fixed-side", choices=["students", "questions"], default=None)
+    add_common(p, ("constrained", "unconstrained", "both", "fixed-side"), required=True)
     p.add_argument("--exponential-ok", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--input", required=True)
@@ -475,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a solution file against an instance")
     p.add_argument("--input", required=True)
     p.add_argument("--solution", required=True)
-    add_common(p, True, ("imo", "fixed-both", "fixed-side", "constrained", "unconstrained", "both"))
+    add_common(p, ("imo", "fixed-both", "fixed-side", "constrained", "unconstrained", "both"))
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("gen", help="generate a seeded noisy instance")
@@ -495,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("oracle", help="brute-force exact solve (any variant)")
-    add_common(p, True, ("imo", "fixed-both", "fixed-side", "constrained", "unconstrained", "both"))
+    add_common(p, ("imo", "fixed-both", "fixed-side", "constrained", "unconstrained", "both"))
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
@@ -504,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing sweep, CSV output")
     p.add_argument("--variant", choices=["constrained", "unconstrained", "both", "fixed-side"], required=True)
     p.add_argument("--mode", choices=["editing", "addition"], default="editing")
-    p.add_argument("--sizes", required=True, help="comma-separated square sizes, e.g. 20,40")
-    p.add_argument("--ks", default="1", help="comma-separated k values")
+    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated square sizes, e.g. 20,40")
+    p.add_argument("--ks", type=_int_list, default="1", help="comma-separated k values")
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--flip-prob", type=float, default=0.1)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--output", required=True)
-    p.set_defaults(handler=_cmd_bench)
+    p.set_defaults(handler=_cmd_bench, fixed_side="questions")
 
     return parser
 

@@ -1,4 +1,5 @@
-"""Dynamic programs for the polynomial k-near variants.
+"""Dynamic programs for the polynomial k-near variants, and ``solve``, the
+one map from a ``ProblemSpec`` to the solver for its variant.
 
 Two engines cover the three variants:
 
@@ -14,28 +15,29 @@ constraint reads |output position - label| <= k. Student states track the
 occupant of the current position and the undetermined part of the prefix set
 inside the displacement window. Question states track the frontier: the
 hardest question answered so far, by its position, identity and easier set
-(position 0 = none). Tables store costs only; reconstruction re-derives
-parents, which keeps the hot loops small.
+(position 0 = none). Tables store costs only; each engine's reconstruction
+re-derives parents, which keeps the hot loops small.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from operator import add
+from dataclasses import replace
+from operator import add, or_
 
 from . import ideal
 from .core_model import (
     ChainRankError,
     EditSet,
     Instance,
-    InvalidInstanceError,
-    MissingBaseOrderError,
     Mode,
+    ProblemSpec,
     Side,
     Solution,
+    Variant,
     inverse_positions,
 )
+from .exact_oracle import DEFAULT_CAP, solve_unconstrained_knear_editing_exact
 
 _INF = float("inf")
 
@@ -96,22 +98,6 @@ def enumerate_window_sets(i: int, occupant: int, k: int, n_side: int) -> list[tu
     ]
 
 
-def _window_sets_bruteforce(i: int, occupant: int, k: int, n_side: int) -> set[tuple[int, ...]]:
-    """Reference implementation by filtering all k-near permutations.
-
-    Exponential; kept for cross-checking enumerate_window_sets in tests.
-    """
-    from .exact_oracle import enumerate_knear_permutations
-
-    forced_end = max(0, i - k - 1)
-    found: set[tuple[int, ...]] = set()
-    for pi in enumerate_knear_permutations(tuple(range(1, n_side + 1)), k):
-        if pi[i - 1] != occupant:
-            continue
-        found.add(tuple(sorted(e for e in pi[: i - 1] if e > forced_end)))
-    return found
-
-
 def _window_families(k: int, n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
     fams: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for i in range(1, n + 1):
@@ -142,23 +128,7 @@ def _parent_candidates(i: int, window: tuple[int, ...], k: int) -> list[tuple[in
 
 
 # ---------------------------------------------------------------------------
-# DP table plumbing
-
-
-@dataclass
-class DPTable:
-    """Cost tables for one solve, enough to reconstruct the optimum.
-
-    ``layers[i-1]`` maps a position-i student state (occupant, window) to
-    its cost: for the frontier engine a list indexed by question state, for
-    unconstrained addition a scalar.
-    """
-
-    kind: str
-    mode: Mode
-    k: int
-    layers: list[dict]
-    ctx: dict = field(repr=False, default_factory=dict)
+# Shared helpers
 
 
 def _bits_to_labels(bits: int) -> list[int]:
@@ -170,15 +140,17 @@ def _bits_to_labels(bits: int) -> list[int]:
     return labels
 
 
+def _prefix_union(nb: list[int], pref_union: list[int], i: int, k: int, window: tuple[int, ...]) -> int:
+    """Union of the neighborhoods of the labels before position i: those up
+    to i-k-1, which the bound k forces there, and ``window``."""
+    bits = pref_union[max(0, i - k - 1)]
+    for w in window:
+        bits |= nb[w]
+    return bits
+
+
 # ---------------------------------------------------------------------------
 # Frontier engine: constrained k-near (kq = 0) and both k-near
-
-
-def _check_base_orders(inst: Instance, k: int, variant: str) -> None:
-    if inst.base_student_order is None or inst.base_question_order is None:
-        raise MissingBaseOrderError(f"{variant} needs both base orders")
-    if k < 0:
-        raise InvalidInstanceError("k must be non-negative")
 
 
 def solve_constrained_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
@@ -190,21 +162,26 @@ def solve_constrained_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -
     k >= n-1 admits every student order, which the fixed-side solver handles
     directly.
     """
-    _check_base_orders(inst, k, "constrained k-near")
+    ProblemSpec(Variant.CONSTRAINED_KNEAR, mode, k).validate_for(inst)
     if k >= inst.num_students - 1:
         sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
     else:
-        table, terminal = _frontier_table(inst, k, 0, mode)
-        sol = reconstruct(table, terminal, inst)
+        sol = _solve_frontier(inst, k, 0, mode)
     return replace(sol, solver_tag=f"dp.constrained_knear.{mode.value}")
 
 
 def solve_both_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
     """Minimum edits (or additions) with both output orders within k of
     their base orders: the frontier engine with both bounds k."""
-    _check_base_orders(inst, k, "both k-near")
-    table, terminal = _frontier_table(inst, k, k, mode)
-    return replace(reconstruct(table, terminal, inst), solver_tag=f"dp.both_knear.{mode.value}")
+    ProblemSpec(Variant.BOTH_KNEAR, mode, k).validate_for(inst)
+    return replace(_solve_frontier(inst, k, k, mode), solver_tag=f"dp.both_knear.{mode.value}")
+
+
+def _solve_frontier(inst: Instance, ks: int, kq: int, mode: Mode) -> Solution:
+    """The frontier engine with each bound clamped to its side's n-1 or m-1,
+    beyond which it constrains nothing."""
+    ks, kq = min(ks, inst.num_students - 1), min(kq, inst.num_questions - 1)
+    return _reconstruct_frontier(inst, ks, kq, mode, *_frontier_table(inst, ks, kq, mode))
 
 
 def _question_states(m: int, k: int, fams_q) -> list[tuple[int, int, tuple[int, ...], int, int]]:
@@ -259,9 +236,14 @@ def _covering_edges(qstates) -> list[tuple[int, int]]:
 
 def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     """Cost table over (student state, question state) pairs with student
-    bound ks and question bound kq; the callers check the base orders."""
+    bound ks < n and question bound kq < m; the callers check the base
+    orders.
+
+    Returns (layers, nb, qstates, edges). ``layers[i-1]`` maps a position-i
+    student state (occupant, window) to its costs indexed by question state;
+    the rest is what reconstruction shares with the fill.
+    """
     n, m = inst.num_students, inst.num_questions
-    ks, kq = min(ks, n - 1), min(kq, m - 1)
     alpha = inst.base_student_order
     beta0 = inst.base_question_order
     qpos = inverse_positions(beta0)
@@ -270,9 +252,7 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     for lab in range(1, n + 1):
         for q in inst.adjacency[alpha[lab - 1] - 1]:
             nb[lab] |= 1 << (qpos[q] - 1)
-    pref_union = [0] * (n + 1)
-    for lab in range(1, n + 1):
-        pref_union[lab] = pref_union[lab - 1] | nb[lab]
+    pref_union = list(itertools.accumulate(nb, or_))
 
     fams_s = _window_families(ks, n)
     qstates = _question_states(m, kq, _window_families(kq, m))
@@ -289,12 +269,6 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     else:
         cost_table = [[(t & ~b).bit_count() for t in targets] for b in nb]
 
-    def union_with(i: int, u: int, window: tuple[int, ...]) -> int:
-        bits = pref_union[max(0, i - ks - 1)] | nb[u]
-        for w in window:
-            bits |= nb[w]
-        return bits
-
     def fill(i: int, u: int, window: tuple[int, ...], merged: list) -> list:
         """merged + state cost per question state. In addition mode the
         target set must contain the union of the prefix's neighborhoods.
@@ -304,7 +278,7 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
         row = cost_table[u]
         if editing:
             return list(map(add, merged, row))
-        un = union_with(i, u, window)
+        un = _prefix_union(nb, pref_union, i, ks, window) | nb[u]
         hi = un.bit_length()
         lo_q, hi_q = first_at[max(0, hi - kq)], first_at[min(m + 1, hi + kq)]
         out = [_INF] * lo_q
@@ -342,37 +316,7 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
                         merged[qi] = merged[p]
                 cur[(u, window)] = fill(i, u, window, merged)
         layers.append(cur)
-
-    best = _INF
-    terminal = None
-    for key in sorted(layers[-1]):
-        arr = layers[-1][key]
-        for qi, val in enumerate(arr):
-            if val < best:
-                best = val
-                terminal = (n, key[0], key[1], qi)
-    if terminal is None:
-        raise CorruptTableError("no feasible terminal state")
-
-    table = DPTable(
-        kind="frontier",
-        mode=mode,
-        k=ks,
-        layers=layers,
-        ctx={
-            "n": n,
-            "m": m,
-            "kq": kq,
-            "nb": nb,
-            "qstates": qstates,
-            "edges": edges,
-            "cost_table": cost_table,
-            "union_with": union_with,
-            "alpha": alpha,
-            "beta0": beta0,
-        },
-    )
-    return table, terminal
+    return layers, nb, qstates, edges
 
 
 def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
@@ -387,31 +331,53 @@ def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
     return sorted(seen)
 
 
-def _reconstruct_frontier(table: DPTable, terminal, inst: Instance) -> Solution:
-    ctx = table.ctx
-    n, m = ctx["n"], ctx["m"]
-    ks, kq = table.k, ctx["kq"]
-    nb, alpha, beta0 = ctx["nb"], ctx["alpha"], ctx["beta0"]
-    qstates, cost_table, union_with = ctx["qstates"], ctx["cost_table"], ctx["union_with"]
-    mode = table.mode
+def _reconstruct_frontier(
+    inst: Instance,
+    ks: int,
+    kq: int,
+    mode: Mode,
+    layers: list[dict],
+    nb: list[int],
+    qstates: list[tuple],
+    edges: list[tuple[int, int]],
+) -> Solution:
+    """Walk parents back from the cheapest terminal state and assemble the
+    Solution; raises CorruptTableError if the chain breaks or the result
+    disagrees with the table."""
+    n, m = inst.num_students, inst.num_questions
+    alpha, beta0 = inst.base_student_order, inst.base_question_order
+    pref_union = list(itertools.accumulate(nb, or_))
     covered_by: list[list[int]] = [[] for _ in qstates]
-    for qi, p in ctx["edges"]:
+    for qi, p in edges:
         covered_by[qi].append(p)
 
     def state_cost(i: int, u: int, window: tuple[int, ...], qi: int):
-        if mode == Mode.ADDITION and union_with(i, u, window) & ~qstates[qi][4]:
+        target_bits = qstates[qi][4]
+        if mode == Mode.EDITING:
+            return (nb[u] ^ target_bits).bit_count()
+        if (_prefix_union(nb, pref_union, i, ks, window) | nb[u]) & ~target_bits:
             return _INF
-        return cost_table[u][qi]
+        return (target_bits & ~nb[u]).bit_count()
 
-    _, u, window, qi = terminal
-    value = table.layers[n - 1][(u, window)][qi]
-    chain = [(u, window, qi)]
+    terminal_cost = _INF
+    terminal = None
+    for key in sorted(layers[-1]):
+        for qi, val in enumerate(layers[-1][key]):
+            if val < terminal_cost:
+                terminal_cost = val
+                terminal = (*key, qi)
+    if terminal is None:
+        raise CorruptTableError("no feasible terminal state")
+
+    u, window, qi = terminal
+    value = terminal_cost
+    chain = [terminal]
     for i in range(n, 1, -1):
         target = value - state_cost(i, u, window, qi)
         candidates = _reaching(qi, covered_by)
         found = None
         for u_prev, w_prev in _parent_candidates(i, window, ks):
-            arr = table.layers[i - 2].get((u_prev, w_prev))
+            arr = layers[i - 2].get((u_prev, w_prev))
             if arr is None:
                 continue
             for qp in candidates:
@@ -468,7 +434,6 @@ def _reconstruct_frontier(table: DPTable, terminal, inst: Instance) -> Solution:
         total += add_bits.bit_count() + del_bits.bit_count()
     if mode == Mode.ADDITION and deletions:
         raise CorruptTableError("addition solve produced deletions")
-    terminal_cost = table.layers[n - 1][(terminal[1], terminal[2])][terminal[3]]
     if total != terminal_cost:
         raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
 
@@ -495,33 +460,19 @@ def solve_unconstrained_knear_addition(inst: Instance, k: int) -> Solution:
     neighborhoods of the weakest i students, so the state is just (position,
     occupant, window).
     """
-    table, terminal = _unconstrained_addition_table(inst, k)
-    return reconstruct(table, terminal, inst)
+    ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, k).validate_for(inst)
+    k = min(k, inst.num_students)
+    return _reconstruct_unconstrained_addition(inst, k, *_unconstrained_addition_table(inst, k))
 
 
 def _unconstrained_addition_table(inst: Instance, k: int):
-    if inst.base_student_order is None:
-        raise MissingBaseOrderError("unconstrained k-near needs a base student order")
-    if k < 0:
-        raise InvalidInstanceError("k must be non-negative")
+    """Returns (layers, nb): ``layers[i-1]`` maps a position-i state
+    (occupant, window) to its cost, and ``nb[lab]`` is the neighborhood of
+    the student at base position lab."""
     n = inst.num_students
-    k = min(k, n)
-    alpha = inst.base_student_order
-
-    nb = [0] * (n + 1)
-    for lab in range(1, n + 1):
-        nb[lab] = inst.adj_bits[alpha[lab - 1] - 1]
-    pref_union = [0] * (n + 1)
-    for lab in range(1, n + 1):
-        pref_union[lab] = pref_union[lab - 1] | nb[lab]
-
+    nb = [0] + [inst.adj_bits[s - 1] for s in inst.base_student_order]
+    pref_union = list(itertools.accumulate(nb, or_))
     fams = _window_families(k, n)
-
-    def union_before(i: int, window: tuple[int, ...]) -> int:
-        bits = pref_union[max(0, i - k - 1)]
-        for w in window:
-            bits |= nb[w]
-        return bits
 
     layers: list[dict] = [
         {
@@ -542,45 +493,39 @@ def _unconstrained_addition_table(inst: Instance, k: int):
                         best = val
                 if best == _INF:
                     continue
-                cost = (union_before(i, window) & ~nb[u]).bit_count()
+                cost = (_prefix_union(nb, pref_union, i, k, window) & ~nb[u]).bit_count()
                 cur[(u, window)] = best + cost
         layers.append(cur)
+    return layers, nb
 
-    best = _INF
+
+def _reconstruct_unconstrained_addition(
+    inst: Instance, k: int, layers: list[dict], nb: list[int]
+) -> Solution:
+    """Walk parents back from the cheapest terminal state, as the frontier
+    reconstruction does."""
+    n = inst.num_students
+    alpha = inst.base_student_order
+    pref_union = list(itertools.accumulate(nb, or_))
+
+    terminal_cost = _INF
     terminal = None
     for key in sorted(layers[-1]):
-        val = layers[-1][key]
-        if val < best:
-            best = val
-            terminal = (n, key[0], key[1])
+        if layers[-1][key] < terminal_cost:
+            terminal_cost = layers[-1][key]
+            terminal = key
     if terminal is None:
         raise CorruptTableError("no feasible terminal state")
 
-    table = DPTable(
-        kind="unconstrained_addition",
-        mode=Mode.ADDITION,
-        k=k,
-        layers=layers,
-        ctx={"inst": inst, "n": n, "nb": nb, "union_before": union_before, "alpha": alpha},
-    )
-    return table, terminal
-
-
-def _reconstruct_unconstrained_addition(table: DPTable, terminal, inst: Instance) -> Solution:
-    ctx = table.ctx
-    n, k = ctx["n"], table.k
-    nb, alpha = ctx["nb"], ctx["alpha"]
-    union_before = ctx["union_before"]
-
-    _, u, window = terminal
-    value = table.layers[n - 1][(u, window)]
-    chain = [(u, window)]
+    u, window = terminal
+    value = terminal_cost
+    chain = [terminal]
     for i in range(n, 1, -1):
-        cost = (union_before(i, window) & ~nb[u]).bit_count()
+        cost = (_prefix_union(nb, pref_union, i, k, window) & ~nb[u]).bit_count()
         target = value - cost
         found = None
         for parent in _parent_candidates(i, window, k):
-            if table.layers[i - 2].get(parent) == target:
+            if layers[i - 2].get(parent) == target:
                 found = parent
                 break
         if found is None:
@@ -603,7 +548,6 @@ def _reconstruct_unconstrained_addition(table: DPTable, terminal, inst: Instance
         additions.extend((s, q) for q in _bits_to_labels(add_bits))
         total += add_bits.bit_count()
         rows.append((s, acc))
-    terminal_cost = table.layers[n - 1][(terminal[1], terminal[2])]
     if total != terminal_cost:
         raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
 
@@ -623,15 +567,29 @@ def _reconstruct_unconstrained_addition(table: DPTable, terminal, inst: Instance
 
 
 # ---------------------------------------------------------------------------
-# Shared reconstruction entry point
+# Variant dispatch
 
 
-def reconstruct(table: DPTable, terminal, inst: Instance) -> Solution:
-    """Walk parent pointers from a terminal state back to position 1 and
-    assemble the Solution; raises CorruptTableError if the chain breaks or
-    the recomputed cost disagrees with the table."""
-    if table.kind == "frontier":
-        return _reconstruct_frontier(table, terminal, inst)
-    if table.kind == "unconstrained_addition":
-        return _reconstruct_unconstrained_addition(table, terminal, inst)
-    raise ValueError(f"unknown table kind {table.kind!r}")
+def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution:
+    """Solve ``spec`` on ``inst`` with the solver for its variant.
+
+    Unconstrained k-near editing is NP-hard; it runs the exact enumeration,
+    which raises InstanceTooLargeError beyond ``cap`` orderings. Recognition
+    and the fixed-both check are not optimization problems and raise
+    ChainRankError, as does a missing base order (MissingBaseOrderError).
+    """
+    spec.validate_for(inst)
+    variant, mode, k = spec.variant, spec.mode, spec.k
+    if variant == Variant.FIXED_ONE_SIDE:
+        students = spec.fixed_side == Side.STUDENTS_FIXED
+        fixed = inst.base_student_order if students else inst.base_question_order
+        return ideal.solve_fixed_side(inst, spec.fixed_side, fixed, mode)
+    if variant == Variant.CONSTRAINED_KNEAR:
+        return solve_constrained_knear(inst, k, mode)
+    if variant == Variant.BOTH_KNEAR:
+        return solve_both_knear(inst, k, mode)
+    if variant == Variant.UNCONSTRAINED_KNEAR:
+        if mode == Mode.ADDITION:
+            return solve_unconstrained_knear_addition(inst, k)
+        return solve_unconstrained_knear_editing_exact(inst, k, cap)
+    raise ChainRankError(f"variant {variant.value} has no solver")

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from chainrank import Instance, make_instance
+from chainrank import Instance, Mode, Variant, make_instance
+
+# The (variant, mode) pairs that a polynomial dynamic program solves.
+DP_VARIANT_MODES = (
+    (Variant.CONSTRAINED_KNEAR, Mode.EDITING),
+    (Variant.CONSTRAINED_KNEAR, Mode.ADDITION),
+    (Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION),
+    (Variant.BOTH_KNEAR, Mode.EDITING),
+    (Variant.BOTH_KNEAR, Mode.ADDITION),
+)
 
 
 def figure_one() -> Instance:

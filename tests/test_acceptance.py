@@ -29,6 +29,7 @@ from chainrank import (
     oracle_solve,
     perturb_order,
     recognize_ideal,
+    solve,
     solve_both_knear,
     solve_constrained_knear,
     solve_fixed_side,
@@ -38,7 +39,7 @@ from chainrank import (
     with_base_orders,
 )
 from chainrank.hardness import formula
-from conftest import random_instance
+from conftest import DP_VARIANT_MODES, random_instance
 
 _REGISTRY: list[tuple] = []
 
@@ -53,11 +54,8 @@ def _report(criterion: int, started: float, detail: str):
 
 def _dp_runs(inst, k):
     return [
-        (solve_constrained_knear(inst, k, Mode.EDITING), Variant.CONSTRAINED_KNEAR, Mode.EDITING),
-        (solve_constrained_knear(inst, k, Mode.ADDITION), Variant.CONSTRAINED_KNEAR, Mode.ADDITION),
-        (solve_unconstrained_knear_addition(inst, k), Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION),
-        (solve_both_knear(inst, k, Mode.EDITING), Variant.BOTH_KNEAR, Mode.EDITING),
-        (solve_both_knear(inst, k, Mode.ADDITION), Variant.BOTH_KNEAR, Mode.ADDITION),
+        (solve(inst, ProblemSpec(variant, mode, k)), variant, mode)
+        for variant, mode in DP_VARIANT_MODES
     ]
 
 
@@ -248,18 +246,11 @@ def test_criterion_6_structural_properties():
         if spec.mode == Mode.ADDITION:
             assert not sol.edits.deletions
 
-    solvers = [
-        lambda inst, k: solve_constrained_knear(inst, k, Mode.EDITING).cost,
-        lambda inst, k: solve_constrained_knear(inst, k, Mode.ADDITION).cost,
-        lambda inst, k: solve_unconstrained_knear_addition(inst, k).cost,
-        lambda inst, k: solve_both_knear(inst, k, Mode.EDITING).cost,
-        lambda inst, k: solve_both_knear(inst, k, Mode.ADDITION).cost,
-    ]
     for seed in range(200):
         rng = random.Random(60_000 + seed)
         inst = random_instance(rng, max_side=6)
-        for solver in solvers:
-            costs = [solver(inst, k) for k in (0, 1, 2)]
+        for variant, mode in DP_VARIANT_MODES:
+            costs = [solve(inst, ProblemSpec(variant, mode, k)).cost for k in (0, 1, 2)]
             assert costs[0] >= costs[1] >= costs[2], (seed, costs)
         for k in (0, 1, 2):
             assert (

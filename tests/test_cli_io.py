@@ -205,3 +205,51 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "variant,mode,n_students,n_questions,k,seed,cost,wall_ms"
         assert len(lines) == 1 + 2 * 2 * 2
+
+    def test_solve_fixed_side_needs_side(self, fig1_file, capsys):
+        code = main(["solve", "--variant", "fixed-side", "--input", str(fig1_file)])
+        assert code == 1
+        assert "--fixed-side" in capsys.readouterr().err
+
+    def test_solve_fixed_side_needs_base_order(self, tmp_path, capsys):
+        path = tmp_path / "no_orders.txt"
+        path.write_text(FIG1_TEXT)
+        code = main(["solve", "--variant", "fixed-side", "--fixed-side", "questions", "--input", str(path)])
+        assert code == 1
+        assert "MISSING_BASE_ORDER" in capsys.readouterr().err
+
+    def test_bench_fixed_side_writes_csv(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--variant", "fixed-side", "--sizes", "6", "--ks", "0,1",
+            "--output", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 2
+        assert all(line.startswith("fixed-side,editing,6,6,") for line in lines[1:])
+
+    @pytest.mark.parametrize("flag, value", [("--sizes", "5,x"), ("--ks", "1,y")])
+    def test_bench_rejects_non_integer_list(self, tmp_path, capsys, flag, value):
+        args = {"--sizes": "5", "--ks": "1", flag: value}
+        code = main([
+            "bench", "--variant", "constrained", "--sizes", args["--sizes"], "--ks", args["--ks"],
+            "--output", str(tmp_path / "bench.csv"),
+        ])
+        assert code == 1
+        assert f"expected a non-negative integer, got '{value[-1]}'" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+    def test_negative_k_is_a_usage_error(self, fig1_file, tmp_path, capsys, command):
+        sol_path = tmp_path / "sol.txt"
+        assert main(["solve", "--variant", "constrained", "--input", str(fig1_file), "--output", str(sol_path)]) == 0
+        argv = {
+            "check": ["check", "--solution", str(sol_path)],
+            "solve": ["solve"],
+            "oracle": ["oracle"],
+        }[command]
+        code = main([*argv, "--input", str(fig1_file), "--variant", "constrained", "--k", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "expected a non-negative integer, got '-1'" in err

@@ -9,22 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank import (
+    ChainRankError,
     MissingBaseOrderError,
     Mode,
     ProblemSpec,
     Side,
     Variant,
+    enumerate_knear_permutations,
     enumerate_window_sets,
     make_instance,
     oracle_solve,
+    solve,
     solve_both_knear,
     solve_constrained_knear,
     solve_fixed_side,
     solve_unconstrained_knear_addition,
+    solve_unconstrained_knear_editing_exact,
     verify_solution,
 )
-from chainrank.dp_engine import _window_sets_bruteforce
-from conftest import figure_one, random_instance
+from conftest import DP_VARIANT_MODES, figure_one, random_instance
 
 
 def fig1_with_orders():
@@ -32,6 +35,17 @@ def fig1_with_orders():
     return make_instance(
         3, 5, list(inst.edges()), base_student_order=(1, 2, 3), base_question_order=(1, 2, 3, 4, 5)
     )
+
+
+def _window_sets_bruteforce(i: int, occupant: int, k: int, n_side: int) -> set[tuple[int, ...]]:
+    """Reference for enumerate_window_sets: filter all k-near permutations."""
+    forced_end = max(0, i - k - 1)
+    found: set[tuple[int, ...]] = set()
+    for pi in enumerate_knear_permutations(tuple(range(1, n_side + 1)), k):
+        if pi[i - 1] != occupant:
+            continue
+        found.add(tuple(sorted(e for e in pi[: i - 1] if e > forced_end)))
+    return found
 
 
 class TestWindowSets:
@@ -57,8 +71,6 @@ class TestWindowSets:
 
 def _constrained_bruteforce(inst, k, mode):
     """Independent check: enumerate k-near orders x monotone frontier tuples."""
-    from chainrank import enumerate_knear_permutations
-
     n, m = inst.num_students, inst.num_questions
     best = None
     for pi in enumerate_knear_permutations(inst.base_student_order, k):
@@ -188,15 +200,9 @@ class TestOracleAgreement:
         for _ in range(120):
             inst = random_instance(rng, max_side=5)
             k = rng.choice([0, 1, 2])
-            runs = [
-                (solve_constrained_knear(inst, k, Mode.EDITING), Variant.CONSTRAINED_KNEAR, Mode.EDITING),
-                (solve_constrained_knear(inst, k, Mode.ADDITION), Variant.CONSTRAINED_KNEAR, Mode.ADDITION),
-                (solve_unconstrained_knear_addition(inst, k), Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION),
-                (solve_both_knear(inst, k, Mode.EDITING), Variant.BOTH_KNEAR, Mode.EDITING),
-                (solve_both_knear(inst, k, Mode.ADDITION), Variant.BOTH_KNEAR, Mode.ADDITION),
-            ]
-            for sol, variant, mode in runs:
+            for variant, mode in DP_VARIANT_MODES:
                 spec = ProblemSpec(variant, mode, k)
+                sol = solve(inst, spec)
                 assert sol.cost == oracle_solve(inst, spec).cost, (spec, inst)
                 assert verify_solution(inst, spec, sol).ok
 
@@ -204,14 +210,8 @@ class TestOracleAgreement:
         rng = random.Random(24)
         for _ in range(40):
             inst = random_instance(rng, max_side=5)
-            for solver in (
-                lambda k: solve_constrained_knear(inst, k, Mode.EDITING).cost,
-                lambda k: solve_constrained_knear(inst, k, Mode.ADDITION).cost,
-                lambda k: solve_unconstrained_knear_addition(inst, k).cost,
-                lambda k: solve_both_knear(inst, k, Mode.EDITING).cost,
-                lambda k: solve_both_knear(inst, k, Mode.ADDITION).cost,
-            ):
-                costs = [solver(k) for k in (0, 1, 2)]
+            for variant, mode in DP_VARIANT_MODES:
+                costs = [solve(inst, ProblemSpec(variant, mode, k)).cost for k in (0, 1, 2)]
                 assert costs[0] >= costs[1] >= costs[2]
 
     def test_editing_no_worse_than_addition(self):
@@ -230,20 +230,19 @@ class TestOracleAgreement:
 
 
 def test_reconstruct_rejects_tampered_table():
-    from chainrank.dp_engine import CorruptTableError, _frontier_table, reconstruct
+    from chainrank.dp_engine import CorruptTableError, _frontier_table, _reconstruct_frontier
 
     inst = make_instance(2, 2, [(1, 1), (1, 2)], (1, 2), (1, 2))
-    table, terminal = _frontier_table(inst, 1, 0, Mode.EDITING)
-    for state in table.layers[0]:
-        table.layers[0][state] = [c + 1 for c in table.layers[0][state]]
+    layers, *shared = _frontier_table(inst, 1, 0, Mode.EDITING)
+    for state in layers[0]:
+        layers[0][state] = [c + 1 for c in layers[0][state]]
     with pytest.raises(CorruptTableError):
-        reconstruct(table, terminal, inst)
+        _reconstruct_frontier(inst, 1, 0, Mode.EDITING, layers, *shared)
 
 
 def test_covering_edge_closure_matches_knear_orders():
     """p reaches q along covering edges iff some k-near question order
     passes through p's frontier state and later through q's."""
-    from chainrank import enumerate_knear_permutations
     from chainrank.dp_engine import _covering_edges, _question_states, _window_families
 
     for m in range(1, 8):
@@ -277,13 +276,52 @@ def test_covering_edge_closure_matches_knear_orders():
 def test_every_solution_verifies(seed, k):
     rng = random.Random(seed)
     inst = random_instance(rng, max_side=5)
-    runs = [
-        (solve_constrained_knear(inst, k, Mode.EDITING), Variant.CONSTRAINED_KNEAR, Mode.EDITING),
-        (solve_constrained_knear(inst, k, Mode.ADDITION), Variant.CONSTRAINED_KNEAR, Mode.ADDITION),
-        (solve_unconstrained_knear_addition(inst, k), Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION),
-        (solve_both_knear(inst, k, Mode.EDITING), Variant.BOTH_KNEAR, Mode.EDITING),
-        (solve_both_knear(inst, k, Mode.ADDITION), Variant.BOTH_KNEAR, Mode.ADDITION),
-    ]
-    for sol, variant, mode in runs:
-        report = verify_solution(inst, ProblemSpec(variant, mode, k), sol)
+    for variant, mode in DP_VARIANT_MODES:
+        spec = ProblemSpec(variant, mode, k)
+        report = verify_solution(inst, spec, solve(inst, spec))
         assert report.ok, [c.name for c in report.failed()]
+
+
+class TestSolveDispatch:
+    def test_matches_direct_solvers(self):
+        rng = random.Random(28)
+        for _ in range(30):
+            inst = random_instance(rng, max_side=5)
+            k = rng.choice([0, 1, 2])
+            cases = [
+                (Variant.CONSTRAINED_KNEAR, Mode.EDITING, solve_constrained_knear(inst, k, Mode.EDITING)),
+                (Variant.CONSTRAINED_KNEAR, Mode.ADDITION, solve_constrained_knear(inst, k, Mode.ADDITION)),
+                (Variant.BOTH_KNEAR, Mode.EDITING, solve_both_knear(inst, k, Mode.EDITING)),
+                (Variant.BOTH_KNEAR, Mode.ADDITION, solve_both_knear(inst, k, Mode.ADDITION)),
+                (Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, solve_unconstrained_knear_addition(inst, k)),
+                (Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, solve_unconstrained_knear_editing_exact(inst, k)),
+            ]
+            for variant, mode, sol in cases:
+                assert solve(inst, ProblemSpec(variant, mode, k)) == sol, (variant, mode)
+            for side, order in (
+                (Side.STUDENTS_FIXED, inst.base_student_order),
+                (Side.QUESTIONS_FIXED, inst.base_question_order),
+            ):
+                for mode in (Mode.EDITING, Mode.ADDITION):
+                    spec = ProblemSpec(Variant.FIXED_ONE_SIDE, mode, 0, side)
+                    assert solve(inst, spec) == solve_fixed_side(inst, side, order, mode), spec
+
+    @pytest.mark.parametrize("variant", [Variant.IMO_RECOGNIZE, Variant.FIXED_BOTH_CHECK])
+    def test_non_optimization_variants_raise(self, variant):
+        with pytest.raises(ChainRankError):
+            solve(fig1_with_orders(), ProblemSpec(variant))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProblemSpec(Variant.CONSTRAINED_KNEAR, Mode.EDITING, 1),
+            ProblemSpec(Variant.BOTH_KNEAR, Mode.ADDITION, 1),
+            ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, 1),
+            ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, 1),
+            ProblemSpec(Variant.FIXED_ONE_SIDE, Mode.EDITING, 0, Side.STUDENTS_FIXED),
+            ProblemSpec(Variant.FIXED_ONE_SIDE, Mode.EDITING, 0, Side.QUESTIONS_FIXED),
+        ],
+    )
+    def test_missing_base_order_raises(self, spec):
+        with pytest.raises(MissingBaseOrderError):
+            solve(figure_one(), spec)

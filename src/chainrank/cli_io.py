@@ -177,7 +177,9 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
         try:
             count = int(count_text)
         except ValueError:
-            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines[idx - 1][0]) from None
+            count = -1
+        if count < 0:
+            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines[idx - 1][0])
         for _ in range(count):
             if idx >= len(lines):
                 raise ParseError(f"missing {key} pair", line=lines[-1][0])
@@ -395,14 +397,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _non_negative_int(text: str) -> int:
+def _non_negative_int(text: str, low: int = 0) -> int:
     try:
         value = int(text)
-        if value >= 0:
+        if value >= low:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    kind = "a positive" if low == 1 else "a non-negative"
+    raise argparse.ArgumentTypeError(f"expected {kind} integer, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    return _non_negative_int(text, low=1)
 
 
 def _int_list(text: str) -> list[int]:
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a polynomial solver")
     add_common(p, ("constrained", "unconstrained", "both", "fixed-side"), required=True)
     p.add_argument("--exponential-ok", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=_cmd_solve)
@@ -456,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force exact solve (any variant)")
     add_common(p, ("imo", "fixed-both", "fixed-side", "constrained", "unconstrained", "both"))
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=_cmd_oracle)
@@ -466,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["editing", "addition"], default="editing")
     p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated square sizes, e.g. 20,40")
     p.add_argument("--ks", type=_int_list, default="1", help="comma-separated k values")
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_positive_int, default=1)
     p.add_argument("--flip-prob", type=float, default=0.1)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
     p.add_argument("--output", required=True)
     p.set_defaults(handler=_cmd_bench, fixed_side="questions")
 

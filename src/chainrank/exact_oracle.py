@@ -4,13 +4,19 @@ The oracle enumerates bounded-displacement orderings of one or both sides and
 solves the remaining fixed-order problem optimally. Its value is obvious
 correctness on desk-scale instances, including the NP-hard unconstrained
 k-near editing variant, which is only available here.
+
+Each inner problem is one pass: ``_free_cost`` for a free question side and
+``_exact_cost`` for a fixed question order. The enumeration calls them for
+the cost alone; ``inner_fixed_orders_cost`` calls the same pass once more on
+the winning orders and reads the witness from what it already computes, the
+smallest optimal suffix sizes or the prefix-minimum rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core_model import (
     ChainRankError,
@@ -45,6 +51,9 @@ def enumerate_knear_permutations(base: Sequence[int], k: int) -> Iterator[tuple[
     (base position + k) has arrived must be placed immediately.
     """
     base = tuple(base)
+    if k == 0:
+        yield base
+        return
     n = len(base)
     bpos = {e: p for p, e in enumerate(base, start=1)}
     entities = sorted(base)
@@ -144,43 +153,18 @@ def _free_cost(
     student_order: Sequence[int],
     n: int,
     mode: Mode,
+    sizes: list[int] | None = None,
 ) -> int:
-    """Total cost of the best per-question suffix under this student order."""
+    """Total cost of the best per-question suffix under this student order.
+
+    When ``sizes`` is given, each group's smallest optimal suffix size is
+    appended to it: that is the witness.
+    """
     spos = inverse_positions(student_order)
     total = 0
     for key, weight in zip(group_keys, group_sizes):
         deg = len(key)
         positions = {spos[s] for s in key}
-        if mode == Mode.ADDITION:
-            best = (n - min(positions) + 1) - deg if deg else 0
-        else:
-            c = deg
-            best = c
-            for size in range(1, n + 1):
-                c += -1 if (n - size + 1) in positions else 1
-                if c < best:
-                    best = c
-        total += best * weight
-    return total
-
-
-def _free_full(
-    inst: Instance, student_order: Sequence[int], mode: Mode
-) -> tuple[int, tuple[int, ...], EditSet]:
-    """Best per-question suffixes with witnesses: (cost, question order, edits)."""
-    n = inst.num_students
-    spos = inverse_positions(student_order)
-    members: list[list[int]] = [[] for _ in range(inst.num_questions + 1)]
-    for s, q in inst.edges():
-        members[q].append(s)
-    total = 0
-    sizes: dict[int, int] = {}
-    additions: list[tuple[int, int]] = []
-    deletions: list[tuple[int, int]] = []
-    for q in range(1, inst.num_questions + 1):
-        nbh = members[q]
-        deg = len(nbh)
-        positions = {spos[s] for s in nbh}
         if mode == Mode.ADDITION:
             best_size = (n - min(positions) + 1) if deg else 0
             best = best_size - deg
@@ -191,13 +175,10 @@ def _free_full(
                 c += -1 if (n - size + 1) in positions else 1
                 if c < best:
                     best, best_size = c, size
-        sizes[q] = best_size
-        total += best
-        target = {student_order[p - 1] for p in range(n - best_size + 1, n + 1)}
-        additions.extend((s, q) for s in sorted(target - set(nbh)))
-        deletions.extend((s, q) for s in sorted(set(nbh) - target))
-    question_order = tuple(sorted(range(1, inst.num_questions + 1), key=lambda q: (-sizes[q], q)))
-    return total, question_order, EditSet.of(additions, deletions)
+        total += best * weight
+        if sizes is not None:
+            sizes.append(best_size)
+    return total
 
 
 def _exact_cost(
@@ -205,9 +186,14 @@ def _exact_cost(
     degs: Sequence[int],
     question_order: Sequence[int],
     mode: Mode,
+    rows: list[list[int | float]] | None = None,
 ) -> int | float:
     """Minimum edits with both orders fixed: non-decreasing prefix thresholds
-    along the student order, one pass of rolling prefix minima."""
+    along the student order, one pass of rolling prefix minima.
+
+    When ``rows`` is given, each student's prefix-minimum row is appended to
+    it; walking them back from the last gives the thresholds.
+    """
     m = len(question_order)
     add = mode == Mode.ADDITION
     pm: list[int | float] = [0] * (m + 1)
@@ -228,65 +214,9 @@ def _exact_cost(
                 run = v
             new.append(run)
         pm = new
+        if rows is not None:
+            rows.append(new)
     return pm[m]
-
-
-def _exact_full(
-    inst: Instance,
-    student_order: Sequence[int],
-    question_order: Sequence[int],
-    mode: Mode,
-) -> tuple[int, EditSet]:
-    """As _exact_cost but reconstructing thresholds (smallest on ties) and
-    the resulting edit set."""
-    m = len(question_order)
-    add = mode == Mode.ADDITION
-    rows = []
-    for s in student_order:
-        nb = inst.adj_bits[s - 1]
-        deg = len(inst.adjacency[s - 1])
-        c = deg
-        covered = 0
-        arr: list[int | float] = [_INF if (add and deg) else c]
-        for t in range(1, m + 1):
-            if nb >> (question_order[t - 1] - 1) & 1:
-                c -= 1
-                covered += 1
-            else:
-                c += 1
-            arr.append(_INF if (add and covered < deg) else c)
-        rows.append(arr)
-
-    best: list[list[int | float]] = []
-    pm = [0] * (m + 1)
-    for arr in rows:
-        cur = [arr[t] + pm[t] for t in range(m + 1)]
-        best.append(cur)
-        run: int | float = _INF
-        pm = []
-        for v in cur:
-            if v < run:
-                run = v
-            pm.append(run)
-
-    total = min(best[-1])
-    thresholds = [0] * len(rows)
-    t = min(range(m + 1), key=lambda x: (best[-1][x], x))
-    thresholds[-1] = t
-    for i in range(len(rows) - 2, -1, -1):
-        need = best[i + 1][thresholds[i + 1]] - rows[i + 1][thresholds[i + 1]]
-        t = next(x for x in range(thresholds[i + 1] + 1) if best[i][x] == need)
-        thresholds[i] = t
-
-    additions: list[tuple[int, int]] = []
-    deletions: list[tuple[int, int]] = []
-    for s, t in zip(student_order, thresholds):
-        target = set(question_order[:t])
-        nbh = inst.neighbors(s)
-        additions.extend((s, q) for q in sorted(target - nbh))
-        deletions.extend((s, q) for q in sorted(nbh - target))
-    assert total == len(additions) + len(deletions)
-    return int(total), EditSet.of(additions, deletions)
 
 
 def inner_fixed_orders_cost(
@@ -296,27 +226,49 @@ def inner_fixed_orders_cost(
     mode: Mode = Mode.EDITING,
 ) -> tuple[int, tuple[int, ...], EditSet]:
     """Optimal edits for a fixed student order under the given question-side
-    constraint. Returns (cost, question_order, edits)."""
+    constraint. Returns (cost, question_order, edits).
+
+    Ties go to the smallest optimal suffix per question (free) or the
+    smallest optimal threshold per student, last student first (ordered).
+    """
     student_order = tuple(student_order)
+    n = inst.num_students
     if isinstance(question_constraint, QFree):
-        return _free_full(inst, student_order, mode)
-    if isinstance(question_constraint, QExact):
-        order = tuple(question_constraint.order)
-        cost, edits = _exact_full(inst, student_order, order, mode)
-        return cost, order, edits
-    if isinstance(question_constraint, QKNear):
+        group_keys, group_members = _question_groups(inst)
+        sizes: list[int] = []
+        cost = _free_cost(
+            group_keys, [len(ms) for ms in group_members], student_order, n, mode, sizes
+        )
+        size_of = {q: size for ms, size in zip(group_members, sizes) for q in ms}
+        order = tuple(sorted(size_of, key=lambda q: (-size_of[q], q)))
+        target = {(s, q) for q, size in size_of.items() for s in student_order[n - size :]}
+    else:
+        if isinstance(question_constraint, QExact):
+            orders: Iterable[tuple[int, ...]] = (tuple(question_constraint.order),)
+        elif isinstance(question_constraint, QKNear):
+            orders = enumerate_knear_permutations(question_constraint.order, question_constraint.k)
+        else:
+            raise TypeError(f"unknown question constraint {question_constraint!r}")
         nbh_bits = [inst.adj_bits[s - 1] for s in student_order]
         degs = [len(inst.adjacency[s - 1]) for s in student_order]
-        best_cost: int | float = _INF
-        best_order: tuple[int, ...] | None = None
-        for beta in enumerate_knear_permutations(question_constraint.order, question_constraint.k):
-            c = _exact_cost(nbh_bits, degs, beta, mode)
-            if c < best_cost:
-                best_cost, best_order = c, beta
-        assert best_order is not None
-        cost, edits = _exact_full(inst, student_order, best_order, mode)
-        return cost, best_order, edits
-    raise TypeError(f"unknown question constraint {question_constraint!r}")
+        cost, order, rows = _INF, None, []
+        for beta in orders:
+            beta_rows: list[list[int | float]] = []
+            c = _exact_cost(nbh_bits, degs, beta, mode, beta_rows)
+            if c < cost:
+                cost, order, rows = c, beta, beta_rows
+        assert order is not None
+        # Prefix-minimum rows are non-increasing, so the first occurrence of
+        # row[t] is the smallest optimal threshold <= t for that student.
+        t = len(order)
+        target = set()
+        for s, row in zip(reversed(student_order), reversed(rows)):
+            t = row.index(row[t])
+            target.update((s, q) for q in order[:t])
+    edges = set(inst.edges())
+    edits = EditSet.of(target - edges, edges - target)
+    assert edits.size == cost
+    return int(cost), order, edits
 
 
 # ---------------------------------------------------------------------------
@@ -344,38 +296,27 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
     identity_s = tuple(range(1, n + 1))
     identity_q = tuple(range(1, m + 1))
 
+    # Each variant enumerates sbase's k-near orders at sk and, per student
+    # order, either a free question side (qbase None) or qbase's at qk.
+    base_s, base_q = inst.base_student_order, inst.base_question_order
     if v == Variant.CONSTRAINED_KNEAR:
-        sbase, sk = inst.base_student_order, min(spec.k, n)
-        constraint: QFree | QExact | QKNear = QExact(inst.base_question_order)
-        qcount = 1
+        sbase, sk, qbase, qk = base_s, min(spec.k, n), base_q, 0
     elif v == Variant.UNCONSTRAINED_KNEAR:
-        sbase, sk = inst.base_student_order, min(spec.k, n)
-        constraint = QFree()
-        qcount = 1
+        sbase, sk, qbase, qk = base_s, min(spec.k, n), None, 0
     elif v == Variant.BOTH_KNEAR:
-        sbase, sk = inst.base_student_order, min(spec.k, n)
-        constraint = QKNear(inst.base_question_order, min(spec.k, m))
-        qcount = count_knear_permutations(m, min(spec.k, m))
+        sbase, sk, qbase, qk = base_s, min(spec.k, n), base_q, min(spec.k, m)
     elif v == Variant.FIXED_BOTH_CHECK:
-        sbase, sk = inst.base_student_order, 0
-        constraint = QExact(inst.base_question_order)
-        qcount = 1
+        sbase, sk, qbase, qk = base_s, 0, base_q, 0
     elif v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.QUESTIONS_FIXED:
-        sbase, sk = identity_s, n
-        constraint = QExact(inst.base_question_order)
-        qcount = 1
+        sbase, sk, qbase, qk = identity_s, n, base_q, 0
     elif v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.STUDENTS_FIXED:
-        sbase, sk = inst.base_student_order, 0
-        constraint = QKNear(identity_q, m)
-        qcount = factorial(m)
+        sbase, sk, qbase, qk = base_s, 0, identity_q, m
     elif v == Variant.IMO_RECOGNIZE:
-        sbase = inst.base_student_order or identity_s
-        sk = n
-        constraint = QFree()
-        qcount = 1
+        sbase, sk, qbase, qk = base_s or identity_s, n, None, 0
     else:
         raise ValueError(f"oracle cannot dispatch {spec!r}")
 
+    qcount = 1 if qbase is None else count_knear_permutations(m, qk)
     _guard(count_knear_permutations(n, sk) * qcount, cap)
 
     group_keys, group_members = _question_groups(inst)
@@ -388,34 +329,22 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
     best_beta: tuple[int, ...] | None = None
 
     for pi in enumerate_knear_permutations(sbase, sk):
-        if isinstance(constraint, QFree):
+        if qbase is None:
             c = _free_cost(group_keys, group_sizes, pi, n, mode)
-            if c < best_cost:
-                best_cost, best_pi = c, pi
-        elif isinstance(constraint, QExact):
-            nbh_bits = [nbh_bits_by_id[s - 1] for s in pi]
-            degs = [degs_by_id[s - 1] for s in pi]
-            c = _exact_cost(nbh_bits, degs, constraint.order, mode)
             if c < best_cost:
                 best_cost, best_pi = c, pi
         else:
             nbh_bits = [nbh_bits_by_id[s - 1] for s in pi]
             degs = [degs_by_id[s - 1] for s in pi]
-            for beta in enumerate_knear_permutations(constraint.order, constraint.k):
+            for beta in enumerate_knear_permutations(qbase, qk):
                 c = _exact_cost(nbh_bits, degs, beta, mode)
                 if c < best_cost:
                     best_cost, best_pi, best_beta = c, pi, beta
 
     assert best_pi is not None, "feasible ordering always exists"
-    if isinstance(constraint, QFree):
-        cost, qorder, edits = _free_full(inst, best_pi, mode)
-    elif isinstance(constraint, QExact):
-        qorder = constraint.order
-        cost, edits = _exact_full(inst, best_pi, qorder, mode)
-    else:
-        assert best_beta is not None
-        qorder = best_beta
-        cost, edits = _exact_full(inst, best_pi, qorder, mode)
+    assert qbase is None or best_beta is not None
+    constraint = QFree() if qbase is None else QExact(best_beta)
+    cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, constraint, mode)
     assert cost == best_cost
     return Solution(
         cost=cost,

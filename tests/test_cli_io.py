@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainrank import EditSet, ParseError, Solution, make_instance
+from chainrank import ChainRankError, CorruptTableError, EditSet, ParseError, Solution, make_instance
 from chainrank.cli_io import (
     format_instance,
     format_solution,
@@ -78,6 +80,44 @@ class TestSolutionFormat:
             parse_solution(text)
 
 
+_FUZZ_BASES = {
+    parse_instance: FIG1_TEXT + "students: 3 1 2\nquestions: 1 2 3 4 5\n",
+    parse_solution: format_solution(
+        Solution(2, (1, 2, 3), (1, 2, 3, 4, 5), EditSet.of([(1, 3)], [(3, 5)]), "t"), verified=True
+    ),
+}
+_FUZZ_TOKENS = (
+    "chainrank", "v1", "chainrank v1", "chainrank-solution v1", "students:", "questions:",
+    "cost:", "student_order:", "question_order:", "additions:", "deletions:", "solver_tag:",
+    "verified:", "true", ":", "#", " ", "\n", "0", "1", "-1", "1.5", "x",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    parse=st.sampled_from(list(_FUZZ_BASES)),
+    edits=st.lists(
+        st.tuples(
+            st.none() | st.sampled_from(_FUZZ_TOKENS) | st.integers(-3, 99).map(str),
+            st.integers(0, 10**4),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_parsers_raise_only_usage_errors(parse, edits):
+    """Valid files with characters deleted (None) or tokens inserted parse,
+    or raise a ChainRankError that the command line turns into exit 1."""
+    text = _FUZZ_BASES[parse]
+    for token, at in edits:
+        at %= len(text) + 1
+        text = text[:at] + text[at + 1 :] if token is None else text[:at] + token + text[at:]
+    try:
+        parse(text)
+    except ChainRankError as exc:
+        assert not isinstance(exc, CorruptTableError)  # the one subclass that exits 3
+
+
 @pytest.fixture
 def fig1_file(tmp_path):
     path = tmp_path / "fig1.txt"
@@ -128,6 +168,19 @@ class TestCli:
         code = main(["check", "--input", str(fig1_file), "--solution", str(sol_path)])
         assert code == 1
         assert "expected integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "good_line, bad_line", [("additions: 0", "additions: -3"), ("deletions: 0", "deletions: -1")]
+    )
+    def test_check_rejects_negative_count(self, fig1_file, tmp_path, capsys, good_line, bad_line):
+        sol = Solution(0, (1, 2, 3), (1, 2, 3, 4, 5), EditSet(), "t")
+        text = format_solution(sol, verified=False)
+        assert f"\n{good_line}\n" in text
+        sol_path = tmp_path / "sol.txt"
+        sol_path.write_text(text.replace(f"\n{good_line}\n", f"\n{bad_line}\n"))
+        code = main(["check", "--input", str(fig1_file), "--solution", str(sol_path)])
+        assert code == 1
+        assert f"bad count for {good_line.split(':')[0]}" in capsys.readouterr().err
 
     def test_check_catches_tampered_cost(self, fig1_file, tmp_path, capsys):
         sol_path = tmp_path / "sol.txt"
@@ -229,27 +282,34 @@ class TestCli:
         assert len(lines) == 1 + 2
         assert all(line.startswith("fixed-side,editing,6,6,") for line in lines[1:])
 
-    @pytest.mark.parametrize("flag, value", [("--sizes", "5,x"), ("--ks", "1,y")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sizes", "5,x"), ("--ks", "1,y"), ("--seeds", "0"), ("--seeds", "-1"), ("--cap", "-5")],
+    )
     def test_bench_rejects_non_integer_list(self, tmp_path, capsys, flag, value):
         args = {"--sizes": "5", "--ks": "1", flag: value}
         code = main([
-            "bench", "--variant", "constrained", "--sizes", args["--sizes"], "--ks", args["--ks"],
+            "bench", "--variant", "constrained", *(tok for pair in args.items() for tok in pair),
             "--output", str(tmp_path / "bench.csv"),
         ])
         assert code == 1
-        assert f"expected a non-negative integer, got '{value[-1]}'" in capsys.readouterr().err
+        kind = "a positive" if flag == "--seeds" else "a non-negative"
+        bad = value.split(",")[-1]
+        assert f"expected {kind} integer, got '{bad}'" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
-    @pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+    @pytest.mark.parametrize("command", ["check", "solve", "oracle", "solve --cap", "oracle --cap"])
     def test_negative_k_is_a_usage_error(self, fig1_file, tmp_path, capsys, command):
+        """``--k -1``, or ``--cap -1`` where the command names that flag."""
         sol_path = tmp_path / "sol.txt"
         assert main(["solve", "--variant", "constrained", "--input", str(fig1_file), "--output", str(sol_path)]) == 0
+        name, _, flag = command.partition(" ")
         argv = {
             "check": ["check", "--solution", str(sol_path)],
             "solve": ["solve"],
             "oracle": ["oracle"],
-        }[command]
-        code = main([*argv, "--input", str(fig1_file), "--variant", "constrained", "--k", "-1"])
+        }[name]
+        code = main([*argv, "--input", str(fig1_file), "--variant", "constrained", flag or "--k", "-1"])
         assert code == 1
         err = capsys.readouterr().err
         assert "expected a non-negative integer, got '-1'" in err

@@ -14,6 +14,7 @@ from chainrank import (
     QFree,
     QKNear,
     Variant,
+    apply_edits,
     count_knear_permutations,
     enumerate_knear_permutations,
     inner_fixed_orders_cost,
@@ -98,6 +99,50 @@ class TestInnerFixedOrders:
                     for beta in itertools.permutations(range(1, inst.num_questions + 1))
                 )
                 assert free_cost == best
+
+    def test_witness_ties_go_to_smallest_thresholds_and_suffixes(self):
+        """Brute force over every threshold vector and suffix size: among
+        optimal ones the witness takes, per question, the smallest suffix and,
+        per student from the last, the smallest threshold."""
+        rng = random.Random(38)
+        for _ in range(60):
+            inst = random_instance(rng, max_side=4, with_orders=False)
+            n, m = inst.num_students, inst.num_questions
+            sorder = tuple(rng.sample(range(1, n + 1), n))
+            qorder = tuple(rng.sample(range(1, m + 1), m))
+            for mode in (Mode.EDITING, Mode.ADDITION):
+
+                def edits(nbh, target):
+                    if mode == Mode.ADDITION and not nbh <= target:
+                        return float("inf")
+                    return len(nbh ^ target)
+
+                _, _, got = inner_fixed_orders_cost(inst, sorder, QExact(qorder), mode)
+                edited = apply_edits(inst, got)
+                rows = [edited.neighbors(s) for s in sorder]
+                thresholds = tuple(len(row) for row in rows)
+                assert all(row == set(qorder[:t]) for row, t in zip(rows, thresholds))
+                best = min(
+                    itertools.combinations_with_replacement(range(m + 1), n),
+                    key=lambda ts: (
+                        sum(edits(inst.neighbors(s), set(qorder[:t])) for s, t in zip(sorder, ts)),
+                        ts[::-1],
+                    ),
+                )
+                assert thresholds == best
+
+                _, qfree, got = inner_fixed_orders_cost(inst, sorder, QFree(), mode)
+                edited = apply_edits(inst, got)
+                sizes = {}
+                for q in range(1, m + 1):
+                    nbh = {s for s in sorder if inst.has_edge(s, q)}
+                    target = {s for s in sorder if edited.has_edge(s, q)}
+                    sizes[q] = len(target)
+                    assert target == set(sorder[n - sizes[q] :])
+                    assert sizes[q] == min(
+                        range(n + 1), key=lambda z: (edits(nbh, set(sorder[n - z :])), z)
+                    )
+                assert qfree == tuple(sorted(sizes, key=lambda q: (-sizes[q], q)))
 
     def test_knear_constraint_scans_admissible_orders(self):
         inst = make_instance(1, 2, [(1, 2)])

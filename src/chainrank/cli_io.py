@@ -85,6 +85,8 @@ def parse_instance(text: str) -> Instance:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError("non-integer sizes in header", line=lineno) from None
+    if n < 1 or m < 1:
+        raise ParseError(f"header sizes must be at least 1, got {n}x{m}", line=lineno)
     if len(lines) < 1 + n:
         raise ParseError(f"expected {n} adjacency rows", line=lineno)
     rows = []
@@ -170,6 +172,7 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
         return rest.strip()
 
     fields["cost"] = take("cost")
+    cost_lineno = lines[idx - 1][0]
     student_order = _parse_ints(take("student_order"), lines[idx - 1][0])
     question_order = _parse_ints(take("question_order"), lines[idx - 1][0])
     for key in ("additions", "deletions"):
@@ -198,7 +201,7 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
     try:
         cost = int(fields["cost"])
     except ValueError:
-        raise ParseError(f"bad cost {fields['cost']!r}") from None
+        raise ParseError(f"bad cost {fields['cost']!r}", line=cost_lineno) from None
     sol = Solution(
         cost=cost,
         student_order=student_order,

@@ -202,34 +202,37 @@ class ProblemSpec:
     k: int = 0
     fixed_side: Side | None = None
 
+    @property
+    def bounds(self) -> tuple[int | None, int | None]:
+        """(student bound, question bound). None leaves that side free; an
+        int b keeps it within b positions of its base order, so 0 means the
+        base order itself. This is the one map from a variant to what it
+        requires of each side's order."""
+        k, side = self.k, self.fixed_side
+        return {
+            Variant.IMO_RECOGNIZE: (None, None),
+            Variant.FIXED_BOTH_CHECK: (0, 0),
+            Variant.FIXED_ONE_SIDE: (
+                0 if side == Side.STUDENTS_FIXED else None,
+                0 if side == Side.QUESTIONS_FIXED else None,
+            ),
+            Variant.CONSTRAINED_KNEAR: (k, 0),
+            Variant.UNCONSTRAINED_KNEAR: (k, None),
+            Variant.BOTH_KNEAR: (k, k),
+        }[self.variant]
+
     def validate_for(self, inst: Instance) -> None:
-        """Raise if the instance lacks what this variant needs."""
+        """Raise if the instance lacks a base order that a bound needs."""
         if self.k < 0:
             raise InvalidInstanceError("k must be non-negative")
-        needs_students = self.variant in (
-            Variant.CONSTRAINED_KNEAR,
-            Variant.UNCONSTRAINED_KNEAR,
-            Variant.BOTH_KNEAR,
-            Variant.FIXED_BOTH_CHECK,
-        )
-        needs_questions = self.variant in (
-            Variant.CONSTRAINED_KNEAR,
-            Variant.BOTH_KNEAR,
-            Variant.FIXED_BOTH_CHECK,
-        )
-        if self.variant == Variant.FIXED_ONE_SIDE:
-            if self.fixed_side is None:
-                raise InvalidInstanceError("FIXED_ONE_SIDE requires fixed_side")
-            needs_students = self.fixed_side == Side.STUDENTS_FIXED
-            needs_questions = self.fixed_side == Side.QUESTIONS_FIXED
-        if needs_students and inst.base_student_order is None:
-            raise MissingBaseOrderError(
-                f"variant {self.variant.value} requires a base student order"
-            )
-        if needs_questions and inst.base_question_order is None:
-            raise MissingBaseOrderError(
-                f"variant {self.variant.value} requires a base question order"
-            )
+        if self.variant == Variant.FIXED_ONE_SIDE and self.fixed_side is None:
+            raise InvalidInstanceError("FIXED_ONE_SIDE requires fixed_side")
+        bases = (inst.base_student_order, inst.base_question_order)
+        for what, bound, base in zip(("student", "question"), self.bounds, bases):
+            if bound is not None and base is None:
+                raise MissingBaseOrderError(
+                    f"variant {self.variant.value} requires a base {what} order"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +379,17 @@ class VerificationReport:
 
 
 def _knear_check(
-    order: Sequence[int], base: Sequence[int] | None, k: int, what: str
+    order: Sequence[int], order_ok: bool, base: Sequence[int] | None, bound: int | None, what: str
 ) -> CheckResult:
     name = f"{what}_order_constraint"
+    if not order_ok:
+        return CheckResult(name, False, f"{what} order malformed")
+    if bound is None:
+        return CheckResult(name, True, "unconstrained")
     if base is None:
         return CheckResult(name, False, f"no base {what} order to compare against")
     worst = max_displacement(order, base)
-    return CheckResult(
-        name, worst <= k, f"max displacement {worst} vs bound {k}"
-    )
-
-
-def _exact_check(order: Sequence[int], base: Sequence[int] | None, what: str) -> CheckResult:
-    name = f"{what}_order_constraint"
-    if base is None:
-        return CheckResult(name, False, f"no base {what} order to compare against")
-    return CheckResult(name, tuple(order) == tuple(base), "order must equal the base order")
+    return CheckResult(name, worst <= bound, f"max displacement {worst} vs bound {bound}")
 
 
 def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> VerificationReport:
@@ -480,30 +478,14 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
     else:
         checks.append(CheckResult("interval_property", False, "question order malformed"))
 
-    # Order constraints per variant.
-    v = spec.variant
-    if so_ok:
-        if v in (Variant.CONSTRAINED_KNEAR, Variant.UNCONSTRAINED_KNEAR, Variant.BOTH_KNEAR):
-            checks.append(_knear_check(sol.student_order, inst.base_student_order, spec.k, "student"))
-        elif v == Variant.FIXED_BOTH_CHECK or (
-            v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.STUDENTS_FIXED
-        ):
-            checks.append(_exact_check(sol.student_order, inst.base_student_order, "student"))
-        else:
-            checks.append(CheckResult("student_order_constraint", True, "unconstrained"))
-    else:
-        checks.append(CheckResult("student_order_constraint", False, "student order malformed"))
-
-    if qo_ok:
-        if v == Variant.BOTH_KNEAR:
-            checks.append(_knear_check(sol.question_order, inst.base_question_order, spec.k, "question"))
-        elif v in (Variant.CONSTRAINED_KNEAR, Variant.FIXED_BOTH_CHECK) or (
-            v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.QUESTIONS_FIXED
-        ):
-            checks.append(_exact_check(sol.question_order, inst.base_question_order, "question"))
-        else:
-            checks.append(CheckResult("question_order_constraint", True, "unconstrained"))
-    else:
-        checks.append(CheckResult("question_order_constraint", False, "question order malformed"))
+    # Order constraints: each side within its bound of its base order.
+    for what, order, order_ok, base, bound in zip(
+        ("student", "question"),
+        (sol.student_order, sol.question_order),
+        (so_ok, qo_ok),
+        (inst.base_student_order, inst.base_question_order),
+        spec.bounds,
+    ):
+        checks.append(_knear_check(order, order_ok, base, bound, what))
 
     return VerificationReport(tuple(checks))

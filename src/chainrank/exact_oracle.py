@@ -5,6 +5,12 @@ solves the remaining fixed-order problem optimally. Its value is obvious
 correctness on desk-scale instances, including the NP-hard unconstrained
 k-near editing variant, which is only available here.
 
+What it enumerates comes from ``ProblemSpec.bounds``: each bounded side's
+orders within its bound of the base order, every order of a free student
+side, and no orders at all for a free question side, which the inner pass
+solves directly. ``inner_fixed_orders_cost`` takes the question side the same
+way: None when free, ``(base, k)`` when bounded (k = 0 is the base order).
+
 Each inner problem is one pass: ``_free_cost`` for a free question side and
 ``_exact_cost`` for a fixed question order. The enumeration calls them for
 the cost alone; ``inner_fixed_orders_cost`` calls the same pass once more on
@@ -14,9 +20,9 @@ smallest optimal suffix sizes or the prefix-minimum rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core_model import (
     ChainRankError,
@@ -115,26 +121,6 @@ def count_knear_permutations(n: int, k: int) -> int:
 # Inner solvers for a fixed student order
 
 
-@dataclass(frozen=True)
-class QFree:
-    """Question side may be ordered arbitrarily."""
-
-
-@dataclass(frozen=True)
-class QExact:
-    """Question order is exactly the one given."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QKNear:
-    """Question order must stay within k of the one given."""
-
-    order: tuple[int, ...]
-    k: int
-
-
 def _question_groups(inst: Instance) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Group questions sharing a neighborhood; returns (neighbor tuples, ids)."""
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -222,18 +208,19 @@ def _exact_cost(
 def inner_fixed_orders_cost(
     inst: Instance,
     student_order: Sequence[int],
-    question_constraint: QFree | QExact | QKNear,
+    question_side: tuple[Sequence[int], int] | None,
     mode: Mode = Mode.EDITING,
 ) -> tuple[int, tuple[int, ...], EditSet]:
-    """Optimal edits for a fixed student order under the given question-side
-    constraint. Returns (cost, question_order, edits).
+    """Optimal edits for a fixed student order. ``question_side`` is None for
+    a free question order, or ``(base, k)`` for one within k of ``base`` (k = 0
+    is ``base`` itself). Returns (cost, question_order, edits).
 
     Ties go to the smallest optimal suffix per question (free) or the
     smallest optimal threshold per student, last student first (ordered).
     """
     student_order = tuple(student_order)
     n = inst.num_students
-    if isinstance(question_constraint, QFree):
+    if question_side is None:
         group_keys, group_members = _question_groups(inst)
         sizes: list[int] = []
         cost = _free_cost(
@@ -243,16 +230,10 @@ def inner_fixed_orders_cost(
         order = tuple(sorted(size_of, key=lambda q: (-size_of[q], q)))
         target = {(s, q) for q, size in size_of.items() for s in student_order[n - size :]}
     else:
-        if isinstance(question_constraint, QExact):
-            orders: Iterable[tuple[int, ...]] = (tuple(question_constraint.order),)
-        elif isinstance(question_constraint, QKNear):
-            orders = enumerate_knear_permutations(question_constraint.order, question_constraint.k)
-        else:
-            raise TypeError(f"unknown question constraint {question_constraint!r}")
         nbh_bits = [inst.adj_bits[s - 1] for s in student_order]
         degs = [len(inst.adjacency[s - 1]) for s in student_order]
         cost, order, rows = _INF, None, []
-        for beta in orders:
+        for beta in enumerate_knear_permutations(*question_side):
             beta_rows: list[list[int | float]] = []
             c = _exact_cost(nbh_bits, degs, beta, mode, beta_rows)
             if c < cost:
@@ -293,28 +274,17 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
     n, m = inst.num_students, inst.num_questions
     mode = spec.mode
     v = spec.variant
-    identity_s = tuple(range(1, n + 1))
-    identity_q = tuple(range(1, m + 1))
 
-    # Each variant enumerates sbase's k-near orders at sk and, per student
-    # order, either a free question side (qbase None) or qbase's at qk.
-    base_s, base_q = inst.base_student_order, inst.base_question_order
-    if v == Variant.CONSTRAINED_KNEAR:
-        sbase, sk, qbase, qk = base_s, min(spec.k, n), base_q, 0
-    elif v == Variant.UNCONSTRAINED_KNEAR:
-        sbase, sk, qbase, qk = base_s, min(spec.k, n), None, 0
-    elif v == Variant.BOTH_KNEAR:
-        sbase, sk, qbase, qk = base_s, min(spec.k, n), base_q, min(spec.k, m)
-    elif v == Variant.FIXED_BOTH_CHECK:
-        sbase, sk, qbase, qk = base_s, 0, base_q, 0
-    elif v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.QUESTIONS_FIXED:
-        sbase, sk, qbase, qk = identity_s, n, base_q, 0
-    elif v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.STUDENTS_FIXED:
-        sbase, sk, qbase, qk = base_s, 0, identity_q, m
-    elif v == Variant.IMO_RECOGNIZE:
-        sbase, sk, qbase, qk = base_s or identity_s, n, None, 0
-    else:
-        raise ValueError(f"oracle cannot dispatch {spec!r}")
+    # Per side: the orders within its bound of its base order, or, when the
+    # side is free, every student order and the free question pass.
+    sb, qb = spec.bounds
+    sbase, sk = (inst.base_student_order, sb) if sb is not None else (tuple(range(1, n + 1)), n)
+    qbase, qk = (inst.base_question_order, qb) if qb is not None else (None, 0)
+    # Fixed-side with students fixed enumerates every question order instead
+    # of taking the free pass, so that the oracle stays a brute force that
+    # solve_fixed_side is checked against (acceptance criterion 4).
+    if v == Variant.FIXED_ONE_SIDE and spec.fixed_side == Side.STUDENTS_FIXED:
+        qbase, qk = tuple(range(1, m + 1)), m
 
     qcount = 1 if qbase is None else count_knear_permutations(m, qk)
     _guard(count_knear_permutations(n, sk) * qcount, cap)
@@ -343,8 +313,8 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
 
     assert best_pi is not None, "feasible ordering always exists"
     assert qbase is None or best_beta is not None
-    constraint = QFree() if qbase is None else QExact(best_beta)
-    cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, constraint, mode)
+    question_side = None if qbase is None else (best_beta, 0)
+    cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, question_side, mode)
     assert cost == best_cost
     return Solution(
         cost=cost,

@@ -53,9 +53,9 @@ class GenConfig:
             raise InvalidInstanceError("need at least one student and one question")
         if self.flip_count is not None and self.flip_probability is not None:
             raise InvalidInstanceError("set flip_count or flip_probability, not both")
-        if self.flip_count is not None and not (
-            0 <= self.flip_count <= self.num_students * self.num_questions
-        ):
+        if self.flip_count is not None and self.flip_count < 0:
+            raise InvalidInstanceError("flip_count must be non-negative")
+        if self.flip_count is not None and self.flip_count > self.num_students * self.num_questions:
             raise InvalidInstanceError("flip_count exceeds the number of pairs")
         if self.flip_probability is not None and not 0.0 <= self.flip_probability <= 1.0:
             raise InvalidInstanceError("flip_probability must be within [0, 1]")

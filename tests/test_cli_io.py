@@ -54,9 +54,16 @@ class TestInstanceFormat:
         assert exc.value.line == 3
 
     def test_missing_header_reports_first_line(self):
-        with pytest.raises(ParseError) as exc:
-            parse_instance("11\n10\n")
-        assert exc.value.line == 1
+        for text, message in (
+            ("11\n10\n", "expected header"),
+            ("chainrank v1 -1 3\n", "header sizes must be at least 1, got -1x3"),
+            ("chainrank v1 2 -1\n11\n10\n", "header sizes must be at least 1, got 2x-1"),
+            ("chainrank v1 0 3\n", "header sizes must be at least 1, got 0x3"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_instance(text)
+            assert exc.value.line == 1
+            assert str(exc.value).startswith(f"line 1: {message}")
 
 
 class TestSolutionFormat:
@@ -72,6 +79,13 @@ class TestSolutionFormat:
         parsed, verified = parse_solution(text)
         assert parsed == sol and verified is True
         assert format_solution(parsed, verified) == text
+
+    def test_bad_cost_reports_its_line(self):
+        sol = Solution(1, (1,), (1,), EditSet.of([(1, 1)]), "t")
+        text = format_solution(sol, verified=False).replace("cost: 1\n", "cost: x\n")
+        with pytest.raises(ParseError) as exc:
+            parse_solution(text)
+        assert str(exc.value) == "line 2: bad cost 'x'"
 
     def test_missing_field_rejected(self):
         sol = Solution(1, (1,), (1,), EditSet.of([(1, 1)]), "t")
@@ -150,6 +164,9 @@ class TestCli:
             "--variant", "constrained", "--mode", "addition", "--k", "1",
         ])
         assert code == 0
+        out = capsys.readouterr().out
+        assert "PASS student_order_constraint: max displacement 0 vs bound 1" in out
+        assert "PASS question_order_constraint: max displacement 0 vs bound 0" in out
 
     @pytest.mark.parametrize(
         "good_line, bad_line",
@@ -246,6 +263,15 @@ class TestCli:
         ])
         assert code == 0
         assert "cost: 2" in capsys.readouterr().out
+
+    def test_gen_rejects_negative_flips(self, tmp_path, capsys):
+        code = main([
+            "gen", "--students", "3", "--questions", "3", "--flips", "-4",
+            "--output", str(tmp_path / "gen.txt"),
+        ])
+        assert code == 1
+        assert "flip_count must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "gen.txt").exists()
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from chainrank import (
     EMPTY_EDITS,
+    MissingBaseOrderError,
     DuplicateEdgeError,
     EditConflictError,
     EditSet,
     Instance,
+    InvalidInstanceError,
     Mode,
     NotAPermutationError,
     OutOfRangeEdgeError,
     ProblemSpec,
+    Side,
     Solution,
     Variant,
     apply_edits,
@@ -193,3 +196,69 @@ def test_nesting_verdict_matches_all_pairs(data):
         for strong in order[a + 1 :]
     )
     assert report["nested_property"].passed == all_pairs
+
+
+# (variant, fixed side) -> (student bound, question bound), as the paper
+# defines the problems; "k" stands for the spec's k, and a side given outside
+# fixed-side is ignored.
+_BOUNDS = {
+    (Variant.IMO_RECOGNIZE, None): (None, None),
+    (Variant.FIXED_BOTH_CHECK, None): (0, 0),
+    (Variant.FIXED_ONE_SIDE, Side.STUDENTS_FIXED): (0, None),
+    (Variant.FIXED_ONE_SIDE, Side.QUESTIONS_FIXED): (None, 0),
+    (Variant.FIXED_ONE_SIDE, None): (None, None),
+    (Variant.CONSTRAINED_KNEAR, None): ("k", 0),
+    (Variant.CONSTRAINED_KNEAR, Side.STUDENTS_FIXED): ("k", 0),
+    (Variant.UNCONSTRAINED_KNEAR, None): ("k", None),
+    (Variant.BOTH_KNEAR, None): ("k", "k"),
+}
+
+
+def _expected_bounds(variant, side, k):
+    return tuple(k if b == "k" else b for b in _BOUNDS[variant, side])
+
+
+@pytest.mark.parametrize("variant, side", list(_BOUNDS))
+def test_bounds_table(variant, side):
+    for k in (0, 3):
+        assert ProblemSpec(variant, Mode.EDITING, k, side).bounds == _expected_bounds(variant, side, k)
+
+
+@pytest.mark.parametrize("variant, side", list(_BOUNDS))
+def test_validate_for_needs_base_orders_exactly_where_bounded(variant, side):
+    spec = ProblemSpec(variant, Mode.EDITING, 1, side)
+    for so in (None, (2, 1)):
+        for qo in (None, (1, 2)):
+            inst = make_instance(2, 2, [(1, 1)], so, qo)
+            bounds = _expected_bounds(variant, side, 1)
+            if variant == Variant.FIXED_ONE_SIDE and side is None:
+                with pytest.raises(InvalidInstanceError):
+                    spec.validate_for(inst)
+            elif any(b is not None and base is None for b, base in zip(bounds, (so, qo))):
+                with pytest.raises(MissingBaseOrderError):
+                    spec.validate_for(inst)
+            else:
+                spec.validate_for(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_order_constraint_verdicts_follow_bounds(data):
+    """Each side's verdict: a free side passes, a bounded side passes when
+    no entity moves more than the bound from its base position."""
+    variant, side = data.draw(st.sampled_from(list(_BOUNDS)))
+    k = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 6))
+    so = data.draw(st.permutations(range(1, n + 1)))
+    qo = data.draw(st.permutations(range(1, m + 1)))
+    sol_so = data.draw(st.permutations(range(1, n + 1)))
+    sol_qo = data.draw(st.permutations(range(1, m + 1)))
+    inst = make_instance(n, m, [], so, qo)
+    spec = ProblemSpec(variant, Mode.EDITING, k, side)
+    report = verify_solution(inst, spec, _solution(inst, sol_so, sol_qo))
+    for what, bound, base, order in zip(
+        ("student", "question"), _expected_bounds(variant, side, k), (so, qo), (sol_so, sol_qo)
+    ):
+        moved = max(abs(pos - base.index(e)) for pos, e in enumerate(order))
+        assert report[f"{what}_order_constraint"].passed == (bound is None or moved <= bound)

@@ -10,9 +10,7 @@ from chainrank import (
     InstanceTooLargeError,
     Mode,
     ProblemSpec,
-    QExact,
-    QFree,
-    QKNear,
+    Side,
     Variant,
     apply_edits,
     count_knear_permutations,
@@ -74,17 +72,17 @@ class TestEnumeration:
 
 class TestInnerFixedOrders:
     def test_ideal_true_orders_cost_nothing(self, fig1):
-        cost, _, edits = inner_fixed_orders_cost(fig1, (1, 2, 3), QExact((1, 2, 3, 4, 5)))
+        cost, _, edits = inner_fixed_orders_cost(fig1, (1, 2, 3), ((1, 2, 3, 4, 5), 0))
         assert cost == 0 and edits.size == 0
 
     def test_monotone_thresholds_force_two_edits(self):
         inst = make_instance(2, 2, [(1, 1), (1, 2)])
-        cost, _, edits = inner_fixed_orders_cost(inst, (1, 2), QExact((1, 2)))
+        cost, _, edits = inner_fixed_orders_cost(inst, (1, 2), ((1, 2), 0))
         assert cost == 2 == edits.size
 
     def test_single_student_exact(self):
         inst = make_instance(1, 2, [(1, 2)])
-        cost, _, _ = inner_fixed_orders_cost(inst, (1,), QExact((1, 2)))
+        cost, _, _ = inner_fixed_orders_cost(inst, (1,), ((1, 2), 0))
         assert cost == 1
 
     def test_free_equals_best_exact_over_all_question_orders(self):
@@ -93,9 +91,9 @@ class TestInnerFixedOrders:
             inst = random_instance(rng, max_side=4, with_orders=False)
             order = tuple(rng.sample(range(1, inst.num_students + 1), inst.num_students))
             for mode in (Mode.EDITING, Mode.ADDITION):
-                free_cost, _, _ = inner_fixed_orders_cost(inst, order, QFree(), mode)
+                free_cost, _, _ = inner_fixed_orders_cost(inst, order, None, mode)
                 best = min(
-                    inner_fixed_orders_cost(inst, order, QExact(beta), mode)[0]
+                    inner_fixed_orders_cost(inst, order, (beta, 0), mode)[0]
                     for beta in itertools.permutations(range(1, inst.num_questions + 1))
                 )
                 assert free_cost == best
@@ -117,7 +115,7 @@ class TestInnerFixedOrders:
                         return float("inf")
                     return len(nbh ^ target)
 
-                _, _, got = inner_fixed_orders_cost(inst, sorder, QExact(qorder), mode)
+                _, _, got = inner_fixed_orders_cost(inst, sorder, (qorder, 0), mode)
                 edited = apply_edits(inst, got)
                 rows = [edited.neighbors(s) for s in sorder]
                 thresholds = tuple(len(row) for row in rows)
@@ -131,7 +129,7 @@ class TestInnerFixedOrders:
                 )
                 assert thresholds == best
 
-                _, qfree, got = inner_fixed_orders_cost(inst, sorder, QFree(), mode)
+                _, qfree, got = inner_fixed_orders_cost(inst, sorder, None, mode)
                 edited = apply_edits(inst, got)
                 sizes = {}
                 for q in range(1, m + 1):
@@ -146,8 +144,8 @@ class TestInnerFixedOrders:
 
     def test_knear_constraint_scans_admissible_orders(self):
         inst = make_instance(1, 2, [(1, 2)])
-        cost0, order0, _ = inner_fixed_orders_cost(inst, (1,), QKNear((1, 2), 0))
-        cost1, order1, _ = inner_fixed_orders_cost(inst, (1,), QKNear((1, 2), 1))
+        cost0, order0, _ = inner_fixed_orders_cost(inst, (1,), ((1, 2), 0))
+        cost1, order1, _ = inner_fixed_orders_cost(inst, (1,), ((1, 2), 1))
         assert (cost0, order0) == (1, (1, 2))
         assert (cost1, order1) == (0, (2, 1))
 
@@ -159,7 +157,7 @@ class TestOracleSolve:
             inst = random_instance(rng, max_side=4)
             spec = ProblemSpec(Variant.BOTH_KNEAR, Mode.EDITING, 0)
             exact, _, _ = inner_fixed_orders_cost(
-                inst, inst.base_student_order, QExact(inst.base_question_order)
+                inst, inst.base_student_order, (inst.base_question_order, 0)
             )
             assert oracle_solve(inst, spec).cost == exact
 
@@ -171,7 +169,7 @@ class TestOracleSolve:
                 spec = ProblemSpec(Variant.FIXED_BOTH_CHECK, mode)
                 sol = oracle_solve(inst, spec)
                 exact, _, _ = inner_fixed_orders_cost(
-                    inst, inst.base_student_order, QExact(inst.base_question_order), mode
+                    inst, inst.base_student_order, (inst.base_question_order, 0), mode
                 )
                 assert sol.cost == exact
                 assert sol.student_order == inst.base_student_order
@@ -196,6 +194,15 @@ class TestOracleSolve:
         inst = make_instance(2, 2, [(1, 1)], (1, 2), (1, 2))
         with pytest.raises(InstanceTooLargeError):
             oracle_solve(inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, 2), cap=1)
+
+    def test_fixed_students_enumerates_every_question_order(self):
+        inst = make_instance(2, 4, [(1, 2), (2, 1), (2, 4)], (2, 1), (1, 2, 3, 4))
+        spec = ProblemSpec(Variant.FIXED_ONE_SIDE, Mode.EDITING, 0, Side.STUDENTS_FIXED)
+        with pytest.raises(InstanceTooLargeError):
+            oracle_solve(inst, spec, cap=factorial(4) - 1)
+        sol = oracle_solve(inst, spec, cap=factorial(4))
+        assert sol.student_order == (2, 1)
+        assert verify_solution(inst, spec, sol).ok
 
     def test_transpose_symmetry_for_both_variant(self):
         rng = random.Random(34)

@@ -98,6 +98,13 @@ class TestPerturbEdges:
         out = perturb_edges(inst, cfg)
         assert set(inst.edges()) <= set(out.edges())
 
+    def test_flip_count_must_fit_the_pairs(self):
+        with pytest.raises(InvalidInstanceError, match="flip_count must be non-negative"):
+            GenConfig(num_students=3, num_questions=3, flip_count=-4)
+        with pytest.raises(InvalidInstanceError, match="exceeds the number of pairs"):
+            GenConfig(num_students=3, num_questions=3, flip_count=10)
+        assert GenConfig(num_students=3, num_questions=3, flip_count=9).flip_count == 9
+
     def test_not_enough_pairs(self):
         inst = make_instance(1, 1, [(1, 1)])
         cfg = GenConfig(num_students=1, num_questions=1, seed=0, flip_count=1, mode_hint="add")

@@ -573,8 +573,9 @@ def _reconstruct_unconstrained_addition(
 def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution:
     """Solve ``spec`` on ``inst`` with the solver for its variant.
 
-    Unconstrained k-near editing is NP-hard; it runs the exact enumeration,
-    which raises InstanceTooLargeError beyond ``cap`` orderings. Recognition
+    Unconstrained k-near editing is NP-hard; it runs the exact
+    branch-and-bound over the k-near student orders, which raises
+    InstanceTooLargeError when there are more than ``cap`` of them. Recognition
     and the fixed-both check are not optimization problems and raise
     ChainRankError, as does a missing base order (MissingBaseOrderError).
     """

@@ -1,9 +1,12 @@
-"""Brute-force exact solvers used to certify the optimized ones.
+"""Brute-force exact solvers used to certify the optimized ones, and the
+exact solver for the NP-hard variant.
 
 The oracle enumerates bounded-displacement orderings of one or both sides and
 solves the remaining fixed-order problem optimally. Its value is obvious
-correctness on desk-scale instances, including the NP-hard unconstrained
-k-near editing variant, which is only available here.
+correctness on desk-scale instances. The NP-hard unconstrained k-near editing
+variant is solved here too, by ``solve_unconstrained_knear_editing_exact``: a
+branch-and-bound over the same student orders, in the same order, which
+returns the oracle's solution and is checked against it.
 
 What it enumerates comes from ``ProblemSpec.bounds``: each bounded side's
 orders within its bound of the base order, every order of a free student
@@ -20,7 +23,6 @@ smallest optimal suffix sizes or the prefix-minimum rows.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -330,11 +332,106 @@ def solve_unconstrained_knear_editing_exact(
 ) -> Solution:
     """Exact optimum for the NP-hard unconstrained k-near editing variant.
 
-    Exhaustive over the k-near student orderings (exponential in k in the
-    worst case); the free question side is solved per ordering in polynomial
-    time.
+    Depth-first branch-and-bound over the k-near student orders, placed
+    position by position in the order ``enumerate_knear_permutations``
+    yields them. A question with deg answerers, A(t) of them among the first
+    t students, costs ``n - deg + 2A(t) - t`` at threshold t. Each question
+    group carries A and M, the minimum of ``2A(t) - t`` up to its last placed
+    answerer. Past the placed prefix the value cannot drop below
+    ``A + deg - n``, since the unplaced answerers fit at the end at best, so
+    ``sum(w * (n - deg + min(M, A + deg - n)))`` bounds every completion and
+    is ``_free_cost`` itself at a leaf. A subtree whose bound is no better than
+    the best cost so far is cut; with the strict ``<`` the first optimal order
+    found is the oracle's. The stack is explicit, so n is not limited by the
+    recursion limit. Refuses with InstanceTooLargeError when there are more
+    than ``cap`` k-near student orders, as the oracle does.
     """
-    sol = oracle_solve(
-        inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, k), cap
+    ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, k).validate_for(inst)
+    n = inst.num_students
+    _guard(count_knear_permutations(n, k), cap)
+    base = inst.base_student_order
+
+    group_keys, group_members = _question_groups(inst)
+    weights = [len(ms) for ms in group_members]
+    slack = [len(key) - n for key in group_keys]  # A + deg - n at A = 0
+    groups_of: list[list[int]] = [[] for _ in range(n + 1)]
+    for g, key in enumerate(group_keys):
+        for s in key:
+            groups_of[s].append(g)
+    answered = [0] * len(group_keys)  # A per group
+    run_min = [0] * len(group_keys)  # M per group
+
+    used = [False] * (n + 1)
+
+    def candidates(p: int) -> list[int]:
+        # The deadline rule: the entity whose last admissible position is p
+        # goes there. Every entity due earlier is placed by then.
+        if p > k and not used[base[p - k - 1]]:
+            return [base[p - k - 1]]
+        return sorted(e for e in base[max(0, p - 1 - k) : p + k] if not used[e])
+
+    # Per position p: the student placed there (0 for none), its candidates,
+    # the index of the next one to try, the bound of the prefix before p and
+    # the run minima that placing order[p] overwrote.
+    order = [0] * (n + 1)
+    cands_at: list[list[int]] = [[] for _ in range(n + 1)]
+    next_at = [0] * (n + 1)
+    bound_at = [0] * (n + 1)
+    saved_at: list[list[int]] = [[] for _ in range(n + 1)]
+    best_cost: int | float = _INF
+    best_pi: tuple[int, ...] | None = None
+
+    p = 1
+    cands_at[1] = candidates(1)
+    while p:
+        s = order[p]
+        if s:
+            order[p] = 0
+            used[s] = False
+            for g, m in zip(groups_of[s], saved_at[p]):
+                answered[g] -= 1
+                run_min[g] = m
+        i = next_at[p]
+        if i == len(cands_at[p]):
+            p -= 1
+            continue
+        next_at[p] = i + 1
+        s = cands_at[p][i]
+        gs = groups_of[s]
+        bound = bound_at[p]
+        new_min = []
+        for g in gs:
+            # 2A - t fell by one per position since g's last answerer, so
+            # its value at t = p - 1 is the least of that stretch.
+            a, m = answered[g], run_min[g]
+            v = 2 * a - p + 1
+            m2 = v if v < m else m
+            new_min.append(m2)
+            lo = a + slack[g]
+            bound += weights[g] * ((m2 if m2 <= lo else lo + 1) - (m if m < lo else lo))
+        if bound >= best_cost:
+            continue
+        if p == n:
+            best_cost, best_pi = bound, tuple(order[1:n]) + (s,)
+            continue
+        saved_at[p] = [run_min[g] for g in gs]
+        for g, m2 in zip(gs, new_min):
+            run_min[g] = m2
+            answered[g] += 1
+        order[p] = s
+        used[s] = True
+        p += 1
+        bound_at[p] = bound
+        cands_at[p] = candidates(p)
+        next_at[p] = 0
+
+    assert best_pi is not None, "feasible ordering always exists"
+    cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, None, Mode.EDITING)
+    assert cost == best_cost
+    return Solution(
+        cost=cost,
+        student_order=best_pi,
+        question_order=qorder,
+        edits=edits,
+        solver_tag="exact.unconstrained_knear_editing",
     )
-    return replace(sol, solver_tag="exact.unconstrained_knear_editing")

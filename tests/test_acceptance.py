@@ -210,13 +210,16 @@ def _brute_force_satisfying(phi):
 def test_criterion_5_hardness_sanity():
     """For every 3-CNF with <= 2 variables and <= 2 clauses, the oracle
     optimum on the reduction equals t_phi exactly when the formula is
-    satisfiable; constructions verify at t_phi and round-trip."""
+    satisfiable, and the branch-and-bound solver finds the same cost and
+    student order; constructions verify at t_phi and round-trip."""
     started = time.perf_counter()
     spec = ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, 1)
     count_sat = count_unsat = 0
     for phi in _all_tiny_formulas():
         red = build_reduction(phi)
         opt = oracle_solve(red.instance, spec)
+        fast = solve_unconstrained_knear_editing_exact(red.instance, 1)
+        assert (fast.cost, fast.student_order) == (opt.cost, opt.student_order), phi
         satisfying = _brute_force_satisfying(phi)
         if satisfying is not None:
             count_sat += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -228,6 +229,15 @@ class TestCli:
         assert code == 0
         assert "cost: 0" in capsys.readouterr().out
 
+    def test_unconstrained_editing_over_the_cap(self, fig1_file, capsys):
+        code = main([
+            "solve", "--variant", "unconstrained", "--mode", "editing", "--k", "1",
+            "--input", str(fig1_file), "--exponential-ok", "--cap", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error[INSTANCE_TOO_LARGE]: 3 orderings to enumerate exceeds the cap of 1" in err
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["solve", "--variant", "bogus", "--input", "x"]) == 1
 
@@ -263,6 +273,29 @@ class TestCli:
         ])
         assert code == 0
         assert "cost: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "size, seed, noise, digest",
+        [
+            ("5x7", 1, ["--flips", "6"], "0c141bb42aa29a2c901c02246462dda77122e4cb4d399a4727aa43be450b0b0c"),
+            ("12x9", 2, ["--flips", "20", "--k-perturb", "2"], "f54979888d6da3a1366988df4a7005667473be4f01fb32bfb843753ba309a879"),
+            ("40x40", 3, ["--flips", "160"], "3b9511364638728f2e1e5a4e25e9f88fb565781cc21385d99f392db7ca98f894"),
+            ("5x7", 1, ["--flip-prob", "0.1"], "9fd80512b0514614fc0984d4db01514b90a29e361dc516086fd0b4e0fdb5f1d3"),
+            ("12x9", 2, ["--flip-prob", "0.3", "--k-perturb", "2"], "c5150637032f25501ed57672adcbc48bf9cfb7a54d7e10d44b6a1615ac69c6c4"),
+            ("40x40", 3, ["--flip-prob", "0.1"], "6e47fdb410ed87f29b16c2027234b5fd75671722d226ed0ba9e8a25c50ad03dd"),
+        ],
+    )
+    def test_gen_output_is_pinned(self, tmp_path, size, seed, noise, digest):
+        """Generated files keep their bytes: the digests were recorded when
+        toggles were drawn from a list of all n*m pairs, not from indices."""
+        students, questions = size.split("x")
+        path = tmp_path / "gen.txt"
+        code = main([
+            "gen", "--students", students, "--questions", questions, "--seed", str(seed),
+            *noise, "--output", str(path),
+        ])
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_gen_rejects_negative_flips(self, tmp_path, capsys):
         code = main([

@@ -5,6 +5,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrank import (
     InstanceTooLargeError,
@@ -247,3 +249,40 @@ class TestUnconstrainedEditingExact:
             k = rng.choice([0, 1, 2])
             spec = ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, k)
             assert solve_unconstrained_knear_editing_exact(inst, k).cost == oracle_solve(inst, spec).cost
+
+    def test_cap_counts_the_k_near_orders(self):
+        edges = [(1, 1), (2, 2), (3, 1), (4, 3), (5, 2), (5, 3)]
+        inst = make_instance(5, 3, edges, base_student_order=(2, 4, 1, 5, 3))
+        count = count_knear_permutations(5, 2)
+        with pytest.raises(InstanceTooLargeError, match=f"{count} orderings"):
+            solve_unconstrained_knear_editing_exact(inst, 2, cap=count - 1)
+        spec = ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, 2)
+        assert solve_unconstrained_knear_editing_exact(inst, 2, cap=count).cost == oracle_solve(inst, spec).cost
+
+    def test_deep_ideal_instance_needs_no_recursion(self):
+        # Student s answers the first s // 100 questions: ideal in the base
+        # order 1..n, and 1100 positions deep, past the recursion limit.
+        n, m = 1100, 11
+        edges = [(s, q) for s in range(1, n + 1) for q in range(1, s // 100 + 1)]
+        inst = make_instance(n, m, edges, base_student_order=tuple(range(1, n + 1)))
+        sol = solve_unconstrained_knear_editing_exact(inst, 1, cap=10**300)
+        assert sol.cost == 0
+        assert sol.student_order == inst.base_student_order
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), k=st.integers(0, 3), wide=st.booleans())
+def test_branch_and_bound_equals_oracle(seed, k, wide):
+    """Same cost, orders and edits as the oracle; with ``wide``, k >= n - 1."""
+    inst = random_instance(random.Random(seed), max_side=8)
+    if wide:
+        k += inst.num_students - 1
+    got = solve_unconstrained_knear_editing_exact(inst, k)
+    want = oracle_solve(inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, k))
+    assert got.solver_tag == "exact.unconstrained_knear_editing"
+    assert (got.cost, got.student_order, got.question_order, got.edits) == (
+        want.cost,
+        want.student_order,
+        want.question_order,
+        want.edits,
+    )

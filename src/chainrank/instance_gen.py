@@ -101,18 +101,12 @@ def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
     rng = _rng(cfg.seed, "edges")
     n, m = inst.num_students, inst.num_questions
     present = set(inst.edges())
-    toggle = cfg.mode_hint == "toggle"
-    pool: Sequence
-    if toggle:
-        # Every pair, as the index (s - 1) * m + (q - 1): the same draws as
-        # the list of pairs in that order, without building it.
-        pool = range(n * m)
-    else:
-        all_pairs = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1)]
-        if cfg.mode_hint == "add":
-            pool = [p for p in all_pairs if p not in present]
-        else:
-            pool = [p for p in all_pairs if p in present]
+    # Every pair, as the index (s - 1) * m + (q - 1): the same draws as a
+    # list of the pairs in that order, without building it.
+    pool: Sequence[int] = range(n * m)
+    if cfg.mode_hint != "toggle":
+        delete = cfg.mode_hint == "delete"
+        pool = [i for i in pool if ((i // m + 1, i % m + 1) in present) == delete]
 
     if cfg.flip_count is not None:
         if cfg.flip_count > len(pool):
@@ -121,11 +115,10 @@ def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
             )
         chosen = rng.sample(pool, cfg.flip_count)
     elif cfg.flip_probability is not None:
-        chosen = [p for p in pool if rng.random() < cfg.flip_probability]
+        chosen = [i for i in pool if rng.random() < cfg.flip_probability]
     else:
         chosen = []
-    if toggle:
-        chosen = [(i // m + 1, i % m + 1) for i in chosen]
+    chosen = [(i // m + 1, i % m + 1) for i in chosen]
 
     flipped = present.symmetric_difference(chosen)
     rows: list[list[int]] = [[] for _ in range(n)]

@@ -283,11 +283,15 @@ class TestCli:
             ("5x7", 1, ["--flip-prob", "0.1"], "9fd80512b0514614fc0984d4db01514b90a29e361dc516086fd0b4e0fdb5f1d3"),
             ("12x9", 2, ["--flip-prob", "0.3", "--k-perturb", "2"], "c5150637032f25501ed57672adcbc48bf9cfb7a54d7e10d44b6a1615ac69c6c4"),
             ("40x40", 3, ["--flip-prob", "0.1"], "6e47fdb410ed87f29b16c2027234b5fd75671722d226ed0ba9e8a25c50ad03dd"),
+            ("5x7", 1, ["--noise-mode", "add", "--flips", "6"], "617be87c8fbbe2da0056a428bab23701e3a88eceb9117de3139a230acff7caa3"),
+            ("12x9", 2, ["--noise-mode", "add", "--flip-prob", "0.3", "--k-perturb", "2"], "5559c214867b7f2df32c378ffd0a677568d94f783ed8bb4de1c120265e3b67b9"),
+            ("12x9", 2, ["--noise-mode", "delete", "--flips", "20", "--k-perturb", "2"], "31d66bcc3a88bc05712a66bc9ce710e94650ebbbabe0b8f4633857c27a930c79"),
+            ("40x40", 3, ["--noise-mode", "delete", "--flip-prob", "0.1"], "e8c183b93f0cd684ca24a3a428a918137a23a0dd5024104c6c08e8f65b81bad9"),
         ],
     )
     def test_gen_output_is_pinned(self, tmp_path, size, seed, noise, digest):
         """Generated files keep their bytes: the digests were recorded when
-        toggles were drawn from a list of all n*m pairs, not from indices."""
+        every noise mode drew from a list of (s, q) pairs, not from indices."""
         students, questions = size.split("x")
         path = tmp_path / "gen.txt"
         code = main([

@@ -16,13 +16,19 @@ occupant of the current position and the undetermined part of the prefix set
 inside the displacement window. Question states track the frontier: the
 hardest question answered so far, by its position, identity and easier set
 (position 0 = none). Tables store costs only; each engine's reconstruction
-re-derives parents, which keeps the hot loops small.
+re-derives parents, which keeps the hot loops small. The frontier fill works
+on lists and stores each finished layer's rows as ``array('d')``; the merged
+parent row of a position depends only on the window, so the occupants that
+share a window share one merge. Both engines refuse a table whose estimated
+size passes ``_TABLE_BYTES_LIMIT`` before building it.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import replace
+from math import comb
 from operator import add, or_
 
 from . import ideal
@@ -37,9 +43,15 @@ from .core_model import (
     Variant,
     inverse_positions,
 )
-from .exact_oracle import DEFAULT_CAP, solve_unconstrained_knear_editing_exact
+from .exact_oracle import DEFAULT_CAP, InstanceTooLargeError, solve_unconstrained_knear_editing_exact
 
 _INF = float("inf")
+# The largest DP table a solve may allocate, by ``_check_table_size``.
+_TABLE_BYTES_LIMIT = 1 << 30
+# Bytes a student state holds besides its cost row: its dict slot, key and
+# window tuples, row header and share of the window families. 214-493 were
+# measured per state on the benchmark's n = 300-600 tables.
+_STATE_BYTES = 512
 
 
 class CorruptTableError(ChainRankError):
@@ -96,6 +108,41 @@ def enumerate_window_sets(i: int, occupant: int, k: int, n_side: int) -> list[tu
         for combo in itertools.combinations(pool, need)
         if _window_realizable(combo, pool, lo, i, k)
     ]
+
+
+def _window_state_bound(k: int, n: int, stop: int) -> int:
+    """Upper bound on the number of states in ``_window_families(k, n)``:
+    C(|pool|, need) per (position, occupant), with the pool and need of
+    ``enumerate_window_sets``. Stops once the sum passes ``stop``, so a
+    runaway bound costs no more than a small one."""
+    total = 0
+    for i in range(1, n + 1):
+        lo, hi = max(1, i - k), min(n, i + k - 1)
+        for u in range(lo, min(n, i + k) + 1):
+            total += comb(hi - lo + 1 - (u <= hi), i - lo)
+        if total > stop:
+            break
+    return total
+
+
+def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
+    """Raise InstanceTooLargeError when the estimated table passes
+    ``_TABLE_BYTES_LIMIT``, before any window family is enumerated.
+
+    The table has n students with bound ks and, when m > 0, m questions with
+    bound kq; m = 0 is a table with one cost per state. The estimate is the
+    student-state bound times ``_STATE_BYTES`` plus 8 bytes per question
+    state. The sums stop past the limit, so a refused estimate is a lower
+    bound.
+    """
+    cells = 1 + _window_state_bound(kq, m, _TABLE_BYTES_LIMIT // 8) if m else 0
+    per_state = _STATE_BYTES + 8 * cells
+    estimate = per_state * _window_state_bound(ks, n, _TABLE_BYTES_LIMIT // per_state)
+    if estimate > _TABLE_BYTES_LIMIT:
+        raise InstanceTooLargeError(
+            f"the DP table needs an estimated {estimate / 2**30:.3g} GiB or more, "
+            f"over the limit of {_TABLE_BYTES_LIMIT / 2**30:.3g} GiB"
+        )
 
 
 def _window_families(k: int, n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
@@ -181,6 +228,7 @@ def _solve_frontier(inst: Instance, ks: int, kq: int, mode: Mode) -> Solution:
     """The frontier engine with each bound clamped to its side's n-1 or m-1,
     beyond which it constrains nothing."""
     ks, kq = min(ks, inst.num_students - 1), min(kq, inst.num_questions - 1)
+    _check_table_size(inst.num_students, ks, inst.num_questions, kq)
     return _reconstruct_frontier(inst, ks, kq, mode, *_frontier_table(inst, ks, kq, mode))
 
 
@@ -240,8 +288,12 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     orders.
 
     Returns (layers, nb, qstates, edges). ``layers[i-1]`` maps a position-i
-    student state (occupant, window) to its costs indexed by question state;
-    the rest is what reconstruction shares with the fill.
+    student state (occupant, window) to its costs indexed by question state,
+    an ``array('d')`` with ``_INF`` where the state is infeasible; the rest is
+    what reconstruction shares with the fill. Layer i is filled as lists from
+    the lists of layer i-1, whose rows are then frozen into arrays. Each
+    window's parent rows are merged and relaxed once per layer and the
+    result is shared by every occupant with that window.
     """
     n, m = inst.num_students, inst.num_questions
     alpha = inst.base_student_order
@@ -287,6 +339,24 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
         out.extend(map(add, itertools.islice(merged, hi_q, None), itertools.islice(row, hi_q, None)))
         return out
 
+    def merge(prev: dict, i: int, window: tuple[int, ...]) -> list | None:
+        """Elementwise minimum of the parent rows, relaxed over the covering
+        edges; None when no parent exists."""
+        merged: list | None = None
+        for parent in _parent_candidates(i, window, ks):
+            arr = prev.get(parent)
+            if arr is None:
+                continue
+            if merged is None:
+                merged = list(arr)
+            else:
+                merged = [a if a < b else b for a, b in zip(merged, arr)]
+        if merged is not None:
+            for qi, p in edges:
+                if merged[p] < merged[qi]:
+                    merged[qi] = merged[p]
+        return merged
+
     zeros = [0] * nq
     layers: list[dict] = [
         {
@@ -298,25 +368,28 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     for i in range(2, n + 1):
         prev = layers[-1]
         cur: dict = {}
+        # The parents depend on the window alone, so the occupants sharing a
+        # window share one merged row; fill copies it.
+        merged_by_window: dict = {}
         for u in range(max(1, i - ks), min(n, i + ks) + 1):
             for window in fams_s.get((i, u), []):
-                merged: list | None = None
-                for parent in _parent_candidates(i, window, ks):
-                    arr = prev.get(parent)
-                    if arr is None:
-                        continue
-                    if merged is None:
-                        merged = list(arr)
-                    else:
-                        merged = [a if a < b else b for a, b in zip(merged, arr)]
-                if merged is None:
-                    continue
-                for qi, p in edges:
-                    if merged[p] < merged[qi]:
-                        merged[qi] = merged[p]
-                cur[(u, window)] = fill(i, u, window, merged)
+                if window not in merged_by_window:
+                    merged_by_window[window] = merge(prev, i, window)
+                merged = merged_by_window[window]
+                if merged is not None:
+                    cur[(u, window)] = fill(i, u, window, merged)
+        _freeze(prev)
         layers.append(cur)
+    _freeze(layers[-1])
     return layers, nb, qstates, edges
+
+
+def _freeze(layer: dict) -> None:
+    """Store a finished layer's rows as ``array('d')``: 8 bytes a cell, not
+    a pointer plus an int object. Costs are at most n*m, far below 2^53, so
+    doubles hold them exactly, and ``_INF`` as it is."""
+    for key, row in layer.items():
+        layer[key] = array("d", row)
 
 
 def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
@@ -462,6 +535,7 @@ def solve_unconstrained_knear_addition(inst: Instance, k: int) -> Solution:
     """
     ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, k).validate_for(inst)
     k = min(k, inst.num_students)
+    _check_table_size(inst.num_students, k)
     return _reconstruct_unconstrained_addition(inst, k, *_unconstrained_addition_table(inst, k))
 
 

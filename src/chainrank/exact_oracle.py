@@ -56,37 +56,39 @@ def enumerate_knear_permutations(base: Sequence[int], k: int) -> Iterator[tuple[
     the emitted position -> entity tuples.
 
     Backtracking with displacement pruning: an entity whose deadline
-    (base position + k) has arrived must be placed immediately.
+    (base position + k) has arrived must be placed immediately. Every entity
+    due earlier was placed by then, so no branch dead-ends. The stack is
+    explicit, so n is not limited by the recursion limit.
     """
     base = tuple(base)
-    if k == 0:
+    n = len(base)
+    if k == 0 or n == 0:
         yield base
         return
-    n = len(base)
-    bpos = {e: p for p, e in enumerate(base, start=1)}
-    entities = sorted(base)
     used: set[int] = set()
     out: list[int] = []
 
-    def rec(p: int) -> Iterator[tuple[int, ...]]:
-        if p > n:
-            yield tuple(out)
-            return
-        pending = [e for e in entities if e not in used and bpos[e] + k <= p]
-        if pending:
-            if len(pending) > 1 or bpos[pending[0]] + k < p:
-                return
-            cands = pending
-        else:
-            cands = [e for e in entities if e not in used and abs(bpos[e] - p) <= k]
-        for e in cands:
-            used.add(e)
-            out.append(e)
-            yield from rec(p + 1)
-            out.pop()
-            used.remove(e)
+    def candidates(p: int) -> list[int]:
+        if p > k and base[p - k - 1] not in used:
+            return [base[p - k - 1]]
+        return sorted(e for e in base[max(0, p - 1 - k) : p + k] if e not in used)
 
-    yield from rec(1)
+    # stack[p-1] iterates the candidates at position p; out[p-1] is the one
+    # placed there, if any.
+    stack = [iter(candidates(1))]
+    while stack:
+        if len(out) == len(stack):
+            used.remove(out.pop())
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        used.add(e)
+        out.append(e)
+        if len(out) == n:
+            yield tuple(out)
+        else:
+            stack.append(iter(candidates(len(out) + 1)))
 
 
 def count_knear_permutations(n: int, k: int) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,58 @@ class TestCli:
         assert code == 1
         assert "flip_count must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "gen.txt").exists()
+
+    @pytest.mark.parametrize(
+        "variant, mode, k, size, seed, noise, digest",
+        [
+            ("constrained", "editing", 1, "40x40", 11, ["--flips", "160", "--k-perturb", "1"], "246188fe7776fbd6dbfa20565b312e84b44ec8d6c569fb46f6883247f83c5016"),
+            ("constrained", "editing", 2, "50x45", 12, ["--flip-prob", "0.1", "--k-perturb", "2"], "38ff1d2093daaca643b1c89276ada22e2869fe7b5619a80995d8db163b123a0f"),
+            ("constrained", "addition", 1, "60x50", 13, ["--flips", "300", "--k-perturb", "1"], "15b93986b2edd8258c9f122e2d4ed40534b0fdd6ed63f85ec7d8411ae07ec9a7"),
+            ("constrained", "addition", 2, "30x36", 14, ["--flip-prob", "0.15", "--k-perturb", "2"], "e5d1311a4087f2ca080c221067a4b1d9b9eec8a7ea0c1d061b8e9f4c0d7dbe66"),
+            ("both", "editing", 1, "60x60", 15, ["--flips", "360", "--k-perturb", "1"], "00e892339d4d9a7fc448f9ed8f85760da2d2822b88424ae3e28ac9c365a244fc"),
+            ("both", "editing", 2, "30x30", 16, ["--flip-prob", "0.1", "--k-perturb", "2"], "74f54ce1d379f730f9d7f1ad6b4f123104cf5575db4d3b28bf0cb958f28179c9"),
+            ("both", "addition", 1, "50x40", 17, ["--flips", "200", "--k-perturb", "1"], "59fd27540e3387f2473bb9f608b5e36a96f253f726701ac273ec01e45c6b3a79"),
+            ("both", "addition", 2, "40x40", 18, ["--flip-prob", "0.1", "--k-perturb", "2"], "044a647a4468dcdec291bb65efbab745067a88b86b0a3c7fb0fd30194651f07e"),
+        ],
+    )
+    def test_frontier_solution_is_pinned(self, tmp_path, variant, mode, k, size, seed, noise, digest):
+        """Frontier-engine solution files keep their bytes, ties included:
+        the digests were recorded when every state merged its own parents."""
+        students, questions = size.split("x")
+        inst_path, sol_path = tmp_path / "gen.txt", tmp_path / "sol.txt"
+        assert main([
+            "gen", "--students", students, "--questions", questions, "--seed", str(seed),
+            *noise, "--output", str(inst_path),
+        ]) == 0
+        assert main([
+            "solve", "--variant", variant, "--mode", mode, "--k", str(k),
+            "--input", str(inst_path), "--output", str(sol_path),
+        ]) == 0
+        assert hashlib.sha256(sol_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("k", ["39", "40"])
+    @pytest.mark.parametrize(
+        "variant, mode",
+        [("both", "editing"), ("both", "addition"), ("unconstrained", "addition")],
+    )
+    def test_solve_refuses_oversize_table(self, tmp_path, capsys, variant, mode, k):
+        inst_path, sol_path = tmp_path / "gen.txt", tmp_path / "sol.txt"
+        assert main([
+            "gen", "--students", "40", "--questions", "40", "--seed", "3", "--flips", "160",
+            "--k-perturb", "2", "--output", str(inst_path),
+        ]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main([
+            "solve", "--variant", variant, "--mode", mode, "--k", k,
+            "--input", str(inst_path), "--output", str(sol_path),
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "INSTANCE_TOO_LARGE" in err and "GiB" in err
+        assert "Traceback" not in err
+        assert not sol_path.exists()
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

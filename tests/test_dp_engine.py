@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainrank import (
     ChainRankError,
+    InstanceTooLargeError,
     MissingBaseOrderError,
     Mode,
     ProblemSpec,
@@ -27,6 +30,7 @@ from chainrank import (
     solve_unconstrained_knear_editing_exact,
     verify_solution,
 )
+from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
 from conftest import DP_VARIANT_MODES, figure_one, random_instance
 
 
@@ -234,10 +238,96 @@ def test_reconstruct_rejects_tampered_table():
 
     inst = make_instance(2, 2, [(1, 1), (1, 2)], (1, 2), (1, 2))
     layers, *shared = _frontier_table(inst, 1, 0, Mode.EDITING)
-    for state in layers[0]:
-        layers[0][state] = [c + 1 for c in layers[0][state]]
+    for row in layers[0].values():
+        assert isinstance(row, array)
+        for qi in range(len(row)):
+            row[qi] += 1
     with pytest.raises(CorruptTableError):
         _reconstruct_frontier(inst, 1, 0, Mode.EDITING, layers, *shared)
+
+
+@pytest.mark.parametrize("mode", [Mode.EDITING, Mode.ADDITION])
+@pytest.mark.parametrize("ks, kq", [(1, 0), (2, 0), (1, 1), (2, 2)])
+def test_frontier_rows_are_double_arrays(mode, ks, kq):
+    from chainrank.dp_engine import _frontier_table
+
+    rng = random.Random(29)
+    for _ in range(10):
+        inst = random_instance(rng, max_side=6)
+        n, m = inst.num_students, inst.num_questions
+        layers, _nb, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
+        assert len(layers) == n
+        for layer in layers:
+            for row in layer.values():
+                assert isinstance(row, array) and row.typecode == "d"
+                assert len(row) == len(qstates)
+
+
+def _noisy_instance(n: int, k: int, seed: int):
+    cfg = GenConfig(n, n, seed=seed, flip_count=n * n // 10, k_perturb=k)
+    planted, true_s, true_q = gen_ideal(cfg)
+    noisy = perturb_edges(planted, cfg)
+    return make_instance(n, n, list(noisy.edges()), perturb_order(true_s, k, seed), true_q)
+
+
+def test_frontier_table_peak_memory():
+    """Finished rows are 8 bytes a cell. The 120x120 k=2 constrained table
+    peaks at 1.9 MB; the bound leaves 1.6x headroom, and the same table with
+    rows of Python ints (6.4 MB) fails it."""
+    from chainrank.dp_engine import _frontier_table
+
+    inst = _noisy_instance(120, 2, 5)
+    tracemalloc.start()
+    try:
+        table = _frontier_table(inst, 2, 0, Mode.EDITING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, table[0])) > 1000
+    assert peak < 3 * 2**20, peak
+
+
+class TestTableSizeGuard:
+    @pytest.mark.parametrize("k", [39, 40])
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            lambda inst, k: solve_both_knear(inst, k, Mode.EDITING),
+            lambda inst, k: solve_both_knear(inst, k, Mode.ADDITION),
+            solve_unconstrained_knear_addition,
+        ],
+    )
+    def test_degenerate_k_is_refused_fast(self, solver, k):
+        inst = _noisy_instance(40, 2, 7)
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError, match="GiB"):
+            solver(inst, k)
+        assert time.perf_counter() - start < 1.0
+
+    def test_state_bound_covers_the_families(self):
+        from chainrank.dp_engine import _window_families, _window_state_bound
+
+        for n in range(1, 12):
+            for k in range(0, n + 1):
+                states = sum(map(len, _window_families(k, n).values()))
+                assert states <= _window_state_bound(k, n, 10**9), (n, k)
+
+    def test_benchmark_and_grid_sizes_fit(self):
+        """Every benchmark item and every point of the sizes the solvers are
+        measured on, up to constrained n=1000 at k=3 and both-near n=80 at
+        k=2, passes the guard. (n, ks, m, kq); m = 0 is unconstrained
+        addition."""
+        from chainrank.dp_engine import _check_table_size
+
+        items = [
+            (600, 1, 600, 0), (400, 2, 400, 0), (300, 2, 300, 0), (400, 3, 0, 0), (400, 2, 0, 0),
+            (80, 1, 80, 1), (60, 1, 60, 1), (30, 2, 30, 2), (40, 2, 40, 2), (60, 2, 0, 0),
+        ]
+        items += [(n, k, n, 0) for n in (100, 200, 400, 600, 800, 1000) for k in (1, 2, 3)]
+        items += [(n, k, 0, 0) for n in (100, 200, 400, 600, 800, 1000) for k in (1, 2, 3)]
+        items += [(n, k, n, k) for n in (20, 40, 60, 80) for k in (1, 2)]
+        for item in items:
+            _check_table_size(*item)
 
 
 def test_covering_edge_closure_matches_knear_orders():

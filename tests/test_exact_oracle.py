@@ -58,6 +58,25 @@ class TestEnumeration:
                 )
                 assert list(enumerate_knear_permutations(base, k)) == expected
 
+    def test_matches_filtering_up_to_eight(self):
+        rng = random.Random(32)
+        for n in range(0, 9):
+            base = tuple(rng.sample(range(10, 30), n))
+            pos = {e: p for p, e in enumerate(base, start=1)}
+            perms = list(itertools.permutations(sorted(base)))
+            for k in range(0, 4):
+                expected = [
+                    pi for pi in perms if all(abs(p - pos[e]) <= k for p, e in enumerate(pi, start=1))
+                ]
+                assert list(enumerate_knear_permutations(base, k)) == expected, (n, k)
+
+    def test_deep_base_needs_no_recursion(self):
+        """The stack is explicit: 1100 positions, past the recursion limit."""
+        base = tuple(range(1, 1101))
+        stream = enumerate_knear_permutations(base, 1)
+        assert next(stream) == base
+        assert next(stream) == base[:1098] + (base[1099], base[1098])
+
     def test_one_near_counts_are_fibonacci(self):
         for n in range(1, 13):
             stream = sum(1 for _ in enumerate_knear_permutations(tuple(range(1, n + 1)), 1))

@@ -12,10 +12,7 @@ Exit codes: 0 success, 1 usage or bad input, 2 infeasible or violated check,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -226,17 +223,19 @@ def write_solution(sol: Solution, verified: bool, path: str | Path) -> None:
 
 def _spec_from_args(args: argparse.Namespace) -> ProblemSpec:
     """The spec named by --variant (recognition when absent), --mode, --k
-    (0 for ``bench``, which sweeps k itself) and --fixed-side."""
+    and --fixed-side."""
     variant = Variant(args.variant or "imo")
     side = None
     if variant == Variant.FIXED_ONE_SIDE:
         if not args.fixed_side:
             raise ChainRankError("--fixed-side is required with variant fixed-side")
         side = Side(args.fixed_side)
-    return ProblemSpec(variant=variant, mode=Mode(args.mode), k=getattr(args, "k", 0), fixed_side=side)
+    return ProblemSpec(variant=variant, mode=Mode(args.mode), k=args.k, fixed_side=side)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    """``solve`` and ``oracle``, which differ in ``args.solver`` and in the
+    gate that only ``solve`` has."""
     spec = _spec_from_args(args)
     if spec.variant == Variant.UNCONSTRAINED_KNEAR and spec.mode == Mode.EDITING and not args.exponential_ok:
         print(
@@ -247,11 +246,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     inst = read_instance(args.input)
-    sol = solve(inst, spec, cap=args.cap)
+    sol = args.solver(inst, spec, cap=args.cap)
     report = verify_solution(inst, spec, sol)
     if not report.ok:
         print(
-            f"internal error: solver output failed checks: {[c.name for c in report.failed()]}",
+            f"internal error: {args.command} output failed checks: {[c.name for c in report.failed()]}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL
@@ -324,71 +323,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    inst = read_instance(args.input)
-    spec = _spec_from_args(args)
-    sol = oracle_solve(inst, spec, cap=args.cap)
-    report = verify_solution(inst, spec, sol)
-    if not report.ok:
-        print(
-            f"internal error: oracle output failed checks: {[c.name for c in report.failed()]}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    if args.output:
-        write_solution(sol, report.ok, args.output)
-    print(f"cost: {sol.cost}")
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    rows = []
-    for size in args.sizes:
-        for k in args.ks:
-            for seed in range(args.seeds):
-                cfg = GenConfig(
-                    num_students=size,
-                    num_questions=size,
-                    seed=seed,
-                    flip_probability=args.flip_prob,
-                    k_perturb=k,
-                )
-                inst, true_s, true_q = gen_ideal(cfg)
-                inst = perturb_edges(inst, cfg)
-                inst = with_base_orders(
-                    inst,
-                    student_order=perturb_order(true_s, k, seed),
-                    question_order=perturb_order(true_q, k, seed + 1),
-                )
-                start = time.perf_counter()
-                sol = solve(inst, replace(spec, k=k), cap=args.cap)
-                wall_ms = (time.perf_counter() - start) * 1000.0
-                rows.append(
-                    {
-                        "variant": args.variant,
-                        "mode": args.mode,
-                        "n_students": size,
-                        "n_questions": size,
-                        "k": k,
-                        "seed": seed,
-                        "cost": sol.cost,
-                        "wall_ms": f"{wall_ms:.3f}",
-                    }
-                )
-                print(f"{args.variant} {args.mode} n={size} k={k} seed={seed}: "
-                      f"cost={sol.cost} wall_ms={wall_ms:.1f}")
-    with open(args.output, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=["variant", "mode", "n_students", "n_questions", "k", "seed", "cost", "wall_ms"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.output} ({len(rows)} rows)")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser and entry point
 
@@ -400,24 +334,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _non_negative_int(text: str, low: int = 0) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
-        if value >= low:
+        if value >= 0:
             return value
     except ValueError:
         pass
-    kind = "a positive" if low == 1 else "a non-negative"
-    raise argparse.ArgumentTypeError(f"expected {kind} integer, got {text!r}")
-
-
-def _positive_int(text: str) -> int:
-    return _non_negative_int(text, low=1)
-
-
-def _int_list(text: str) -> list[int]:
-    """Comma-separated non-negative integers; empty items are skipped."""
-    return [_non_negative_int(t) for t in text.split(",") if t]
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,13 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=_non_negative_int, default=0)
         p.add_argument("--fixed-side", choices=["students", "questions"], default=None)
 
+    def add_run(p, solver) -> None:
+        p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", default=None)
+        p.set_defaults(handler=_cmd_solve, solver=solver)
+
     p = sub.add_parser("solve", help="run a polynomial solver")
     add_common(p, ("constrained", "unconstrained", "both", "fixed-side"), required=True)
     p.add_argument("--exponential-ok", action="store_true")
-    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_solve)
+    add_run(p, solve)
 
     p = sub.add_parser("recognize", help="decide whether an instance is ideal")
     p.add_argument("--input", required=True)
@@ -466,21 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force exact solve (any variant)")
     add_common(p, ("imo", "fixed-both", "fixed-side", "constrained", "unconstrained", "both"))
-    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("bench", help="timing sweep, CSV output")
-    p.add_argument("--variant", choices=["constrained", "unconstrained", "both", "fixed-side"], required=True)
-    p.add_argument("--mode", choices=["editing", "addition"], default="editing")
-    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated square sizes, e.g. 20,40")
-    p.add_argument("--ks", type=_int_list, default="1", help="comma-separated k values")
-    p.add_argument("--seeds", type=_positive_int, default=1)
-    p.add_argument("--flip-prob", type=float, default=0.1)
-    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_CAP)
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=_cmd_bench, fixed_side="questions")
+    add_run(p, oracle_solve)
+    p.set_defaults(exponential_ok=True)  # enumerating is what the oracle is for
 
     return parser
 

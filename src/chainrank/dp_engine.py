@@ -1,13 +1,17 @@
 """Dynamic programs for the polynomial k-near variants, and ``solve``, the
 one map from a ``ProblemSpec`` to the solver for its variant.
 
-Two engines cover the three variants:
+``solve`` is the only place that turns a spec into an engine call. It
+validates the spec once, reads the student and question bounds (ks, kq) from
+``ProblemSpec.bounds``, clamps each to its side's size minus 1 and sets the
+solver tag; the public per-variant solvers are one-line calls of it. Two
+engines cover the three variants:
 
-- The frontier engine (``_frontier_table``) takes separate student and
-  question displacement bounds (ks, kq). Constrained k-near is the engine at
-  kq = 0, where the question order is the base order; both-near k-near runs
-  it at ks = kq = k.
-- The unconstrained-addition DP tracks no frontier at all.
+- The frontier engine (``_frontier_table``) takes both bounds: constrained
+  k-near has kq = 0, where the question order is the base order, and
+  both-near k-near has ks = kq = k.
+- The unconstrained-addition DP has a free question side and tracks no
+  frontier at all.
 
 All solvers relabel entities by their base-order positions, so internally a
 student (or question) label equals its base position and the k-near
@@ -209,27 +213,13 @@ def solve_constrained_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -
     k >= n-1 admits every student order, which the fixed-side solver handles
     directly.
     """
-    ProblemSpec(Variant.CONSTRAINED_KNEAR, mode, k).validate_for(inst)
-    if k >= inst.num_students - 1:
-        sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
-    else:
-        sol = _solve_frontier(inst, k, 0, mode)
-    return replace(sol, solver_tag=f"dp.constrained_knear.{mode.value}")
+    return solve(inst, ProblemSpec(Variant.CONSTRAINED_KNEAR, mode, k))
 
 
 def solve_both_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
     """Minimum edits (or additions) with both output orders within k of
     their base orders: the frontier engine with both bounds k."""
-    ProblemSpec(Variant.BOTH_KNEAR, mode, k).validate_for(inst)
-    return replace(_solve_frontier(inst, k, k, mode), solver_tag=f"dp.both_knear.{mode.value}")
-
-
-def _solve_frontier(inst: Instance, ks: int, kq: int, mode: Mode) -> Solution:
-    """The frontier engine with each bound clamped to its side's n-1 or m-1,
-    beyond which it constrains nothing."""
-    ks, kq = min(ks, inst.num_students - 1), min(kq, inst.num_questions - 1)
-    _check_table_size(inst.num_students, ks, inst.num_questions, kq)
-    return _reconstruct_frontier(inst, ks, kq, mode, *_frontier_table(inst, ks, kq, mode))
+    return solve(inst, ProblemSpec(Variant.BOTH_KNEAR, mode, k))
 
 
 def _question_states(m: int, k: int, fams_q) -> list[tuple[int, int, tuple[int, ...], int, int]]:
@@ -533,10 +523,7 @@ def solve_unconstrained_knear_addition(inst: Instance, k: int) -> Solution:
     neighborhoods of the weakest i students, so the state is just (position,
     occupant, window).
     """
-    ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, k).validate_for(inst)
-    k = min(k, inst.num_students)
-    _check_table_size(inst.num_students, k)
-    return _reconstruct_unconstrained_addition(inst, k, *_unconstrained_addition_table(inst, k))
+    return solve(inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, k))
 
 
 def _unconstrained_addition_table(inst: Instance, k: int):
@@ -609,32 +596,30 @@ def _reconstruct_unconstrained_addition(
         chain.append(found)
     chain.reverse()
 
+    # Corrected neighborhoods nest along the order: the one at position i
+    # is acc, the union of the first i. The question order lists each
+    # position's new questions, ascending, then the unanswered ones.
     additions: list[tuple[int, int]] = []
     student_order = []
-    rows = []
+    question_order: list[int] = []
     acc = 0
     total = 0
     for (u_i, _w) in chain:
         s = alpha[u_i - 1]
         student_order.append(s)
+        question_order.extend(_bits_to_labels(nb[u_i] & ~acc))
         acc |= nb[u_i]
         add_bits = acc & ~nb[u_i]
         additions.extend((s, q) for q in _bits_to_labels(add_bits))
         total += add_bits.bit_count()
-        rows.append((s, acc))
     if total != terminal_cost:
         raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
-
-    edited_rows = list(inst.adjacency)
-    for s, bits in rows:
-        edited_rows[s - 1] = tuple(_bits_to_labels(bits))
-    edited = replace(inst, adjacency=tuple(edited_rows))
-    question_order = ideal.derive_question_order(edited, student_order)
+    question_order.extend(_bits_to_labels(((1 << inst.num_questions) - 1) & ~acc))
 
     return Solution(
         cost=total,
         student_order=tuple(student_order),
-        question_order=question_order,
+        question_order=tuple(question_order),
         edits=EditSet.of(additions, ()),
         solver_tag="dp.unconstrained_knear.addition",
     )
@@ -644,27 +629,46 @@ def _reconstruct_unconstrained_addition(
 # Variant dispatch
 
 
+_TAGS = {
+    Variant.FIXED_ONE_SIDE: "ideal.fixed_side",
+    Variant.CONSTRAINED_KNEAR: "dp.constrained_knear",
+    Variant.BOTH_KNEAR: "dp.both_knear",
+    Variant.UNCONSTRAINED_KNEAR: "dp.unconstrained_knear",
+}
+
+
 def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution:
     """Solve ``spec`` on ``inst`` with the solver for its variant.
 
-    Unconstrained k-near editing is NP-hard; it runs the exact
-    branch-and-bound over the k-near student orders, which raises
-    InstanceTooLargeError when there are more than ``cap`` of them. Recognition
-    and the fixed-both check are not optimization problems and raise
-    ChainRankError, as does a missing base order (MissingBaseOrderError).
+    The DPs take their bounds from ``spec.bounds``, each clamped to its
+    side's size minus 1, beyond which it constrains nothing. Constrained
+    k-near with a clamped student bound admits every student order and goes
+    to the fixed-side solver. Unconstrained k-near editing is NP-hard; it
+    runs the exact branch-and-bound over the k-near student orders, which
+    raises InstanceTooLargeError when there are more than ``cap`` of them.
+    Recognition and the fixed-both check are not optimization problems and
+    raise ChainRankError, as does a missing base order (MissingBaseOrderError).
     """
+    variant, mode = spec.variant, spec.mode
+    if variant == Variant.UNCONSTRAINED_KNEAR and mode == Mode.EDITING:
+        # The exact solver validates the spec itself.
+        return solve_unconstrained_knear_editing_exact(inst, spec.k, cap)
     spec.validate_for(inst)
-    variant, mode, k = spec.variant, spec.mode, spec.k
-    if variant == Variant.FIXED_ONE_SIDE:
-        students = spec.fixed_side == Side.STUDENTS_FIXED
-        fixed = inst.base_student_order if students else inst.base_question_order
-        return ideal.solve_fixed_side(inst, spec.fixed_side, fixed, mode)
-    if variant == Variant.CONSTRAINED_KNEAR:
-        return solve_constrained_knear(inst, k, mode)
-    if variant == Variant.BOTH_KNEAR:
-        return solve_both_knear(inst, k, mode)
-    if variant == Variant.UNCONSTRAINED_KNEAR:
-        if mode == Mode.ADDITION:
-            return solve_unconstrained_knear_addition(inst, k)
-        return solve_unconstrained_knear_editing_exact(inst, k, cap)
-    raise ChainRankError(f"variant {variant.value} has no solver")
+    if variant not in _TAGS:
+        raise ChainRankError(f"variant {variant.value} has no solver")
+    n, m = inst.num_students, inst.num_questions
+    ks, kq = (None if b is None else min(b, size - 1) for b, size in zip(spec.bounds, (n, m)))
+    if variant == Variant.FIXED_ONE_SIDE or (variant == Variant.CONSTRAINED_KNEAR and ks == n - 1):
+        # One side keeps its base order and the other is free.
+        if kq == 0:
+            sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
+        else:
+            sol = ideal.solve_fixed_side(inst, Side.STUDENTS_FIXED, inst.base_student_order, mode)
+    elif kq is None:
+        # Unconstrained addition: the question side is free.
+        _check_table_size(n, ks)
+        sol = _reconstruct_unconstrained_addition(inst, ks, *_unconstrained_addition_table(inst, ks))
+    else:
+        _check_table_size(n, ks, m, kq)
+        sol = _reconstruct_frontier(inst, ks, kq, mode, *_frontier_table(inst, ks, kq, mode))
+    return replace(sol, solver_tag=f"{_TAGS[variant]}.{mode.value}")

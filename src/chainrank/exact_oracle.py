@@ -50,45 +50,49 @@ class InstanceTooLargeError(ChainRankError):
 # Bounded-displacement permutation enumeration
 
 
+def _knear_candidates(base: Sequence[int], k: int, p: int, used: list[bool]) -> list[int]:
+    """The entities that may go at position p of a k-near order of ``base``,
+    ascending, where ``used[e]`` marks the entities already placed. The
+    deadline rule: the entity whose last admissible position is p goes
+    there. Every entity due earlier was placed by then, so no branch
+    dead-ends."""
+    if p > k and not used[base[p - k - 1]]:
+        return [base[p - k - 1]]
+    return sorted(e for e in base[max(0, p - 1 - k) : p + k] if not used[e])
+
+
 def enumerate_knear_permutations(base: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     """Yield every permutation moving each entity at most k positions from
     its position in ``base``, each exactly once, in lexicographic order of
     the emitted position -> entity tuples.
 
-    Backtracking with displacement pruning: an entity whose deadline
-    (base position + k) has arrived must be placed immediately. Every entity
-    due earlier was placed by then, so no branch dead-ends. The stack is
-    explicit, so n is not limited by the recursion limit.
+    Backtracking with displacement pruning over ``_knear_candidates``. The
+    stack is explicit, so n is not limited by the recursion limit.
     """
     base = tuple(base)
     n = len(base)
     if k == 0 or n == 0:
         yield base
         return
-    used: set[int] = set()
+    used = [False] * (max(base) + 1)
     out: list[int] = []
-
-    def candidates(p: int) -> list[int]:
-        if p > k and base[p - k - 1] not in used:
-            return [base[p - k - 1]]
-        return sorted(e for e in base[max(0, p - 1 - k) : p + k] if e not in used)
 
     # stack[p-1] iterates the candidates at position p; out[p-1] is the one
     # placed there, if any.
-    stack = [iter(candidates(1))]
+    stack = [iter(_knear_candidates(base, k, 1, used))]
     while stack:
         if len(out) == len(stack):
-            used.remove(out.pop())
+            used[out.pop()] = False
         e = next(stack[-1], None)
         if e is None:
             stack.pop()
             continue
-        used.add(e)
+        used[e] = True
         out.append(e)
         if len(out) == n:
             yield tuple(out)
         else:
-            stack.append(iter(candidates(len(out) + 1)))
+            stack.append(iter(_knear_candidates(base, k, len(out) + 1, used)))
 
 
 def count_knear_permutations(n: int, k: int) -> int:
@@ -365,13 +369,6 @@ def solve_unconstrained_knear_editing_exact(
 
     used = [False] * (n + 1)
 
-    def candidates(p: int) -> list[int]:
-        # The deadline rule: the entity whose last admissible position is p
-        # goes there. Every entity due earlier is placed by then.
-        if p > k and not used[base[p - k - 1]]:
-            return [base[p - k - 1]]
-        return sorted(e for e in base[max(0, p - 1 - k) : p + k] if not used[e])
-
     # Per position p: the student placed there (0 for none), its candidates,
     # the index of the next one to try, the bound of the prefix before p and
     # the run minima that placing order[p] overwrote.
@@ -384,7 +381,7 @@ def solve_unconstrained_knear_editing_exact(
     best_pi: tuple[int, ...] | None = None
 
     p = 1
-    cands_at[1] = candidates(1)
+    cands_at[1] = _knear_candidates(base, k, 1, used)
     while p:
         s = order[p]
         if s:
@@ -424,7 +421,7 @@ def solve_unconstrained_knear_editing_exact(
         used[s] = True
         p += 1
         bound_at[p] = bound
-        cands_at[p] = candidates(p)
+        cands_at[p] = _knear_candidates(base, k, p, used)
         next_at[p] = 0
 
     assert best_pi is not None, "feasible ordering always exists"

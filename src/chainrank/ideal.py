@@ -84,13 +84,16 @@ def derive_question_order(inst: Instance, student_order: Sequence[int]) -> tuple
     return tuple(layers)
 
 
-def _best_threshold(costs: list[int], lo: int = 0) -> tuple[int, int]:
-    """(threshold, cost) minimizing costs[t] for t >= lo, smallest t on ties."""
-    best_t = lo
-    for t in range(lo, len(costs)):
-        if costs[t] < costs[best_t]:
-            best_t = t
-    return best_t, costs[best_t]
+def _cheapest_prefix(positions: set[int], length: int, mode: Mode) -> tuple[int, int]:
+    """(t, cost) for the cheapest prefix of a fixed order of ``length`` to
+    turn a neighborhood, at ``positions`` of that order, into: smallest t on
+    ties. In ADDITION mode the prefix must cover every neighbor."""
+    costs = [len(positions)]
+    for t in range(1, length + 1):
+        costs.append(costs[-1] + (-1 if t in positions else 1))
+    lo = max(positions) if (mode == Mode.ADDITION and positions) else 0
+    t = min(range(lo, length + 1), key=costs.__getitem__)
+    return t, costs[t]
 
 
 def solve_fixed_side(
@@ -105,56 +108,43 @@ def solve_fixed_side(
     prefix of the question order as its corrected neighborhood (in ADDITION
     mode the prefix must cover the hardest existing neighbor, so only
     additions occur); students are then ordered by threshold. With students
-    fixed the mirror argument runs on suffixes per question.
+    fixed the same pass runs per question on the reversed student order:
+    a question's answerers are a suffix of the student order, the strongest
+    students, and questions answered by more students come first.
     """
     fixed_order = tuple(fixed_order)
-    n, m = inst.num_students, inst.num_questions
+    if side == Side.QUESTIONS_FIXED:
+        order = fixed_order
+        members = {s: inst.neighbors(s) for s in range(1, inst.num_students + 1)}
+        pair = lambda s, q: (s, q)
+    elif side == Side.STUDENTS_FIXED:
+        order = fixed_order[::-1]
+        members = {q: set() for q in range(1, inst.num_questions + 1)}
+        for s, q in inst.edges():
+            members[q].add(s)
+        pair = lambda q, s: (s, q)
+    else:
+        raise ValueError(f"unknown side {side!r}")
+
+    pos = inverse_positions(order)
     additions: list[tuple[int, int]] = []
     deletions: list[tuple[int, int]] = []
     total = 0
+    prefix: dict[int, int] = {}
+    for e, nbh in members.items():
+        t, cost = _cheapest_prefix({pos[x] for x in nbh}, len(order), mode)
+        prefix[e] = t
+        total += cost
+        target = set(order[:t])
+        additions.extend(pair(e, x) for x in target - nbh)
+        deletions.extend(pair(e, x) for x in nbh - target)
 
     if side == Side.QUESTIONS_FIXED:
-        qpos = inverse_positions(fixed_order)
-        thresholds: dict[int, int] = {}
-        for s in range(1, n + 1):
-            nbh = inst.neighbors(s)
-            positions = {qpos[q] for q in nbh}
-            costs = [len(nbh)]
-            for t in range(1, m + 1):
-                costs.append(costs[-1] + (-1 if t in positions else 1))
-            lo = max(positions) if (mode == Mode.ADDITION and positions) else 0
-            t, cost = _best_threshold(costs, lo)
-            thresholds[s] = t
-            total += cost
-            target = set(fixed_order[:t])
-            additions.extend((s, q) for q in sorted(target - nbh))
-            deletions.extend((s, q) for q in sorted(nbh - target))
-        student_order = tuple(sorted(range(1, n + 1), key=lambda s: (thresholds[s], s)))
+        student_order = tuple(sorted(members, key=lambda s: (prefix[s], s)))
         question_order = fixed_order
-    elif side == Side.STUDENTS_FIXED:
-        spos = inverse_positions(fixed_order)
-        suffix_sizes: dict[int, int] = {}
-        q_neighbors = [set() for _ in range(m + 1)]
-        for s, q in inst.edges():
-            q_neighbors[q].add(s)
-        for q in range(1, m + 1):
-            nbh = q_neighbors[q]
-            positions = {spos[s] for s in nbh}
-            costs = [len(nbh)]
-            for size in range(1, n + 1):
-                costs.append(costs[-1] + (-1 if (n - size + 1) in positions else 1))
-            lo = (n - min(positions) + 1) if (mode == Mode.ADDITION and positions) else 0
-            size, cost = _best_threshold(costs, lo)
-            suffix_sizes[q] = size
-            total += cost
-            target = {fixed_order[p - 1] for p in range(n - size + 1, n + 1)}
-            additions.extend((s, q) for s in sorted(target - nbh))
-            deletions.extend((s, q) for s in sorted(nbh - target))
-        # Larger suffix = answered by more students = easier, so easiest first.
-        question_order = tuple(sorted(range(1, m + 1), key=lambda q: (-suffix_sizes[q], q)))
-        student_order = fixed_order
     else:
-        raise ValueError(f"unknown side {side!r}")
+        question_order = tuple(sorted(members, key=lambda q: (-prefix[q], q)))
+        student_order = fixed_order
 
     return Solution(
         cost=total,

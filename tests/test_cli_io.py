@@ -322,20 +322,36 @@ class TestCli:
             ("both", "editing", 2, "30x30", 16, ["--flip-prob", "0.1", "--k-perturb", "2"], "74f54ce1d379f730f9d7f1ad6b4f123104cf5575db4d3b28bf0cb958f28179c9"),
             ("both", "addition", 1, "50x40", 17, ["--flips", "200", "--k-perturb", "1"], "59fd27540e3387f2473bb9f608b5e36a96f253f726701ac273ec01e45c6b3a79"),
             ("both", "addition", 2, "40x40", 18, ["--flip-prob", "0.1", "--k-perturb", "2"], "044a647a4468dcdec291bb65efbab745067a88b86b0a3c7fb0fd30194651f07e"),
+            ("fixed-side/students", "editing", 0, "30x25", 21, ["--flips", "120", "--k-perturb", "1"], "46a2ab926da8b7eb115773e1cceabe711c9ca06b59e8edcc28e5234ee17477ef"),
+            ("fixed-side/students", "addition", 0, "25x30", 22, ["--flip-prob", "0.15"], "f8f5e33b808f8d5fa97af886b756d3abf2521b4f7497525167d8544f4014591a"),
+            ("fixed-side/questions", "editing", 0, "25x30", 23, ["--flip-prob", "0.1", "--k-perturb", "2"], "6c9a7e093663cd076344683978ca46456eaf71f22fc9952c43962e9497042967"),
+            ("fixed-side/questions", "addition", 0, "30x25", 24, ["--flips", "100"], "db590c029f8bf6a9d8f865b1b3e08690d780b36cd60b187df559d21686f12982"),
+            ("unconstrained", "addition", 1, "40x40", 25, ["--flips", "160", "--k-perturb", "1"], "fb52634f208a698780c97e3220ae6d44a44f095d0eaccb725c3feca39ddf7375"),
+            ("unconstrained", "addition", 2, "50x45", 26, ["--flip-prob", "0.1", "--k-perturb", "2"], "545768b98504d1df0e9089f7ec2589d22b08595f8c6913ded6fa3c4b708aea06"),
+            ("unconstrained", "addition", 9, "9x8", 27, ["--flip-prob", "0.2", "--k-perturb", "3"], "5db188e3e42ff1b13c32725352951d90f377029dc05486f5efb5f30bb9d6337a"),
+            ("constrained", "editing", 19, "20x15", 28, ["--flips", "40", "--k-perturb", "2"], "6a52afda41afb793b3411d1d82813c3d7cca16778284a531ba1fd34b74866217"),
+            ("constrained", "addition", 25, "20x15", 29, ["--flip-prob", "0.1", "--k-perturb", "2"], "407f4e371a8475fdc8440111b763b082cc01da5fb27be6d4f1d85db2e8b36738"),
+            ("both", "editing", 6, "9x6", 30, ["--flips", "10", "--k-perturb", "2"], "61df52b5f181bba72ebf18792094e55d97efa0ea9915f9716da448b6c3b10fc8"),
+            ("both", "addition", 5, "9x6", 31, ["--flip-prob", "0.2", "--k-perturb", "2"], "8f38aac3bb0e4bd1a2257f7e9cf2118ffad234fc229516e6bee5746d88a70349"),
         ],
     )
     def test_frontier_solution_is_pinned(self, tmp_path, variant, mode, k, size, seed, noise, digest):
-        """Frontier-engine solution files keep their bytes, ties included:
-        the digests were recorded when every state merged its own parents."""
+        """Solution files keep their bytes, ties included. The first eight
+        digests were recorded when every frontier state merged its own
+        parents; the rest (fixed-side on each side, unconstrained addition,
+        bounds at or past a side's size minus 1) when each per-variant solver
+        still stated and clamped its own bounds. ``variant`` may name a fixed
+        side after a slash."""
         students, questions = size.split("x")
+        variant, _, side = variant.partition("/")
         inst_path, sol_path = tmp_path / "gen.txt", tmp_path / "sol.txt"
         assert main([
             "gen", "--students", students, "--questions", questions, "--seed", str(seed),
             *noise, "--output", str(inst_path),
         ]) == 0
         assert main([
-            "solve", "--variant", variant, "--mode", mode, "--k", str(k),
-            "--input", str(inst_path), "--output", str(sol_path),
+            "solve", "--variant", variant, *(["--fixed-side", side] if side else []),
+            "--mode", mode, "--k", str(k), "--input", str(inst_path), "--output", str(sol_path),
         ]) == 0
         assert hashlib.sha256(sol_path.read_bytes()).hexdigest() == digest
 
@@ -363,18 +379,6 @@ class TestCli:
         assert "Traceback" not in err
         assert not sol_path.exists()
 
-    def test_bench_writes_csv(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main([
-            "bench", "--variant", "constrained", "--mode", "editing",
-            "--sizes", "6,8", "--ks", "0,1", "--seeds", "2",
-            "--flip-prob", "0.2", "--output", str(out),
-        ])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "variant,mode,n_students,n_questions,k,seed,cost,wall_ms"
-        assert len(lines) == 1 + 2 * 2 * 2
-
     def test_solve_fixed_side_needs_side(self, fig1_file, capsys):
         code = main(["solve", "--variant", "fixed-side", "--input", str(fig1_file)])
         assert code == 1
@@ -387,32 +391,14 @@ class TestCli:
         assert code == 1
         assert "MISSING_BASE_ORDER" in capsys.readouterr().err
 
-    def test_bench_fixed_side_writes_csv(self, tmp_path):
+    def test_bench_is_gone(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
-        code = main([
-            "bench", "--variant", "fixed-side", "--sizes", "6", "--ks", "0,1",
-            "--output", str(out),
-        ])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 + 2
-        assert all(line.startswith("fixed-side,editing,6,6,") for line in lines[1:])
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--sizes", "5,x"), ("--ks", "1,y"), ("--seeds", "0"), ("--seeds", "-1"), ("--cap", "-5")],
-    )
-    def test_bench_rejects_non_integer_list(self, tmp_path, capsys, flag, value):
-        args = {"--sizes": "5", "--ks": "1", flag: value}
-        code = main([
-            "bench", "--variant", "constrained", *(tok for pair in args.items() for tok in pair),
-            "--output", str(tmp_path / "bench.csv"),
-        ])
+        code = main(["bench", "--variant", "constrained", "--sizes", "6", "--output", str(out)])
         assert code == 1
-        kind = "a positive" if flag == "--seeds" else "a non-negative"
-        bad = value.split(",")[-1]
-        assert f"expected {kind} integer, got '{bad}'" in capsys.readouterr().err
-        assert not (tmp_path / "bench.csv").exists()
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "solve", "oracle", "solve --cap", "oracle --cap"])
     def test_negative_k_is_a_usage_error(self, fig1_file, tmp_path, capsys, command):

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from array import array
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from chainrank import (
     ProblemSpec,
     Side,
     Variant,
+    apply_edits,
+    derive_question_order,
     enumerate_knear_permutations,
     enumerate_window_sets,
     make_instance,
@@ -177,6 +180,16 @@ class TestUnconstrainedKNearAddition:
             inst = random_instance(rng, max_side=5)
             sol = solve_unconstrained_knear_addition(inst, rng.choice([0, 1, 2]))
             assert not sol.edits.deletions
+
+    def test_question_order_is_derived_from_the_edited_instance(self):
+        """The reconstruction reads the question order off its bitsets; it
+        must be what ``derive_question_order`` makes of the solution."""
+        rng = random.Random(41)
+        for _ in range(300):
+            inst = random_instance(rng, max_side=7)
+            sol = solve_unconstrained_knear_addition(inst, rng.randint(0, inst.num_students))
+            edited = apply_edits(inst, sol.edits)
+            assert sol.question_order == derive_question_order(edited, sol.student_order)
 
 
 class TestBothKNear:
@@ -395,6 +408,32 @@ class TestSolveDispatch:
                 for mode in (Mode.EDITING, Mode.ADDITION):
                     spec = ProblemSpec(Variant.FIXED_ONE_SIDE, mode, 0, side)
                     assert solve(inst, spec) == solve_fixed_side(inst, side, order, mode), spec
+
+    def test_validates_once(self, monkeypatch):
+        """``solve`` and each public solver of the module validate the spec
+        exactly once, whichever engine runs (k = 2 on three students sends
+        constrained k-near to the fixed-side solver)."""
+        calls = []
+        validate = ProblemSpec.validate_for
+
+        def counting(spec, inst):
+            calls.append(spec)
+            validate(spec, inst)
+
+        monkeypatch.setattr(ProblemSpec, "validate_for", counting)
+        inst = fig1_with_orders()
+        cases = [
+            *(partial(solve, inst, ProblemSpec(v, mode, k)) for v, mode in DP_VARIANT_MODES for k in (1, 2)),
+            partial(solve, inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, 1)),
+            *(partial(solve, inst, ProblemSpec(Variant.FIXED_ONE_SIDE, mode, 0, side)) for side in Side for mode in Mode),
+            *(partial(solve_constrained_knear, inst, k, mode) for k in (1, 2) for mode in Mode),
+            *(partial(solve_both_knear, inst, 1, mode) for mode in Mode),
+            partial(solve_unconstrained_knear_addition, inst, 1),
+        ]
+        for case in cases:
+            calls.clear()
+            case()
+            assert len(calls) == 1, case
 
     @pytest.mark.parametrize("variant", [Variant.IMO_RECOGNIZE, Variant.FIXED_BOTH_CHECK])
     def test_non_optimization_variants_raise(self, variant):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +27,7 @@ from .core_model import (
     Side,
     Solution,
     Variant,
-    validate_instance,
+    instance_from_bitsets,
     verify_solution,
     with_base_orders,
 )
@@ -86,12 +87,12 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"header sizes must be at least 1, got {n}x{m}", line=lineno)
     if len(lines) < 1 + n:
         raise ParseError(f"expected {n} adjacency rows", line=lineno)
-    rows = []
+    bits = []
     for s in range(1, n + 1):
         lineno, line = lines[s]
-        if len(line) != m or set(line) - {"0", "1"}:
+        if len(line) != m or line.strip("01"):
             raise ParseError(f"row for student {s} must be {m} characters of 0/1", line=lineno)
-        rows.append(tuple(q for q in range(1, m + 1) if line[q - 1] == "1"))
+        bits.append(int(line[::-1], 2))  # column q becomes bit q-1
     student_order = None
     question_order = None
     for lineno, line in lines[1 + n :]:
@@ -103,26 +104,29 @@ def parse_instance(text: str) -> Instance:
             question_order = _parse_ints(rest, lineno)
         else:
             raise ParseError(f"unexpected line {line!r}", line=lineno)
-    return validate_instance(
-        Instance(
-            num_students=n,
-            num_questions=m,
-            adjacency=tuple(rows),
-            base_student_order=student_order,
-            base_question_order=question_order,
-        )
-    )
+    return instance_from_bitsets(n, m, bits, student_order, question_order)
 
 
 def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split())
+        return tuple(map(int, text.split()))
     except ValueError:
         raise ParseError(f"expected integers, got {text!r}", line=lineno) from None
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text, with invalid UTF-8 reported as a ParseError. Line ends
+    are left as they are: every parser splits with ``str.splitlines``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line=line) from None
+
+
 def read_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(_read_text(path))
 
 
 def write_instance(inst: Instance, path: str | Path) -> None:
@@ -149,68 +153,104 @@ def format_solution(sol: Solution, verified: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str) -> tuple[Solution, bool]:
-    lines = _significant_lines(text)
-    if not lines or lines[0][1] != _SOLUTION_HEADER:
-        raise ParseError(f"expected header {_SOLUTION_HEADER!r}", line=lines[0][0] if lines else 1)
-    fields: dict[str, str] = {}
-    pairs: dict[str, list[tuple[int, int]]] = {"additions": [], "deletions": []}
-    idx = 1
+class _Lines:
+    """The significant lines of a text, read in order, skipping blank lines
+    and ``#`` comment lines. ``lineno`` is the 1-based number of the last
+    line read (1 before any)."""
 
-    def take(key: str) -> str:
-        nonlocal idx
-        if idx >= len(lines):
-            raise ParseError(f"missing field {key!r}", line=lines[-1][0])
-        lineno, line = lines[idx]
+    def __init__(self, text: str):
+        self.raw = text.splitlines()
+        self.at = 0  # index in raw of the next line to look at
+        self.lineno = 1
+
+    def next(self) -> str | None:
+        while self.at < len(self.raw):
+            line = self.raw[self.at].strip()
+            self.at += 1
+            if line and not line.startswith("#"):
+                self.lineno = self.at
+                return line
+        return None
+
+    def field(self, key: str) -> str:
+        """The value of the ``key: value`` line that must come next."""
+        line = self.next()
+        if line is None:
+            raise ParseError(f"missing field {key!r}", line=self.lineno)
         k, _, rest = line.partition(":")
         if k.strip() != key:
-            raise ParseError(f"expected field {key!r}, got {line!r}", line=lineno)
-        idx += 1
+            raise ParseError(f"expected field {key!r}, got {line!r}", line=self.lineno)
         return rest.strip()
 
-    fields["cost"] = take("cost")
-    cost_lineno = lines[idx - 1][0]
-    student_order = _parse_ints(take("student_order"), lines[idx - 1][0])
-    question_order = _parse_ints(take("question_order"), lines[idx - 1][0])
+    def pairs(self, key: str, count: int) -> frozenset[tuple[int, int]]:
+        """The next ``count`` lines as ``student question`` pairs."""
+        block = self.raw[self.at : self.at + count]
+        # The fast path takes the next count lines when each holds exactly
+        # two tokens and every token is an integer. A blank or comment line
+        # fails one of the two, so the lines are then walked one by one,
+        # which also finds the line of any error.
+        if len(block) == count and set(map(len, map(str.split, block))) <= {2}:
+            ints = map(int, chain.from_iterable(map(str.split, block)))
+            try:
+                pairs = frozenset(list(zip(ints, ints)))  # a sized list fills faster
+            except ValueError:
+                pass
+            else:
+                self.at += count
+                self.lineno = self.at
+                return pairs
+        walked = []
+        for _ in range(count):
+            line = self.next()
+            if line is None:
+                raise ParseError(f"missing {key} pair", line=self.lineno)
+            if len(line.split()) != 2:
+                raise ParseError(f"expected 'student question', got {line!r}", line=self.lineno)
+            walked.append(_parse_ints(line, self.lineno))
+        return frozenset(walked)
+
+
+def parse_solution(text: str) -> tuple[Solution, bool]:
+    lines = _Lines(text)
+    if lines.next() != _SOLUTION_HEADER:
+        raise ParseError(f"expected header {_SOLUTION_HEADER!r}", line=lines.lineno)
+    cost_text = lines.field("cost")
+    cost_lineno = lines.lineno
+    student_order = _parse_ints(lines.field("student_order"), lines.lineno)
+    question_order = _parse_ints(lines.field("question_order"), lines.lineno)
+    pairs = {}
     for key in ("additions", "deletions"):
-        count_text = take(key)
+        count_text = lines.field(key)
         try:
             count = int(count_text)
         except ValueError:
             count = -1
         if count < 0:
-            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines[idx - 1][0])
-        for _ in range(count):
-            if idx >= len(lines):
-                raise ParseError(f"missing {key} pair", line=lines[-1][0])
-            lineno, line = lines[idx]
-            toks = line.split()
-            if len(toks) != 2:
-                raise ParseError(f"expected 'student question', got {line!r}", line=lineno)
-            pairs[key].append(_parse_ints(line, lineno))
-            idx += 1
-    fields["solver_tag"] = take("solver_tag")
-    verified_text = take("verified")
+            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
+        pairs[key] = lines.pairs(key, count)
+    solver_tag = lines.field("solver_tag")
+    verified_text = lines.field("verified")
     if verified_text not in ("true", "false"):
-        raise ParseError(f"verified must be true or false, got {verified_text!r}", line=lines[idx - 1][0])
-    if idx != len(lines):
-        raise ParseError(f"unexpected trailing content {lines[idx][1]!r}", line=lines[idx][0])
+        raise ParseError(f"verified must be true or false, got {verified_text!r}", line=lines.lineno)
+    trailing = lines.next()
+    if trailing is not None:
+        raise ParseError(f"unexpected trailing content {trailing!r}", line=lines.lineno)
     try:
-        cost = int(fields["cost"])
+        cost = int(cost_text)
     except ValueError:
-        raise ParseError(f"bad cost {fields['cost']!r}", line=cost_lineno) from None
+        raise ParseError(f"bad cost {cost_text!r}", line=cost_lineno) from None
     sol = Solution(
         cost=cost,
         student_order=student_order,
         question_order=question_order,
-        edits=EditSet.of(pairs["additions"], pairs["deletions"]),
-        solver_tag=fields["solver_tag"],
+        edits=EditSet(pairs["additions"], pairs["deletions"]),
+        solver_tag=solver_tag,
     )
     return sol, verified_text == "true"
 
 
 def read_solution(path: str | Path) -> tuple[Solution, bool]:
-    return parse_solution(Path(path).read_text(encoding="utf-8"))
+    return parse_solution(_read_text(path))
 
 
 def write_solution(sol: Solution, verified: bool, path: str | Path) -> None:
@@ -306,7 +346,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    phi = parse_cnf(Path(args.cnf).read_text(encoding="utf-8"))
+    phi = parse_cnf(_read_text(args.cnf))
     red = build_reduction(phi)
     body = format_instance(red.instance)
     comments = [

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate, compress
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -284,6 +286,46 @@ def validate_instance(inst: Instance) -> Instance:
     )
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def instance_from_bitsets(
+    num_students: int,
+    num_questions: int,
+    bits: Sequence[int],
+    base_student_order: Sequence[int] | None = None,
+    base_question_order: Sequence[int] | None = None,
+) -> Instance:
+    """Build a validated Instance from per-student bitsets (bit q-1 set iff
+    the student answers question q), which become its cached ``adj_bits``.
+
+    Rows read off a bitset are sorted and free of duplicates by
+    construction, so only the bitsets' range and the base orders are
+    checked; the result equals the ``validate_instance`` of the same rows.
+    """
+    n, m = num_students, num_questions
+    if n < 1 or m < 1:
+        raise InvalidInstanceError(f"need at least one student and one question, got {n}x{m}")
+    if len(bits) != n:
+        raise InvalidInstanceError(f"adjacency has {len(bits)} rows for {n} students")
+    qids = range(1, m + 1)
+    rows = []
+    for s, b in enumerate(bits, start=1):
+        if b >> m:  # a bit past question m, or any negative b
+            raise OutOfRangeEdgeError(f"student {s}'s bitset {b} names a question outside 1..{m}")
+        # bin(b) read backwards puts question q at index q-1 as "0" or "1".
+        rows.append(tuple(compress(qids, bin(b)[:1:-1].encode().translate(_BIT_BYTES))))
+    inst = Instance(
+        num_students=n,
+        num_questions=m,
+        adjacency=tuple(rows),
+        base_student_order=None if base_student_order is None else _validated_order(base_student_order, n, "student"),
+        base_question_order=None if base_question_order is None else _validated_order(base_question_order, m, "question"),
+    )
+    vars(inst)["adj_bits"] = tuple(bits)  # seeds the cached_property
+    return inst
+
+
 def make_instance(
     num_students: int,
     num_questions: int,
@@ -392,22 +434,42 @@ def _knear_check(
     return CheckResult(name, worst <= bound, f"max displacement {worst} vs bound {bound}")
 
 
+def _pair_rows(pairs: Iterable[tuple[int, int]], n: int, qbit: dict[int, int]) -> list[int]:
+    """Per-student bitsets (index s-1) of the pairs that are in range."""
+    rows = [0] * n
+    for s, q in pairs:
+        bit = qbit.get(q)
+        if bit and 0 < s <= n:
+            rows[s - 1] |= bit
+    return rows
+
+
 def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> VerificationReport:
     """Feasibility report for a proposed solution.
 
-    Deliberately implemented with plain set arithmetic and no solver code so
-    it can serve as the independent oracle for every solver in the package.
-    Failures are report entries, never exceptions.
+    Works on one bitset per student (bit q-1 for question q) and shares no
+    code with any solver, so it can serve as the independent oracle for
+    every solver in the package. Failures are report entries, never
+    exceptions.
     """
     n, m = inst.num_students, inst.num_questions
     checks: list[CheckResult] = []
     adds, dels = sol.edits.additions, sol.edits.deletions
-    original = [set(row) for row in inst.adjacency]
+    original = inst.adj_bits
 
-    in_range = all(1 <= s <= n and 1 <= q <= m for s, q in adds | dels)
-    bad_add = [p for p in adds if in_range and p[1] in original[p[0] - 1]]
-    bad_del = [p for p in dels if in_range and p[1] not in original[p[0] - 1]]
-    edits_ok = in_range and not bad_add and not bad_del and not (adds & dels)
+    # Only ids 1..m have a bit, so an out-of-range id is never shifted.
+    qbit = {q: 1 << (q - 1) for q in range(1, m + 1)}
+    add_rows = _pair_rows(adds, n, qbit)
+    del_rows = _pair_rows(dels, n, qbit)
+    # Pairs are distinct, so every pair is in range iff the rows hold one
+    # bit per pair. A pair both added and deleted is either present or
+    # absent, so the sets are disjoint once both row tests pass.
+    in_range = sum(map(int.bit_count, add_rows + del_rows)) == len(adds) + len(dels)
+    edits_ok = (
+        in_range
+        and not any(a & o for a, o in zip(add_rows, original))
+        and not any(d & ~o for d, o in zip(del_rows, original))
+    )
     checks.append(
         CheckResult(
             "edit_set_valid",
@@ -437,15 +499,9 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
     checks.append(CheckResult("student_order_valid", so_ok, "must be a permutation of students"))
     checks.append(CheckResult("question_order_valid", qo_ok, "must be a permutation of questions"))
 
-    # Edited neighborhoods, tolerating a malformed edit set so later checks
-    # still report something sensible.
-    edited = [set(row) for row in original]
-    for s, q in adds:
-        if 1 <= s <= n and 1 <= q <= m:
-            edited[s - 1].add(q)
-    for s, q in dels:
-        if 1 <= s <= n and 1 <= q <= m:
-            edited[s - 1].discard(q)
+    # Edited neighborhoods from the in-range pairs, so that later checks
+    # still report something sensible for a malformed edit set.
+    edited = [(o | a) & ~d for o, a, d in zip(original, add_rows, del_rows)]
 
     if so_ok:
         nested = True
@@ -453,7 +509,7 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
         by_pos = [edited[s - 1] for s in sol.student_order]
         # Containment is transitive, so adjacent pairs decide all pairs.
         for weak in range(n - 1):
-            if not by_pos[weak] <= by_pos[weak + 1]:
+            if by_pos[weak] & ~by_pos[weak + 1]:
                 nested = False
                 detail = (
                     f"students {sol.student_order[weak]} (position {weak + 1}) and "
@@ -465,13 +521,15 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
         checks.append(CheckResult("nested_property", False, "student order malformed"))
 
     if qo_ok:
-        qpos = inverse_positions(sol.question_order)
+        # prefix[c] holds the first c questions of the order; a neighborhood
+        # of c questions is a prefix iff it equals prefix[c].
+        prefix = list(accumulate(map(qbit.__getitem__, sol.question_order), or_, initial=0))
         interval = True
         detail = "each neighborhood is a prefix of the question order"
-        for s in range(1, n + 1):
-            positions = sorted(qpos[q] for q in edited[s - 1])
-            if positions != list(range(1, len(positions) + 1)):
+        for s, row in enumerate(edited, start=1):
+            if row != prefix[row.bit_count()]:
                 interval = False
+                positions = [pos for pos, q in enumerate(sol.question_order, start=1) if row & qbit[q]]
                 detail = f"student {s} answers non-prefix positions {positions}"
                 break
         checks.append(CheckResult("interval_property", interval, detail))

@@ -33,7 +33,7 @@ import itertools
 from array import array
 from dataclasses import replace
 from math import comb
-from operator import add, or_
+from operator import add, itemgetter, or_
 
 from . import ideal
 from .core_model import (
@@ -45,7 +45,6 @@ from .core_model import (
     Side,
     Solution,
     Variant,
-    inverse_positions,
 )
 from .exact_oracle import DEFAULT_CAP, InstanceTooLargeError, solve_unconstrained_knear_editing_exact
 
@@ -288,12 +287,11 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     n, m = inst.num_students, inst.num_questions
     alpha = inst.base_student_order
     beta0 = inst.base_question_order
-    qpos = inverse_positions(beta0)
-
-    nb = [0] * (n + 1)
-    for lab in range(1, n + 1):
-        for q in inst.adjacency[alpha[lab - 1] - 1]:
-            nb[lab] |= 1 << (qpos[q] - 1)
+    # Row bits in question-position space: bit p-1 for the question at base
+    # position p. Reading bin() backwards gives question q at index q-1, and
+    # pick lists those characters from the last position to the first.
+    pick = itemgetter(*[q - 1 for q in reversed(beta0)])
+    nb = [0] + [int("".join(pick(bin(inst.adj_bits[s - 1])[:1:-1].ljust(m, "0"))), 2) for s in alpha]
     pref_union = list(itertools.accumulate(nb, or_))
 
     fams_s = _window_families(ks, n)

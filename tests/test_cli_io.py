@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrank import ChainRankError, CorruptTableError, EditSet, ParseError, Solution, make_instance
+from chainrank import (
+    ChainRankError,
+    CorruptTableError,
+    EditSet,
+    ParseError,
+    Solution,
+    make_instance,
+    validate_instance,
+)
 from chainrank.cli_io import (
     format_instance,
     format_solution,
@@ -44,6 +52,13 @@ class TestInstanceFormat:
         inst = make_instance(2, 3, [(1, 2)], (2, 1), (3, 1, 2))
         assert parse_instance(format_instance(inst)) == inst
 
+    def test_parsed_bitsets_match_rows(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            inst = parse_instance(format_instance(random_instance(rng, max_side=9)))
+            assert inst.adj_bits == tuple(sum(1 << (q - 1) for q in row) for row in inst.adjacency)
+            assert inst == validate_instance(inst)
+
     def test_comments_and_blanks_ignored(self):
         text = "# header comment\n\nchainrank v1 1 2\n# rows\n10\n"
         inst = parse_instance(text)
@@ -54,6 +69,12 @@ class TestInstanceFormat:
         with pytest.raises(ParseError) as exc:
             parse_instance(text)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("row", ["1x1", "1_1", "+11", "1 1", "0b1", "١١١"])
+    def test_row_of_other_characters_rejected(self, row):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(f"chainrank v1 1 3\n{row}\n")
+        assert str(exc.value) == "line 2: row for student 1 must be 3 characters of 0/1"
 
     def test_missing_header_reports_first_line(self):
         for text, message in (
@@ -94,6 +115,64 @@ class TestSolutionFormat:
         text = format_solution(sol, verified=False).replace("solver_tag: t\n", "")
         with pytest.raises(ParseError):
             parse_solution(text)
+
+
+_SOLUTION_HEAD = "chainrank-solution v1\ncost: 2\nstudent_order: 1 2 3\nquestion_order: 1 2 3 4 5\n"
+_SOLUTION_TAIL = "solver_tag: t\nverified: true\n"
+
+
+class TestPairBlocks:
+    """Pair-block errors and their lines, as recorded when every pair line
+    was parsed on its own."""
+
+    @pytest.mark.parametrize(
+        "blocks, message, line",
+        [
+            ("additions: 2\n1 3\n2\ndeletions: 0\n", "expected 'student question', got '2'", 7),
+            ("additions: 0\ndeletions: 2\n3 5\n7\n", "expected 'student question', got '7'", 8),
+            ("additions: 2\n1 3\n2 4 5\ndeletions: 0\n", "expected 'student question', got '2 4 5'", 7),
+            ("additions: 2\n1 3\n2 x\ndeletions: 0\n", "expected integers, got '2 x'", 7),
+            ("additions: 1\n1 3\ndeletions: 1\ny 5\n", "expected integers, got 'y 5'", 8),
+            ("additions: 1\n1 1.5\ndeletions: 0\n", "expected integers, got '1 1.5'", 6),
+            ("additions: 4\n1 3\n2 4\ndeletions: 0\n", "expected integers, got 'deletions: 0'", 8),
+        ],
+    )
+    def test_error_and_line(self, blocks, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_solution(_SOLUTION_HEAD + blocks + _SOLUTION_TAIL)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "blocks, message, line",
+        [
+            ("additions: 1\n1 3\ndeletions: 3\n3 5\n", "missing deletions pair", 8),
+            ("additions: 1\n1 3\n", "missing field 'deletions'", 6),
+            ("additions: 1\n1 3\n\n# end\n", "missing field 'deletions'", 6),
+            ("additions: 0\ndeletions: 1\n3 5\n", "missing field 'solver_tag'", 7),
+        ],
+    )
+    def test_file_ends_early(self, blocks, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_solution(_SOLUTION_HEAD + blocks)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            "additions: 2\n# c\n\n1 3\n   # x\n\n2 4\ndeletions: 1\n\n3 5\n# end\n",
+            "additions: 2\n1\t3\n  2    4  \ndeletions: 1\n3 \t 5\n",
+        ],
+    )
+    def test_comments_blanks_and_spacing_accepted(self, blocks):
+        sol, verified = parse_solution(_SOLUTION_HEAD + blocks + _SOLUTION_TAIL)
+        assert sol.edits == EditSet.of([(1, 3), (2, 4)], [(3, 5)])
+        assert verified is True
+
+    def test_ids_are_not_range_checked(self):
+        sol, _ = parse_solution(_SOLUTION_HEAD + "additions: 2\n-1 3\n1 1000000000000\ndeletions: 0\n" + _SOLUTION_TAIL)
+        assert sol.edits.additions == {(-1, 3), (1, 10**12)}
 
 
 _FUZZ_BASES = {
@@ -213,6 +292,39 @@ class TestCli:
         code = main(["check", "--input", str(fig1_file), "--solution", str(sol_path)])
         assert code == 2
         assert "FAIL cost_matches_edits" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pair", ["1 1000000000000", "1000000000000 1"])
+    def test_check_rejects_huge_ids_quickly(self, fig1_file, tmp_path, capsys, pair):
+        sol_path = tmp_path / "sol.txt"
+        sol_path.write_text(
+            "chainrank-solution v1\ncost: 1\nstudent_order: 1 2 3\nquestion_order: 1 2 3 4 5\n"
+            f"additions: 1\n{pair}\ndeletions: 0\nsolver_tag: t\nverified: true\n"
+        )
+        start = time.perf_counter()
+        code = main(["check", "--input", str(fig1_file), "--solution", str(sol_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "FAIL edit_set_valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("role", ["solve --input", "check --input", "check --solution", "reduce --cnf"])
+    def test_invalid_utf8_is_a_parse_error(self, fig1_file, tmp_path, capsys, role):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"chainrank v1 1 1\n\xff\n")
+        sol_path = tmp_path / "sol.txt"
+        assert main(["solve", "--variant", "constrained", "--input", str(fig1_file), "--output", str(sol_path)]) == 0
+        capsys.readouterr()
+        command, _, flag = role.partition(" ")
+        files = {
+            "solve": {"--input": fig1_file},
+            "check": {"--input": fig1_file, "--solution": sol_path},
+            "reduce": {"--cnf": fig1_file, "--output": tmp_path / "red.txt"},
+        }[command]
+        files[flag] = bad
+        variant = ["--variant", "constrained"] if command != "reduce" else []
+        code = main([command, *variant, *(a for key, path in files.items() for a in (key, str(path)))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error[PARSE_ERROR]: line 2: invalid UTF-8 byte 0xff\n"
 
     def test_unconstrained_editing_refused_without_flag(self, fig1_file, capsys):
         code = main([

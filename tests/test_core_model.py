@@ -26,6 +26,7 @@ from chainrank import (
     validate_instance,
     verify_solution,
 )
+from chainrank.core_model import instance_from_bitsets
 from conftest import figure_one, random_instance
 
 
@@ -60,6 +61,26 @@ class TestValidateInstance:
     def test_adj_bits_match_rows(self):
         inst = make_instance(2, 4, [(1, 2), (1, 4), (2, 1)])
         assert inst.adj_bits == (0b1010, 0b0001)
+
+    def test_instance_from_bitsets_equals_validated_rows(self):
+        rng = random.Random(8)
+        for _ in range(25):
+            inst = random_instance(rng, max_side=9, with_orders=rng.random() < 0.5)
+            built = instance_from_bitsets(
+                inst.num_students, inst.num_questions, inst.adj_bits,
+                inst.base_student_order, inst.base_question_order,
+            )
+            assert built == inst and built.adj_bits == inst.adj_bits
+
+    def test_instance_from_bitsets_checks_range_and_orders(self):
+        with pytest.raises(OutOfRangeEdgeError):
+            instance_from_bitsets(2, 3, (0b001, 0b1000))
+        with pytest.raises(OutOfRangeEdgeError):
+            instance_from_bitsets(1, 3, (-1,))
+        with pytest.raises(InvalidInstanceError):
+            instance_from_bitsets(2, 3, (0b001,))
+        with pytest.raises(NotAPermutationError):
+            instance_from_bitsets(2, 3, (0, 0), base_question_order=(1, 2, 2))
 
 
 class TestApplyEdits:
@@ -262,3 +283,152 @@ def test_order_constraint_verdicts_follow_bounds(data):
     ):
         moved = max(abs(pos - base.index(e)) for pos, e in enumerate(order))
         assert report[f"{what}_order_constraint"].passed == (bound is None or moved <= bound)
+
+
+def _reference_verify(inst: Instance, spec: ProblemSpec, sol: Solution) -> list[tuple[str, bool, str]]:
+    """The set-arithmetic verifier that the bitset one replaced, kept as its
+    reference: (name, verdict, detail) for each check, in report order."""
+    n, m = inst.num_students, inst.num_questions
+    checks = []
+    adds, dels = sol.edits.additions, sol.edits.deletions
+    original = [set(row) for row in inst.adjacency]
+
+    in_range = all(1 <= s <= n and 1 <= q <= m for s, q in adds | dels)
+    bad_add = [p for p in adds if in_range and p[1] in original[p[0] - 1]]
+    bad_del = [p for p in dels if in_range and p[1] not in original[p[0] - 1]]
+    edits_ok = in_range and not bad_add and not bad_del and not (adds & dels)
+    checks.append(("edit_set_valid", edits_ok, "additions must be absent, deletions present, sets disjoint and in range"))
+    checks.append((
+        "cost_matches_edits",
+        sol.cost == len(adds) + len(dels),
+        f"cost field {sol.cost} vs {len(adds)} additions + {len(dels)} deletions",
+    ))
+    checks.append(("mode_compliance", spec.mode != Mode.ADDITION or not dels, "ADDITION solutions must not delete edges"))
+
+    def is_perm(seq, size):
+        return len(seq) == size and sorted(seq) == list(range(1, size + 1))
+
+    so_ok = is_perm(sol.student_order, n)
+    qo_ok = is_perm(sol.question_order, m)
+    checks.append(("student_order_valid", so_ok, "must be a permutation of students"))
+    checks.append(("question_order_valid", qo_ok, "must be a permutation of questions"))
+
+    edited = [set(row) for row in original]
+    for s, q in adds:
+        if 1 <= s <= n and 1 <= q <= m:
+            edited[s - 1].add(q)
+    for s, q in dels:
+        if 1 <= s <= n and 1 <= q <= m:
+            edited[s - 1].discard(q)
+
+    if so_ok:
+        nested = True
+        detail = "every weaker student's neighborhood is contained in every stronger one's"
+        by_pos = [edited[s - 1] for s in sol.student_order]
+        for weak in range(n - 1):
+            if not by_pos[weak] <= by_pos[weak + 1]:
+                nested = False
+                detail = (
+                    f"students {sol.student_order[weak]} (position {weak + 1}) and "
+                    f"{sol.student_order[weak + 1]} (position {weak + 2}) break nesting"
+                )
+                break
+        checks.append(("nested_property", nested, detail))
+    else:
+        checks.append(("nested_property", False, "student order malformed"))
+
+    if qo_ok:
+        qpos = {q: pos for pos, q in enumerate(sol.question_order, start=1)}
+        interval = True
+        detail = "each neighborhood is a prefix of the question order"
+        for s in range(1, n + 1):
+            positions = sorted(qpos[q] for q in edited[s - 1])
+            if positions != list(range(1, len(positions) + 1)):
+                interval = False
+                detail = f"student {s} answers non-prefix positions {positions}"
+                break
+        checks.append(("interval_property", interval, detail))
+    else:
+        checks.append(("interval_property", False, "question order malformed"))
+
+    for what, order, order_ok, base, bound in zip(
+        ("student", "question"),
+        (sol.student_order, sol.question_order),
+        (so_ok, qo_ok),
+        (inst.base_student_order, inst.base_question_order),
+        spec.bounds,
+    ):
+        name = f"{what}_order_constraint"
+        if not order_ok:
+            checks.append((name, False, f"{what} order malformed"))
+        elif bound is None:
+            checks.append((name, True, "unconstrained"))
+        elif base is None:
+            checks.append((name, False, f"no base {what} order to compare against"))
+        else:
+            worst = max(abs(pos - base.index(e)) for pos, e in enumerate(order))
+            checks.append((name, worst <= bound, f"max displacement {worst} vs bound {bound}"))
+    return checks
+
+
+_SPECS = [
+    ProblemSpec(variant, mode, k, side)
+    for variant, side in _BOUNDS
+    for mode in Mode
+    for k in range(4)
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_verifier_matches_set_reference(data):
+    """The bitset verifier gives the reference's check names, verdicts and
+    details on valid solutions and on every kind of broken one."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    inst = random_instance(rng, max_side=8, with_orders=rng.random() < 0.8)
+    n, m = inst.num_students, inst.num_questions
+    spec = data.draw(st.sampled_from(_SPECS))
+
+    # A valid solution: nested prefixes of a random question order.
+    so = list(rng.sample(range(1, n + 1), n))
+    qo = list(rng.sample(range(1, m + 1), m))
+    cuts = sorted(rng.randint(0, m) for _ in range(n))
+    target = {(s, q) for s, cut in zip(so, cuts) for q in qo[:cut]}
+    edges = set(inst.edges())
+    adds, dels = set(target - edges), set(edges - target)
+
+    tampers = data.draw(st.sets(st.sampled_from([
+        "cost", "add_present", "delete_absent", "overlap", "out_of_range",
+        "student_order", "question_order", "random_edits",
+    ])))
+    missing = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1) if (s, q) not in edges]
+    if "random_edits" in tampers:
+        chosen = {p for p in edges | set(missing) if rng.random() < 0.3}
+        adds, dels = chosen - edges, chosen & edges
+    if "add_present" in tampers and edges:
+        adds.add(rng.choice(sorted(edges)))
+    if "delete_absent" in tampers and missing:
+        dels.add(rng.choice(missing))
+    if "overlap" in tampers:
+        pair = (rng.randint(1, n), rng.randint(1, m))
+        adds.add(pair)
+        dels.add(pair)
+    if "out_of_range" in tampers:
+        bad = rng.choice([(0, 1), (n + 1, 1), (1, 0), (1, m + 1), (-1, -1), (1, 10**12), (10**12, 1)])
+        rng.choice([adds, dels]).add(bad)
+    for key, order, size in (("student_order", so, n), ("question_order", qo, m)):
+        if key in tampers:
+            how = rng.choice(["duplicate", "drop", "extra", "out_of_range"])
+            if how == "duplicate":
+                order[rng.randrange(size)] = order[rng.randrange(size)]
+            elif how == "drop":
+                order.pop()
+            elif how == "extra":
+                order.append(rng.randint(1, size))
+            else:
+                order[rng.randrange(size)] = rng.choice([0, size + 1, 10**12])
+    cost = len(adds) + len(dels) + (rng.choice([-1, 1, 5]) if "cost" in tampers else 0)
+    sol = Solution(cost, tuple(so), tuple(qo), EditSet(frozenset(adds), frozenset(dels)), "t")
+
+    report = verify_solution(inst, spec, sol)
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == _reference_verify(inst, spec, sol)

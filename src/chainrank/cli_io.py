@@ -51,10 +51,11 @@ _SOLUTION_HEADER = "chainrank-solution v1"
 
 
 def format_instance(inst: Instance) -> str:
-    lines = [f"{_HEADER} {inst.num_students} {inst.num_questions}"]
-    for row in inst.adjacency:
-        cells = set(row)
-        lines.append("".join("1" if q in cells else "0" for q in range(1, inst.num_questions + 1)))
+    m = inst.num_questions
+    lines = [f"{_HEADER} {inst.num_students} {m}"]
+    # Bit q-1 of a row's bitset is question q; bin() read backwards lists
+    # them from question 1, which is the inverse of parse_instance.
+    lines.extend(bin(bits)[:1:-1].ljust(m, "0") for bits in inst.adj_bits)
     if inst.base_student_order is not None:
         lines.append("students: " + " ".join(map(str, inst.base_student_order)))
     if inst.base_question_order is not None:

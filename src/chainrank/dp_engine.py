@@ -15,16 +15,23 @@ engines cover the three variants:
 
 All solvers relabel entities by their base-order positions, so internally a
 student (or question) label equals its base position and the k-near
-constraint reads |output position - label| <= k. Student states track the
-occupant of the current position and the undetermined part of the prefix set
-inside the displacement window. Question states track the frontier: the
-hardest question answered so far, by its position, identity and easier set
-(position 0 = none). Tables store costs only; each engine's reconstruction
-re-derives parents, which keeps the hot loops small. The frontier fill works
-on lists and stores each finished layer's rows as ``array('d')``; the merged
-parent row of a position depends only on the window, so the occupants that
-share a window share one merge. Both engines refuse a table whose estimated
-size passes ``_TABLE_BYTES_LIMIT`` before building it.
+constraint reads |output position - label| <= k. The states of both engines
+come from one automaton, ``exact_oracle.knear_automaton``: per position, its
+states (an occupant and its window, the undetermined part of the prefix set
+inside the displacement window), numbered in (occupant, window) order, and
+each window's parents at the position before.
+
+- Student states are its states for (n, ks); a layer is a list indexed by
+  state id. The occupants sharing a window share one merged parent row.
+- Question states track the frontier: the hardest question answered so
+  far, by its position, identity and easier set (position 0 = none). They
+  are its states for (m, kq), and the covering edges are its parents.
+
+Tables store costs only; each engine's reconstruction walks the parents
+back, which keeps the hot loops small. The frontier fill works on lists and
+stores each finished layer's rows as ``array('d')``. Both engines refuse a
+table whose estimated size passes ``_TABLE_BYTES_LIMIT``; the estimate is a
+binomial bound on the state count, taken before any state is built.
 """
 
 from __future__ import annotations
@@ -46,14 +53,21 @@ from .core_model import (
     Solution,
     Variant,
 )
-from .exact_oracle import DEFAULT_CAP, InstanceTooLargeError, solve_unconstrained_knear_editing_exact
+from .exact_oracle import (
+    DEFAULT_CAP,
+    InstanceTooLargeError,
+    KnearPosition,
+    knear_automaton,
+    knear_position,
+    solve_unconstrained_knear_editing_exact,
+)
 
 _INF = float("inf")
 # The largest DP table a solve may allocate, by ``_check_table_size``.
 _TABLE_BYTES_LIMIT = 1 << 30
-# Bytes a student state holds besides its cost row: its dict slot, key and
-# window tuples, row header and share of the window families. 214-493 were
-# measured per state on the benchmark's n = 300-600 tables.
+# Bytes a student state holds besides its cost row: its layer slot, row
+# header and share of the automaton. 45-306 were measured per state on the
+# benchmark's n = 300-600 tables; keeping 512 keeps the refused sizes.
 _STATE_BYTES = 512
 
 
@@ -62,31 +76,7 @@ class CorruptTableError(ChainRankError):
 
 
 # ---------------------------------------------------------------------------
-# Window-set machinery
-
-
-def _window_realizable(combo: tuple[int, ...], pool: list[int], lo: int, i: int, k: int) -> bool:
-    """Can some permutation with displacement <= k put the labels below
-    ``lo`` plus ``combo`` before position i and the occupant at i, where
-    ``pool`` is the window [lo, i+k-1] minus the occupant?
-
-    Sorted assignment is optimal for interval constraints, so it suffices to
-    check the sorted prefix against positions 1..i-1 and the sorted
-    complement against positions i+1..n. Labels below ``lo`` then sit at
-    their own positions, and so do the labels above the window, since they
-    fill the last positions; only the window labels need a check.
-    """
-    for pos, e in enumerate(combo, start=lo):
-        if abs(e - pos) > k:
-            return False
-    pos = i + 1
-    for e in pool:
-        if e in combo:
-            continue
-        if abs(e - pos) > k:
-            return False
-        pos += 1
-    return True
+# Window states
 
 
 def enumerate_window_sets(i: int, occupant: int, k: int, n_side: int) -> list[tuple[int, ...]]:
@@ -94,29 +84,25 @@ def enumerate_window_sets(i: int, occupant: int, k: int, n_side: int) -> list[tu
 
     Entities labelled at most i-k-1 are forced into the prefix and omitted;
     each returned tuple lists the chosen entities from the window
-    [max(1, i-k), min(n, i+k-1)] minus the occupant, sorted ascending.
-    Realizability is decided by the sorted-assignment check rather than by
-    enumerating window permutations.
+    [max(1, i-k), min(n, i+k-1)] minus the occupant, sorted ascending. A
+    view of position i of the k-near automaton, which is built for its
+    shape alone.
     """
-    n = n_side
-    if not max(1, i - k) <= occupant <= min(n, i + k):
+    if k < 0 or not 1 <= i <= n_side:
         return []
-    lo = max(1, i - k)
-    need = i - lo
-    pool = [x for x in range(lo, min(n, i + k - 1) + 1) if x != occupant]
-    if need > len(pool):
-        return []
+    pos = knear_position(n_side, k, i)
     return [
-        combo
-        for combo in itertools.combinations(pool, need)
-        if _window_realizable(combo, pool, lo, i, k)
+        tuple(pos.lo + x for x in pos.windows[w])
+        for e, w in pos.states
+        if pos.lo + e == occupant
     ]
 
 
 def _window_state_bound(k: int, n: int, stop: int) -> int:
-    """Upper bound on the number of states in ``_window_families(k, n)``:
-    C(|pool|, need) per (position, occupant), with the pool and need of
-    ``enumerate_window_sets``. Stops once the sum passes ``stop``, so a
+    """Upper bound on the number of states of ``knear_automaton(n, k)``:
+    C(|pool|, need) per (position, occupant), where the pool is the window
+    [max(1, i-k), min(n, i+k-1)] minus the occupant and need = i - max(1, i-k)
+    is the window's size. Stops once the sum passes ``stop``, so a
     runaway bound costs no more than a small one."""
     total = 0
     for i in range(1, n + 1):
@@ -130,7 +116,7 @@ def _window_state_bound(k: int, n: int, stop: int) -> int:
 
 def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
     """Raise InstanceTooLargeError when the estimated table passes
-    ``_TABLE_BYTES_LIMIT``, before any window family is enumerated.
+    ``_TABLE_BYTES_LIMIT``, before any automaton state is built.
 
     The table has n students with bound ks and, when m > 0, m questions with
     bound kq; m = 0 is a table with one cost per state. The estimate is the
@@ -148,35 +134,6 @@ def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
         )
 
 
-def _window_families(k: int, n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    fams: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for i in range(1, n + 1):
-        for u in range(max(1, i - k), min(n, i + k) + 1):
-            fam = enumerate_window_sets(i, u, k, n)
-            if fam:
-                fams[(i, u)] = fam
-    return fams
-
-
-def _parent_candidates(i: int, window: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(occupant, window) pairs at position i-1 compatible with a position-i
-    state whose undetermined prefix part is ``window``.
-
-    The previous occupant u' is drawn from the position-i prefix; removing it
-    and re-exposing label i-k-1 (which leaves the forced region when the
-    window slides left) yields the parent's window set.
-    """
-    boundary = i - k - 1
-    members = list(window) + ([boundary] if boundary >= 1 else [])
-    out = []
-    for u_prev in members:
-        if abs(u_prev - (i - 1)) > k:
-            continue
-        w_prev = tuple(sorted(x for x in members if x != u_prev))
-        out.append((u_prev, w_prev))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Shared helpers
 
@@ -190,12 +147,14 @@ def _bits_to_labels(bits: int) -> list[int]:
     return labels
 
 
-def _prefix_union(nb: list[int], pref_union: list[int], i: int, k: int, window: tuple[int, ...]) -> int:
-    """Union of the neighborhoods of the labels before position i: those up
-    to i-k-1, which the bound k forces there, and ``window``."""
-    bits = pref_union[max(0, i - k - 1)]
-    for w in window:
-        bits |= nb[w]
+def _prefix_union(nb: list[int], pref_union: list[int], pos: KnearPosition, w: int) -> int:
+    """Union of the neighborhoods of the labels placed before a state of
+    window w at ``pos``: those below ``pos.lo``, which are due there, and
+    the window's."""
+    lo = pos.lo
+    bits = pref_union[lo - 1]
+    for x in pos.windows[w]:
+        bits |= nb[lo + x]
     return bits
 
 
@@ -221,30 +180,21 @@ def solve_both_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solut
     return solve(inst, ProblemSpec(Variant.BOTH_KNEAR, mode, k))
 
 
-def _question_states(m: int, k: int, fams_q) -> list[tuple[int, int, tuple[int, ...], int, int]]:
-    """(j, v, window, prefix_bits, target_bits) tuples, j=0 sentinel first,
-    then sorted by (j, v, window)."""
-    states = [(0, 0, (), 0, 0)]
-    for j in range(1, m + 1):
-        forced_bits = (1 << max(0, j - k - 1)) - 1
-        for v in range(max(1, j - k), min(m, j + k) + 1):
-            for window in fams_q.get((j, v), []):
-                prefix_bits = forced_bits
-                for w in window:
-                    prefix_bits |= 1 << (w - 1)
-                states.append((j, v, window, prefix_bits, prefix_bits | 1 << (v - 1)))
-    return states
+def _question_states(m: int, k: int) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int]]]:
+    """The question states and their covering edges.
 
+    A state is (j, v, prefix_bits, target_bits): frontier position j, the
+    question v there, the questions before it and those plus v. The j = 0
+    sentinel (nothing answered) comes first, then the states of
+    ``knear_automaton(m, k)`` position by position, in its order.
 
-def _covering_edges(qstates) -> list[tuple[int, int]]:
-    """(q, p) index pairs, sorted by q, such that state p covers state q:
-    p's frontier position is q's minus one and p's target set is q's prefix
-    set.
-
-    Say p precedes q when some k-near question order puts p's frontier at
-    position j' and q's at j > j'. Then p precedes q iff p reaches q along
-    covering edges, so relaxing over these edges in order of q replaces a
-    scan over all earlier states:
+    An edge (q, p) says that p covers q: p is one of q's parents in the
+    automaton, so p's frontier position is q's minus one and p's target set
+    is q's prefix set; the sentinel covers the states at position 1. The
+    edges come sorted by q. Say p precedes q when some k-near question order
+    puts p's frontier at position j' and q's at j > j'. Then p precedes q
+    iff p reaches q along covering edges, so relaxing over these edges in
+    order of q replaces a scan over all earlier states:
 
     - A k-near order passes through one state per position, and each state
       covers the next; the states from j' to j form the path.
@@ -259,16 +209,18 @@ def _covering_edges(qstates) -> list[tuple[int, int]]:
       j on). Sorted assignment fills the gap whenever any assignment does,
       so the splice is k-near and passes through p and then q.
     """
-    by_target: dict[int, list[int]] = {}
-    for qi, st in enumerate(qstates):
-        by_target.setdefault(st[4], []).append(qi)
-    # A target set's size is its frontier position, so equal sets share one.
-    return [
-        (qi, p)
-        for qi, st in enumerate(qstates)
-        if st[0] > 0
-        for p in by_target.get(st[3], ())
-    ]
+    states = [(0, 0, 0, 0)]
+    edges = []
+    prev_first = 0  # the index of the previous position's first state
+    for j, pos in enumerate(knear_automaton(m, k), start=1):
+        first = len(states)
+        forced = (1 << (pos.lo - 1)) - 1
+        prefixes = [forced | sum(1 << (pos.lo - 1 + x) for x in window) for window in pos.windows]
+        for qi, (e, w) in enumerate(pos.states, start=first):
+            states.append((j, pos.lo + e, prefixes[w], prefixes[w] | 1 << (pos.lo + e - 1)))
+            edges.extend((qi, prev_first + p) for p in pos.parents[w])
+        prev_first = first
+    return states, edges
 
 
 def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
@@ -276,13 +228,14 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     bound ks < n and question bound kq < m; the callers check the base
     orders.
 
-    Returns (layers, nb, qstates, edges). ``layers[i-1]`` maps a position-i
-    student state (occupant, window) to its costs indexed by question state,
-    an ``array('d')`` with ``_INF`` where the state is infeasible; the rest is
-    what reconstruction shares with the fill. Layer i is filled as lists from
-    the lists of layer i-1, whose rows are then frozen into arrays. Each
-    window's parent rows are merged and relaxed once per layer and the
-    result is shared by every occupant with that window.
+    Returns (layers, auto, nb, qstates, edges). ``layers[i-1][s]`` holds the
+    costs of student state s of ``auto[i-1]``, position i of the student
+    automaton, indexed by question state: an ``array('d')`` with ``_INF``
+    where the state is infeasible. The rest is what reconstruction shares
+    with the fill. Layer i is filled as lists from the lists of layer i-1,
+    whose rows are then frozen into arrays. Each window's parent rows are
+    merged and relaxed once per layer and the result is shared by every
+    occupant with that window.
     """
     n, m = inst.num_students, inst.num_questions
     alpha = inst.base_student_order
@@ -294,11 +247,10 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     nb = [0] + [int("".join(pick(bin(inst.adj_bits[s - 1])[:1:-1].ljust(m, "0"))), 2) for s in alpha]
     pref_union = list(itertools.accumulate(nb, or_))
 
-    fams_s = _window_families(ks, n)
-    qstates = _question_states(m, kq, _window_families(kq, m))
-    edges = _covering_edges(qstates)
+    auto = knear_automaton(n, ks)
+    qstates, edges = _question_states(m, kq)
     nq = len(qstates)
-    targets = [st[4] for st in qstates]
+    targets = [st[3] for st in qstates]
     first_at = [nq] * (m + 2)  # first question state at frontier position >= j
     for qi in range(nq - 1, -1, -1):
         first_at[qstates[qi][0]] = qi
@@ -309,16 +261,17 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     else:
         cost_table = [[(t & ~b).bit_count() for t in targets] for b in nb]
 
-    def fill(i: int, u: int, window: tuple[int, ...], merged: list) -> list:
-        """merged + state cost per question state. In addition mode the
-        target set must contain the union of the prefix's neighborhoods.
-        States whose frontier lies more than kq below the union's hardest
-        label miss it; states kq or more above it contain every label up to
-        it. Only the band between needs the subset test."""
+    def fill(u: int, union: int, merged: list) -> list:
+        """merged + state cost per question state, where ``union`` is the
+        union of the prefix's neighborhoods. In addition mode the target set
+        must contain it and nb[u]. States whose frontier lies more than kq
+        below the hardest label of those miss it; states kq or more above it
+        contain every label up to it. Only the band between needs the subset
+        test."""
         row = cost_table[u]
         if editing:
             return list(map(add, merged, row))
-        un = _prefix_union(nb, pref_union, i, ks, window) | nb[u]
+        un = union | nb[u]
         hi = un.bit_length()
         lo_q, hi_q = first_at[max(0, hi - kq)], first_at[min(m + 1, hi + kq)]
         out = [_INF] * lo_q
@@ -327,57 +280,37 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
         out.extend(map(add, itertools.islice(merged, hi_q, None), itertools.islice(row, hi_q, None)))
         return out
 
-    def merge(prev: dict, i: int, window: tuple[int, ...]) -> list | None:
+    def merge(rows: list) -> list:
         """Elementwise minimum of the parent rows, relaxed over the covering
-        edges; None when no parent exists."""
-        merged: list | None = None
-        for parent in _parent_candidates(i, window, ks):
-            arr = prev.get(parent)
-            if arr is None:
-                continue
-            if merged is None:
-                merged = list(arr)
-            else:
-                merged = [a if a < b else b for a, b in zip(merged, arr)]
-        if merged is not None:
-            for qi, p in edges:
-                if merged[p] < merged[qi]:
-                    merged[qi] = merged[p]
+        edges."""
+        merged = list(rows[0])
+        for arr in rows[1:]:
+            merged = [a if a < b else b for a, b in zip(merged, arr)]
+        for qi, p in edges:
+            if merged[p] < merged[qi]:
+                merged[qi] = merged[p]
         return merged
 
-    zeros = [0] * nq
-    layers: list[dict] = [
-        {
-            (u, window): fill(1, u, window, zeros)
-            for u in range(1, min(n, 1 + ks) + 1)
-            for window in fams_s.get((1, u), [])
-        }
-    ]
-    for i in range(2, n + 1):
-        prev = layers[-1]
-        cur: dict = {}
+    layers: list[list] = []
+    prev: list = [[0] * nq]  # the start state, parent of position 1
+    for pos in auto:
         # The parents depend on the window alone, so the occupants sharing a
         # window share one merged row; fill copies it.
-        merged_by_window: dict = {}
-        for u in range(max(1, i - ks), min(n, i + ks) + 1):
-            for window in fams_s.get((i, u), []):
-                if window not in merged_by_window:
-                    merged_by_window[window] = merge(prev, i, window)
-                merged = merged_by_window[window]
-                if merged is not None:
-                    cur[(u, window)] = fill(i, u, window, merged)
+        merged = [merge([prev[p] for p in parents]) for parents in pos.parents]
+        unions = [0 if editing else _prefix_union(nb, pref_union, pos, w) for w in range(len(merged))]
+        cur = [fill(pos.lo + e, unions[w], merged[w]) for e, w in pos.states]
         _freeze(prev)
         layers.append(cur)
-    _freeze(layers[-1])
-    return layers, nb, qstates, edges
+        prev = cur
+    _freeze(prev)
+    return layers, auto, nb, qstates, edges
 
 
-def _freeze(layer: dict) -> None:
+def _freeze(layer: list) -> None:
     """Store a finished layer's rows as ``array('d')``: 8 bytes a cell, not
     a pointer plus an int object. Costs are at most n*m, far below 2^53, so
     doubles hold them exactly, and ``_INF`` as it is."""
-    for key, row in layer.items():
-        layer[key] = array("d", row)
+    layer[:] = [array("d", row) for row in layer]
 
 
 def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
@@ -397,7 +330,8 @@ def _reconstruct_frontier(
     ks: int,
     kq: int,
     mode: Mode,
-    layers: list[dict],
+    layers: list[list],
+    auto: list[KnearPosition],
     nb: list[int],
     qstates: list[tuple],
     edges: list[tuple[int, int]],
@@ -412,44 +346,45 @@ def _reconstruct_frontier(
     for qi, p in edges:
         covered_by[qi].append(p)
 
-    def state_cost(i: int, u: int, window: tuple[int, ...], qi: int):
-        target_bits = qstates[qi][4]
+    def state_cost(pos: KnearPosition, sid: int, qi: int):
+        e, w = pos.states[sid]
+        u = pos.lo + e
+        target_bits = qstates[qi][3]
         if mode == Mode.EDITING:
             return (nb[u] ^ target_bits).bit_count()
-        if (_prefix_union(nb, pref_union, i, ks, window) | nb[u]) & ~target_bits:
+        if (_prefix_union(nb, pref_union, pos, w) | nb[u]) & ~target_bits:
             return _INF
         return (target_bits & ~nb[u]).bit_count()
 
     terminal_cost = _INF
     terminal = None
-    for key in sorted(layers[-1]):
-        for qi, val in enumerate(layers[-1][key]):
+    for sid, row in enumerate(layers[-1]):
+        for qi, val in enumerate(row):
             if val < terminal_cost:
                 terminal_cost = val
-                terminal = (*key, qi)
+                terminal = (sid, qi)
     if terminal is None:
         raise CorruptTableError("no feasible terminal state")
 
-    u, window, qi = terminal
+    sid, qi = terminal
     value = terminal_cost
     chain = [terminal]
     for i in range(n, 1, -1):
-        target = value - state_cost(i, u, window, qi)
+        pos = auto[i - 1]
+        target = value - state_cost(pos, sid, qi)
         candidates = _reaching(qi, covered_by)
         found = None
-        for u_prev, w_prev in _parent_candidates(i, window, ks):
-            arr = layers[i - 2].get((u_prev, w_prev))
-            if arr is None:
-                continue
+        for p in pos.parents[pos.states[sid][1]]:
+            arr = layers[i - 2][p]
             for qp in candidates:
                 if arr[qp] == target:
-                    found = (u_prev, w_prev, qp)
+                    found = (p, qp)
                     break
             if found:
                 break
         if found is None:
             raise CorruptTableError(f"broken parent chain at position {i}")
-        u, window, qi = found
+        sid, qi = found
         value = target
         chain.append(found)
     chain.reverse()
@@ -458,12 +393,12 @@ def _reconstruct_frontier(
     beta_labels = [0] * (m + 1)
     prev_j, prev_target = 0, 0
     seen_qis = []
-    for (_u, _w, q_idx) in chain:
+    for (_sid, q_idx) in chain:
         if seen_qis and seen_qis[-1] == q_idx:
             continue
         seen_qis.append(q_idx)
     for q_idx in seen_qis:
-        j, v, _wv, prefix_bits, target_bits = qstates[q_idx]
+        j, v, prefix_bits, target_bits = qstates[q_idx]
         if j == 0:
             continue
         gap = _bits_to_labels(prefix_bits & ~prev_target)
@@ -484,10 +419,11 @@ def _reconstruct_frontier(
     deletions: list[tuple[int, int]] = []
     student_order = []
     total = 0
-    for (u_i, _w, q_idx) in chain:
+    for pos, (sid, q_idx) in zip(auto, chain):
+        u_i = pos.lo + pos.states[sid][0]
         s = alpha[u_i - 1]
         student_order.append(s)
-        target_bits = qstates[q_idx][4]
+        target_bits = qstates[q_idx][3]
         add_bits = target_bits & ~nb[u_i]
         del_bits = nb[u_i] & ~target_bits
         additions.extend((s, beta0[lab - 1]) for lab in _bits_to_labels(add_bits))
@@ -525,41 +461,26 @@ def solve_unconstrained_knear_addition(inst: Instance, k: int) -> Solution:
 
 
 def _unconstrained_addition_table(inst: Instance, k: int):
-    """Returns (layers, nb): ``layers[i-1]`` maps a position-i state
-    (occupant, window) to its cost, and ``nb[lab]`` is the neighborhood of
-    the student at base position lab."""
+    """Returns (layers, auto, nb): ``layers[i-1][s]`` is the cost of state s
+    of ``auto[i-1]``, position i of the automaton, and ``nb[lab]`` is the
+    neighborhood of the student at base position lab."""
     n = inst.num_students
     nb = [0] + [inst.adj_bits[s - 1] for s in inst.base_student_order]
     pref_union = list(itertools.accumulate(nb, or_))
-    fams = _window_families(k, n)
+    auto = knear_automaton(n, k)
 
-    layers: list[dict] = [
-        {
-            (u, window): 0
-            for u in range(1, min(n, 1 + k) + 1)
-            for window in fams.get((1, u), [])
-        }
-    ]
-    for i in range(2, n + 1):
-        prev = layers[-1]
-        cur: dict = {}
-        for u in range(max(1, i - k), min(n, i + k) + 1):
-            for window in fams.get((i, u), []):
-                best = _INF
-                for parent in _parent_candidates(i, window, k):
-                    val = prev.get(parent, _INF)
-                    if val < best:
-                        best = val
-                if best == _INF:
-                    continue
-                cost = (_prefix_union(nb, pref_union, i, k, window) & ~nb[u]).bit_count()
-                cur[(u, window)] = best + cost
-        layers.append(cur)
-    return layers, nb
+    layers: list[list[int]] = []
+    prev = [0]  # the start state, parent of position 1
+    for pos in auto:
+        best = [min([prev[p] for p in parents]) for parents in pos.parents]
+        unions = [_prefix_union(nb, pref_union, pos, w) for w in range(len(best))]
+        prev = [best[w] + (unions[w] & ~nb[pos.lo + e]).bit_count() for e, w in pos.states]
+        layers.append(prev)
+    return layers, auto, nb
 
 
 def _reconstruct_unconstrained_addition(
-    inst: Instance, k: int, layers: list[dict], nb: list[int]
+    inst: Instance, layers: list[list[int]], auto: list[KnearPosition], nb: list[int]
 ) -> Solution:
     """Walk parents back from the cheapest terminal state, as the frontier
     reconstruction does."""
@@ -567,31 +488,22 @@ def _reconstruct_unconstrained_addition(
     alpha = inst.base_student_order
     pref_union = list(itertools.accumulate(nb, or_))
 
-    terminal_cost = _INF
-    terminal = None
-    for key in sorted(layers[-1]):
-        if layers[-1][key] < terminal_cost:
-            terminal_cost = layers[-1][key]
-            terminal = key
-    if terminal is None:
+    terminal_cost = min(layers[-1], default=_INF)
+    if terminal_cost == _INF:
         raise CorruptTableError("no feasible terminal state")
 
-    u, window = terminal
+    sid = layers[-1].index(terminal_cost)
     value = terminal_cost
-    chain = [terminal]
+    chain = [sid]
     for i in range(n, 1, -1):
-        cost = (_prefix_union(nb, pref_union, i, k, window) & ~nb[u]).bit_count()
-        target = value - cost
-        found = None
-        for parent in _parent_candidates(i, window, k):
-            if layers[i - 2].get(parent) == target:
-                found = parent
-                break
-        if found is None:
+        pos = auto[i - 1]
+        e, w = pos.states[sid]
+        target = value - (_prefix_union(nb, pref_union, pos, w) & ~nb[pos.lo + e]).bit_count()
+        sid = next((p for p in pos.parents[w] if layers[i - 2][p] == target), None)
+        if sid is None:
             raise CorruptTableError(f"broken parent chain at position {i}")
-        u, window = found
         value = target
-        chain.append(found)
+        chain.append(sid)
     chain.reverse()
 
     # Corrected neighborhoods nest along the order: the one at position i
@@ -602,7 +514,8 @@ def _reconstruct_unconstrained_addition(
     question_order: list[int] = []
     acc = 0
     total = 0
-    for (u_i, _w) in chain:
+    for pos, sid in zip(auto, chain):
+        u_i = pos.lo + pos.states[sid][0]
         s = alpha[u_i - 1]
         student_order.append(s)
         question_order.extend(_bits_to_labels(nb[u_i] & ~acc))
@@ -665,7 +578,7 @@ def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution
     elif kq is None:
         # Unconstrained addition: the question side is free.
         _check_table_size(n, ks)
-        sol = _reconstruct_unconstrained_addition(inst, ks, *_unconstrained_addition_table(inst, ks))
+        sol = _reconstruct_unconstrained_addition(inst, *_unconstrained_addition_table(inst, ks))
     else:
         _check_table_size(n, ks, m, kq)
         sol = _reconstruct_frontier(inst, ks, kq, mode, *_frontier_table(inst, ks, kq, mode))

@@ -19,12 +19,18 @@ Each inner problem is one pass: ``_free_cost`` for a free question side and
 the cost alone; ``inner_fixed_orders_cost`` calls the same pass once more on
 the winning orders and reads the witness from what it already computes, the
 smallest optimal suffix sizes or the prefix-minimum rows.
+
+The k-near orders of 1..n also come as a layered automaton,
+``knear_automaton``, whose paths are those orders: the DP engines fill
+their tables over its states and ``count_knear_permutations`` counts its
+paths.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core_model import (
     ChainRankError,
@@ -97,32 +103,91 @@ def enumerate_knear_permutations(base: Sequence[int], k: int) -> Iterator[tuple[
 
 def count_knear_permutations(n: int, k: int) -> int:
     """Number of permutations of n elements with displacement at most k,
-    without enumerating them."""
-    if n <= 0:
-        return 1
-    if k <= 0:
+    without enumerating them: the paths through ``knear_automaton(n, k)``."""
+    if n <= 0 or k <= 0:
         return 1
     if k >= n - 1:
         return factorial(n)
-    # Sweep positions; mask bit j marks entity (window_low + j) as used.
-    states = {0: 1}
-    for p in range(1, n + 1):
-        wlo = max(1, p - k)
-        shift = max(1, p + 1 - k) - wlo
-        new: dict[int, int] = {}
-        for mask, cnt in states.items():
-            for e in range(wlo, min(n, p + k) + 1):
-                bit = 1 << (e - wlo)
-                if mask & bit:
-                    continue
-                nm = mask | bit
-                if shift:
-                    if not nm & 1:
-                        continue  # entity p-k missed its last slot
-                    nm >>= shift
-                new[nm] = new.get(nm, 0) + cnt
-        states = new
-    return sum(states.values())
+    counts = [1]
+    for pos in knear_automaton(n, k):
+        per_window = [sum(counts[p] for p in parents) for parents in pos.parents]
+        counts = [per_window[w] for _e, w in pos.states]
+    return sum(counts)
+
+
+# ---------------------------------------------------------------------------
+# The k-near window automaton
+
+
+class KnearPosition(NamedTuple):
+    """Position i of the k-near orders of 1..n, as a layer of states.
+
+    A state is the occupant of position i and its window: the labels of
+    [lo, i+k-1] other than the occupant placed before i, where
+    lo = max(1, i-k); every label below lo is due before i. Labels are
+    offsets from ``lo``. ``states`` holds (occupant, window index) per state
+    id, sorted, so ids follow the (occupant, window) order. ``windows``
+    holds each window as an ascending tuple, the windows sorted.
+    ``parents`` lists per window, ascending, the ids of the states at
+    position i-1 that lead to it; at position 1 that is state 0 of an
+    implicit start layer.
+    """
+
+    lo: int
+    states: tuple[tuple[int, int], ...]
+    windows: tuple[tuple[int, ...], ...]
+    parents: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=128)
+def _knear_shape(k: int, a: int, b: int):
+    """(states, windows, next windows, next parents) of a position with
+    a = min(i-1, k) and b = min(n-i, k), in offsets from lo = i - a.
+
+    The states of position i depend on its shape (a, b) alone, so one build
+    serves every position of that shape in every n. The cache holds the
+    last 128 shapes built, a few per k. The windows are the successors of
+    the states of the shape before it, (a-1, min(b+1, k)); any position
+    before one of shape (a, b) has the same successors. A state places an
+    unplaced label of [lo, i+b] at i. When i is the last position label lo may take (a = k),
+    only placements that leave it placed are kept. Every state so reached
+    completes to a k-near order, by the sorted placement of the rest, so no
+    state is a dead end.
+    """
+    windows = _knear_shape(k, a - 1, min(b + 1, k))[2] if a else ((),)
+    due = a == k
+    masks = [sum(1 << x for x in window) for window in windows]
+    states = sorted(
+        (e, w)
+        for w, mask in enumerate(masks)
+        for e in range(a + b + 1)
+        if not mask >> e & 1 and (not due or (mask | 1 << e) & 1)
+    )
+    successors: dict[int, list[int]] = {}
+    for sid, (e, w) in enumerate(states):
+        # The next position's window starts one label later when lo is due.
+        successors.setdefault((masks[w] | 1 << e) >> due, []).append(sid)
+    following = sorted(
+        (tuple(x for x in range(a + b + 1) if mask >> x & 1), tuple(sids))
+        for mask, sids in successors.items()
+    )
+    return tuple(states), windows, *zip(*following)
+
+
+def knear_position(n: int, k: int, i: int) -> KnearPosition:
+    """Position i of ``knear_automaton(n, k)``, for 1 <= i <= n and k >= 0,
+    built without the positions around it."""
+    a = min(i - 1, k)
+    states, windows = _knear_shape(k, a, min(n - i, k))[:2]
+    parents = _knear_shape(k, min(i - 2, k), min(n - i + 1, k))[3] if i > 1 else ((0,),)
+    return KnearPosition(i - a, states, windows, parents)
+
+
+def knear_automaton(n: int, k: int) -> list[KnearPosition]:
+    """The k-near orders of 1..n as a layered automaton: entry i-1 is
+    position i. Its paths, one state per position, are exactly the k-near
+    orders, each spelled out by its occupants."""
+    return [knear_position(n, k, i) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,29 @@ class TestInstanceFormat:
             assert parse_instance(text) == inst
             assert format_instance(parse_instance(text)) == text
 
+    def test_rows_match_the_per_cell_formula(self):
+        """Rows read off the bitsets equal the per-cell formula they replaced,
+        on empty, full and random rows, m = 1 and m not a multiple of 8."""
+
+        def per_cell(inst):
+            lines = [f"chainrank v1 {inst.num_students} {inst.num_questions}"]
+            for row in inst.adjacency:
+                cells = set(row)
+                lines.append("".join("1" if q in cells else "0" for q in range(1, inst.num_questions + 1)))
+            return "\n".join(lines) + "\n"
+
+        rng = random.Random(47)
+        for m in (1, 2, 7, 8, 9, 13, 16, 17, 64, 65):
+            n = rng.randint(1, 6)
+            full = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1)]
+            cases = [[], full, [e for e in full if e[0] != 1], [e for e in full if rng.random() < 0.5]]
+            for edges in cases:
+                inst = make_instance(n, m, edges)
+                assert format_instance(inst) == per_cell(inst), (n, m, edges)
+        for _ in range(200):
+            inst = random_instance(rng, max_side=20, with_orders=False)
+            assert format_instance(inst) == per_cell(inst)
+
     def test_orders_round_trip(self):
         inst = make_instance(2, 3, [(1, 2)], (2, 1), (3, 1, 2))
         assert parse_instance(format_instance(inst)) == inst

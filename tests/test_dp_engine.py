@@ -20,6 +20,7 @@ from chainrank import (
     Side,
     Variant,
     apply_edits,
+    count_knear_permutations,
     derive_question_order,
     enumerate_knear_permutations,
     enumerate_window_sets,
@@ -33,6 +34,7 @@ from chainrank import (
     solve_unconstrained_knear_editing_exact,
     verify_solution,
 )
+from chainrank.exact_oracle import _knear_shape, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
 from conftest import DP_VARIANT_MODES, figure_one, random_instance
 
@@ -53,6 +55,130 @@ def _window_sets_bruteforce(i: int, occupant: int, k: int, n_side: int) -> set[t
             continue
         found.add(tuple(sorted(e for e in pi[: i - 1] if e > forced_end)))
     return found
+
+
+def _window_realizable_reference(combo, pool, lo, i, k) -> bool:
+    """Can some permutation with displacement <= k put the labels below lo
+    plus ``combo`` before position i and the occupant at i, where ``pool``
+    is the window [lo, i+k-1] minus the occupant? Sorted assignment is
+    optimal for interval constraints, so only the window labels, sorted,
+    need a check against positions lo..i-1 and i+1.. in turn."""
+    for pos, e in enumerate(combo, start=lo):
+        if abs(e - pos) > k:
+            return False
+    pos = i + 1
+    for e in pool:
+        if e in combo:
+            continue
+        if abs(e - pos) > k:
+            return False
+        pos += 1
+    return True
+
+
+def _window_sets_reference(i: int, occupant: int, k: int, n: int) -> list[tuple[int, ...]]:
+    """Reference for the automaton's windows: the combinations of the window
+    that pass the sorted-assignment check, in combinations order."""
+    if not max(1, i - k) <= occupant <= min(n, i + k):
+        return []
+    lo = max(1, i - k)
+    pool = [x for x in range(lo, min(n, i + k - 1) + 1) if x != occupant]
+    if i - lo > len(pool):
+        return []
+    return [
+        combo
+        for combo in itertools.combinations(pool, i - lo)
+        if _window_realizable_reference(combo, pool, lo, i, k)
+    ]
+
+
+def _parent_candidates_reference(i: int, window: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Reference for the automaton's parents: the (occupant, window) pairs
+    at position i-1 that lead to ``window`` at i, sorted. The previous
+    occupant comes from the position-i prefix; removing it and re-exposing
+    label i-k-1 gives the parent's window."""
+    boundary = i - k - 1
+    members = list(window) + ([boundary] if boundary >= 1 else [])
+    return sorted(
+        (u_prev, tuple(sorted(x for x in members if x != u_prev)))
+        for u_prev in members
+        if abs(u_prev - (i - 1)) <= k
+    )
+
+
+def _count_reference(n: int, k: int) -> int:
+    """Reference for the path count: the position sweep over bitmasks of
+    used labels, mask bit j for label window_low + j."""
+    states = {0: 1}
+    for p in range(1, n + 1):
+        wlo = max(1, p - k)
+        shift = max(1, p + 1 - k) - wlo
+        new: dict[int, int] = {}
+        for mask, cnt in states.items():
+            for e in range(wlo, min(n, p + k) + 1):
+                bit = 1 << (e - wlo)
+                if mask & bit:
+                    continue
+                nm = mask | bit
+                if shift:
+                    if not nm & 1:
+                        continue  # label p-k missed its last slot
+                    nm >>= shift
+                new[nm] = new.get(nm, 0) + cnt
+        states = new
+    return sum(states.values())
+
+
+def _absolute_states(pos) -> list[tuple[int, tuple[int, ...]]]:
+    return [(pos.lo + e, tuple(pos.lo + x for x in pos.windows[w])) for e, w in pos.states]
+
+
+class TestAutomaton:
+    """``knear_automaton`` against the enumeration it replaced, kept above
+    as references, for n <= 14 and k <= 4, k >= n-1 included."""
+
+    SIZES = [(n, k) for n in range(1, 15) for k in range(0, 5)]
+
+    def test_states_match_the_reference_windows(self):
+        for n, k in self.SIZES:
+            for i, pos in enumerate(knear_automaton(n, k), start=1):
+                states = _absolute_states(pos)
+                assert states == sorted(states)
+                for u in range(1, n + 1):
+                    want = _window_sets_reference(i, u, k, n)
+                    assert [w for v, w in states if v == u] == want, (n, k, i, u)
+                    assert enumerate_window_sets(i, u, k, n) == want, (n, k, i, u)
+                assert len(pos.parents) == len(pos.windows) == len(set(pos.windows))
+
+    def test_parents_match_the_reference_candidates(self):
+        for n, k in self.SIZES:
+            auto = knear_automaton(n, k)
+            assert auto[0].parents == ((0,),)
+            for i in range(2, n + 1):
+                pos, prev = auto[i - 1], auto[i - 2]
+                # The parents index the windows that position i-1's shape
+                # builds for its successor, so those must be position i's.
+                assert _knear_shape(k, min(i - 2, k), min(n - i + 1, k))[2] == pos.windows
+                index = {st: s for s, st in enumerate(_absolute_states(prev))}
+                for (_u, window), (_e, w) in zip(_absolute_states(pos), pos.states):
+                    want = [index[c] for c in _parent_candidates_reference(i, window, k) if c in index]
+                    assert list(pos.parents[w]) == want, (n, k, i, window)
+
+    def test_path_counts_match_the_mask_sweep(self):
+        for n, k in self.SIZES:
+            counts = [1]
+            for pos in knear_automaton(n, k):
+                counts = [sum(counts[p] for p in pos.parents[w]) for _e, w in pos.states]
+            assert sum(counts) == _count_reference(n, k), (n, k)
+            assert count_knear_permutations(n, k) == _count_reference(n, k), (n, k)
+
+    def test_window_view_cost_does_not_grow_with_n(self):
+        """A view builds the shape of one position, not the automaton."""
+        _knear_shape.cache_clear()
+        start = time.perf_counter()
+        windows = enumerate_window_sets(50_000, 50_000, 2, 100_000)
+        assert time.perf_counter() - start < 0.05
+        assert windows == _window_sets_reference(50_000, 50_000, 2, 100_000)
 
 
 class TestWindowSets:
@@ -251,7 +377,7 @@ def test_reconstruct_rejects_tampered_table():
 
     inst = make_instance(2, 2, [(1, 1), (1, 2)], (1, 2), (1, 2))
     layers, *shared = _frontier_table(inst, 1, 0, Mode.EDITING)
-    for row in layers[0].values():
+    for row in layers[0]:
         assert isinstance(row, array)
         for qi in range(len(row)):
             row[qi] += 1
@@ -268,10 +394,11 @@ def test_frontier_rows_are_double_arrays(mode, ks, kq):
     for _ in range(10):
         inst = random_instance(rng, max_side=6)
         n, m = inst.num_students, inst.num_questions
-        layers, _nb, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
+        layers, auto, _nb, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
         assert len(layers) == n
-        for layer in layers:
-            for row in layer.values():
+        for layer, pos in zip(layers, auto):
+            assert len(layer) == len(pos.states)
+            for row in layer:
                 assert isinstance(row, array) and row.typecode == "d"
                 assert len(row) == len(qstates)
 
@@ -318,11 +445,11 @@ class TestTableSizeGuard:
         assert time.perf_counter() - start < 1.0
 
     def test_state_bound_covers_the_families(self):
-        from chainrank.dp_engine import _window_families, _window_state_bound
+        from chainrank.dp_engine import _window_state_bound
 
         for n in range(1, 12):
             for k in range(0, n + 1):
-                states = sum(map(len, _window_families(k, n).values()))
+                states = sum(len(pos.states) for pos in knear_automaton(n, k))
                 assert states <= _window_state_bound(k, n, 10**9), (n, k)
 
     def test_benchmark_and_grid_sizes_fit(self):
@@ -346,22 +473,22 @@ class TestTableSizeGuard:
 def test_covering_edge_closure_matches_knear_orders():
     """p reaches q along covering edges iff some k-near question order
     passes through p's frontier state and later through q's."""
-    from chainrank.dp_engine import _covering_edges, _question_states, _window_families
+    from chainrank.dp_engine import _question_states
 
     for m in range(1, 8):
         for k in range(0, 4):
-            qstates = _question_states(m, k, _window_families(k, m))
+            qstates, edges = _question_states(m, k)
             index = {st[:3]: qi for qi, st in enumerate(qstates)}
             brute = set()
             for order in enumerate_knear_permutations(tuple(range(1, m + 1)), k):
                 path = [0]
                 for j in range(1, m + 1):
-                    window = tuple(sorted(x for x in order[: j - 1] if x > j - k - 1))
-                    path.append(index[(j, order[j - 1], window)])
+                    prefix = sum(1 << (x - 1) for x in order[: j - 1])
+                    path.append(index[(j, order[j - 1], prefix)])
                 brute.update(itertools.combinations(path, 2))
 
             covered_by = [[] for _ in qstates]
-            for q, p in _covering_edges(qstates):
+            for q, p in edges:
                 covered_by[q].append(p)
             closure = set()
             for q in range(len(qstates)):

@@ -10,7 +10,7 @@ used by the solvers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import or_
@@ -131,18 +131,11 @@ class Instance:
 
     @cached_property
     def adj_bits(self) -> tuple[int, ...]:
-        """Per-student neighborhoods as bitsets (bit q-1 set iff edge s-q)."""
-        return tuple(sum(1 << (q - 1) for q in row) for row in self.adjacency)
-
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.adjacency)
-
-    def neighbors(self, s: int) -> frozenset[int]:
-        return self.neighbor_sets[s - 1]
-
-    def has_edge(self, s: int, q: int) -> bool:
-        return q in self.neighbor_sets[s - 1]
+        """Per-student neighborhoods as bitsets (bit q-1 set iff edge s-q),
+        the form every solver works on. ``instance_from_bitsets`` seeds it;
+        the rows of an Instance built directly are checked as
+        ``validate_instance`` checks them."""
+        return tuple(_validated_bits(self.num_students, self.num_questions, self.adjacency))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for s, row in enumerate(self.adjacency, start=1):
@@ -239,6 +232,9 @@ class ProblemSpec:
 
 # ---------------------------------------------------------------------------
 # Instance construction and validation
+#
+# Every constructor builds per-student bitsets and hands them to
+# ``instance_from_bitsets``, the one place an Instance is made.
 
 
 def _validated_order(order: Sequence[int], n: int, label: str) -> tuple[int, ...]:
@@ -248,45 +244,32 @@ def _validated_order(order: Sequence[int], n: int, label: str) -> tuple[int, ...
     return order
 
 
-def validate_instance(inst: Instance) -> Instance:
-    """Check all invariants and return the instance in canonical form.
-
-    Canonical form stores each adjacency row as a sorted tuple and the base
-    orders as int tuples. Idempotent: validating a validated instance returns
-    an equal instance.
-    """
-    n, m = inst.num_students, inst.num_questions
+def _check_sizes(n: int, m: int, row_count: int) -> None:
     if n < 1 or m < 1:
         raise InvalidInstanceError(f"need at least one student and one question, got {n}x{m}")
-    if len(inst.adjacency) != n:
-        raise InvalidInstanceError(
-            f"adjacency has {len(inst.adjacency)} rows for {n} students"
-        )
-    rows = []
-    for s, row in enumerate(inst.adjacency, start=1):
-        seen: set[int] = set()
-        for q in row:
-            q = int(q)
-            if not 1 <= q <= m:
-                raise OutOfRangeEdgeError(
-                    f"student {s} lists question {q}, outside 1..{m}"
-                )
-            if q in seen:
-                raise DuplicateEdgeError(f"student {s} lists question {q} twice")
-            seen.add(q)
-        rows.append(tuple(sorted(seen)))
-    so = inst.base_student_order
-    qo = inst.base_question_order
-    return Instance(
-        num_students=n,
-        num_questions=m,
-        adjacency=tuple(rows),
-        base_student_order=None if so is None else _validated_order(so, n, "student"),
-        base_question_order=None if qo is None else _validated_order(qo, m, "question"),
-    )
+    if row_count != n:
+        raise InvalidInstanceError(f"adjacency has {row_count} rows for {n} students")
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _row_bits(qids: Iterable[int], m: int) -> int:
+    """The bitset of question ids in 1..m, m >= 1, read as one binary
+    numeral: one shift per id would copy an m-bit int each time."""
+    flags = bytearray(m + 1)  # flags[q] for question q
+    for q in qids:
+        flags[q] = 1
+    return int(flags[:0:-1].translate(_BIT_DIGITS), 2)
+
+
+def bit_ids(bits: int, ids: Sequence[int]) -> Iterator[int]:
+    """The entries of ``ids`` at the set bits of a non-negative ``bits``,
+    lowest bit first: ``ids[q-1]`` for bit q-1. With ``ids`` a list, the
+    results share its int objects."""
+    # bin(bits) read backwards puts bit q-1 at index q-1 as "0" or "1".
+    return compress(ids, bin(bits)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def instance_from_bitsets(
@@ -304,17 +287,13 @@ def instance_from_bitsets(
     checked; the result equals the ``validate_instance`` of the same rows.
     """
     n, m = num_students, num_questions
-    if n < 1 or m < 1:
-        raise InvalidInstanceError(f"need at least one student and one question, got {n}x{m}")
-    if len(bits) != n:
-        raise InvalidInstanceError(f"adjacency has {len(bits)} rows for {n} students")
-    qids = range(1, m + 1)
+    _check_sizes(n, m, len(bits))
+    qids = list(range(1, m + 1))  # one int object per question, shared by all rows
     rows = []
     for s, b in enumerate(bits, start=1):
         if b >> m:  # a bit past question m, or any negative b
             raise OutOfRangeEdgeError(f"student {s}'s bitset {b} names a question outside 1..{m}")
-        # bin(b) read backwards puts question q at index q-1 as "0" or "1".
-        rows.append(tuple(compress(qids, bin(b)[:1:-1].encode().translate(_BIT_BYTES))))
+        rows.append(tuple(bit_ids(b, qids)))
     inst = Instance(
         num_students=n,
         num_questions=m,
@@ -326,6 +305,36 @@ def instance_from_bitsets(
     return inst
 
 
+def _validated_bits(n: int, m: int, rows: Sequence[Iterable[int]]) -> list[int]:
+    """The bitsets of the rows of an n x m instance, once the sizes and
+    every row are checked."""
+    _check_sizes(n, m, len(rows))
+    bits = []
+    for s, row in enumerate(rows, start=1):
+        seen: set[int] = set()
+        for q in row:
+            q = int(q)
+            if not 1 <= q <= m:
+                raise OutOfRangeEdgeError(f"student {s} lists question {q}, outside 1..{m}")
+            if q in seen:
+                raise DuplicateEdgeError(f"student {s} lists question {q} twice")
+            seen.add(q)
+        bits.append(_row_bits(seen, m))
+    return bits
+
+
+def validate_instance(inst: Instance) -> Instance:
+    """Check all invariants and return the instance in canonical form.
+
+    Canonical form stores each adjacency row as a sorted tuple and the base
+    orders as int tuples. Idempotent: validating a validated instance returns
+    an equal instance.
+    """
+    n, m = inst.num_students, inst.num_questions
+    bits = _validated_bits(n, m, inst.adjacency)
+    return instance_from_bitsets(n, m, bits, inst.base_student_order, inst.base_question_order)
+
+
 def make_instance(
     num_students: int,
     num_questions: int,
@@ -333,21 +342,16 @@ def make_instance(
     base_student_order: Sequence[int] | None = None,
     base_question_order: Sequence[int] | None = None,
 ) -> Instance:
-    """Build a validated Instance from an edge list."""
-    rows: list[set[int]] = [set() for _ in range(num_students)]
+    """Build a validated Instance from an edge list; a repeated edge counts
+    once."""
+    n, m = num_students, num_questions
+    rows: list[set[int]] = [set() for _ in range(n)]
     for s, q in edges:
-        if not 1 <= int(s) <= num_students:
-            raise OutOfRangeEdgeError(f"edge ({s},{q}) names student outside 1..{num_students}")
+        if not 1 <= int(s) <= n:
+            raise OutOfRangeEdgeError(f"edge ({s},{q}) names student outside 1..{n}")
         rows[int(s) - 1].add(int(q))
-    return validate_instance(
-        Instance(
-            num_students=num_students,
-            num_questions=num_questions,
-            adjacency=tuple(tuple(sorted(r)) for r in rows),
-            base_student_order=None if base_student_order is None else tuple(base_student_order),
-            base_question_order=None if base_question_order is None else tuple(base_question_order),
-        )
-    )
+    bits = _validated_bits(n, m, [sorted(row) for row in rows])
+    return instance_from_bitsets(n, m, bits, base_student_order, base_question_order)
 
 
 def with_base_orders(
@@ -355,13 +359,14 @@ def with_base_orders(
     student_order: Sequence[int] | None = None,
     question_order: Sequence[int] | None = None,
 ) -> Instance:
-    """Attach (or replace) base orders, revalidating the result."""
-    return validate_instance(
-        replace(
-            inst,
-            base_student_order=tuple(student_order) if student_order is not None else inst.base_student_order,
-            base_question_order=tuple(question_order) if question_order is not None else inst.base_question_order,
-        )
+    """Attach (or replace) base orders, validating them; the rows are
+    ``inst.adj_bits`` as they are."""
+    return instance_from_bitsets(
+        inst.num_students,
+        inst.num_questions,
+        inst.adj_bits,
+        inst.base_student_order if student_order is None else student_order,
+        inst.base_question_order if question_order is None else question_order,
     )
 
 
@@ -375,20 +380,20 @@ def apply_edits(inst: Instance, edits: EditSet) -> Instance:
     overlap = edits.additions & edits.deletions
     if overlap:
         raise EditConflictError(f"pairs both added and deleted: {sorted(overlap)}")
-    rows = [set(r) for r in inst.adjacency]
-    for s, q in sorted(edits.additions):
-        if not (1 <= s <= n and 1 <= q <= m):
-            raise EditConflictError(f"addition ({s},{q}) is out of range")
-        if q in rows[s - 1]:
-            raise EditConflictError(f"addition ({s},{q}) already present")
-        rows[s - 1].add(q)
-    for s, q in sorted(edits.deletions):
-        if not (1 <= s <= n and 1 <= q <= m):
-            raise EditConflictError(f"deletion ({s},{q}) is out of range")
-        if q not in rows[s - 1] or (s, q) in edits.additions:
-            raise EditConflictError(f"deletion ({s},{q}) is absent")
-        rows[s - 1].discard(q)
-    return replace(inst, adjacency=tuple(tuple(sorted(r)) for r in rows))
+    bits = list(inst.adj_bits)
+    # Additions go first, but the sets are disjoint, so every deletion is
+    # checked against the original rows.
+    for kind, pairs, present, fault in (
+        ("addition", edits.additions, 0, "already present"),
+        ("deletion", edits.deletions, 1, "is absent"),
+    ):
+        for s, q in sorted(pairs):
+            if not (1 <= s <= n and 1 <= q <= m):
+                raise EditConflictError(f"{kind} ({s},{q}) is out of range")
+            if (bits[s - 1] >> (q - 1)) & 1 != present:
+                raise EditConflictError(f"{kind} ({s},{q}) {fault}")
+            bits[s - 1] ^= 1 << (q - 1)
+    return instance_from_bitsets(n, m, bits, inst.base_student_order, inst.base_question_order)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,13 @@ each window's parents at the position before.
   are its states for (m, kq), and the covering edges are its parents.
 
 Tables store costs only; each engine's reconstruction walks the parents
-back, which keeps the hot loops small. The frontier fill works on lists and
-stores each finished layer's rows as ``array('d')``. Both engines refuse a
-table whose estimated size passes ``_TABLE_BYTES_LIMIT``; the estimate is a
-binomial bound on the state count, taken before any state is built.
+back, which keeps the hot loops small, then hands the orders and each
+student's prefix length (its question state's frontier position, or the
+size of the union placed so far) to ``ideal.nested_solution``. The
+frontier fill works on lists and stores each finished layer's rows as
+``array('d')``. Both engines refuse a table whose estimated size passes
+``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on the state
+count, taken before any state is built.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from operator import add, itemgetter, or_
 from . import ideal
 from .core_model import (
     ChainRankError,
-    EditSet,
     Instance,
     Mode,
     ProblemSpec,
@@ -136,15 +138,6 @@ def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-
-def _bits_to_labels(bits: int) -> list[int]:
-    labels = []
-    while bits:
-        low = bits & -bits
-        labels.append(low.bit_length())
-        bits ^= low
-    return labels
 
 
 def _prefix_union(nb: list[int], pref_union: list[int], pos: KnearPosition, w: int) -> int:
@@ -389,59 +382,32 @@ def _reconstruct_frontier(
         chain.append(found)
     chain.reverse()
 
-    # Build the question order from the distinct question states in order.
-    beta_labels = [0] * (m + 1)
-    prev_j, prev_target = 0, 0
-    seen_qis = []
-    for (_sid, q_idx) in chain:
-        if seen_qis and seen_qis[-1] == q_idx:
-            continue
-        seen_qis.append(q_idx)
-    for q_idx in seen_qis:
-        j, v, prefix_bits, target_bits = qstates[q_idx]
-        if j == 0:
-            continue
-        gap = _bits_to_labels(prefix_bits & ~prev_target)
-        for offset, lab in enumerate(gap):
-            beta_labels[prev_j + 1 + offset] = lab
-        beta_labels[j] = v
-        prev_j, prev_target = j, target_bits
-    tail = _bits_to_labels(((1 << m) - 1) & ~prev_target)
-    for offset, lab in enumerate(tail):
-        beta_labels[prev_j + 1 + offset] = lab
-    beta_label_order = beta_labels[1:]
+    # The distinct question states along the chain, each as its prefix set
+    # and then its target set: rows that nest, so each state's gap comes
+    # ascending before its frontier question.
+    rows = []
+    for q_idx in dict.fromkeys(qi for _sid, qi in chain):
+        rows.extend(qstates[q_idx][2:])
+    beta_label_order = ideal.nested_question_order(rows, m)
     if sorted(beta_label_order) != list(range(1, m + 1)):
         raise CorruptTableError("reconstructed question order is not a permutation")
     if any(abs(lab - pos) > kq for pos, lab in enumerate(beta_label_order, start=1)):
         raise CorruptTableError("reconstructed question order exceeds displacement bound")
 
-    additions: list[tuple[int, int]] = []
-    deletions: list[tuple[int, int]] = []
-    student_order = []
-    total = 0
-    for pos, (sid, q_idx) in zip(auto, chain):
-        u_i = pos.lo + pos.states[sid][0]
-        s = alpha[u_i - 1]
-        student_order.append(s)
-        target_bits = qstates[q_idx][3]
-        add_bits = target_bits & ~nb[u_i]
-        del_bits = nb[u_i] & ~target_bits
-        additions.extend((s, beta0[lab - 1]) for lab in _bits_to_labels(add_bits))
-        deletions.extend((s, beta0[lab - 1]) for lab in _bits_to_labels(del_bits))
-        total += add_bits.bit_count() + del_bits.bit_count()
-    if mode == Mode.ADDITION and deletions:
-        raise CorruptTableError("addition solve produced deletions")
-    if total != terminal_cost:
-        raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
-
-    question_order = tuple(beta0[lab - 1] for lab in beta_label_order)
-    return Solution(
-        cost=total,
-        student_order=tuple(student_order),
-        question_order=question_order,
-        edits=EditSet.of(additions, deletions),
-        solver_tag=f"dp.frontier.{mode.value}",
+    # Each student answers the first j questions, j its state's frontier.
+    student_order = [alpha[pos.lo + pos.states[sid][0] - 1] for pos, (sid, _qi) in zip(auto, chain)]
+    sol = ideal.nested_solution(
+        inst,
+        student_order,
+        [beta0[lab - 1] for lab in beta_label_order],
+        [qstates[qi][0] for _sid, qi in chain],
+        f"dp.frontier.{mode.value}",
     )
+    if mode == Mode.ADDITION and sol.edits.deletions:
+        raise CorruptTableError("addition solve produced deletions")
+    if sol.edits.size != terminal_cost:
+        raise CorruptTableError(f"reconstructed cost {sol.edits.size} != table cost {terminal_cost}")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -507,33 +473,20 @@ def _reconstruct_unconstrained_addition(
     chain.reverse()
 
     # Corrected neighborhoods nest along the order: the one at position i
-    # is acc, the union of the first i. The question order lists each
-    # position's new questions, ascending, then the unanswered ones.
-    additions: list[tuple[int, int]] = []
-    student_order = []
-    question_order: list[int] = []
-    acc = 0
-    total = 0
-    for pos, sid in zip(auto, chain):
-        u_i = pos.lo + pos.states[sid][0]
-        s = alpha[u_i - 1]
-        student_order.append(s)
-        question_order.extend(_bits_to_labels(nb[u_i] & ~acc))
-        acc |= nb[u_i]
-        add_bits = acc & ~nb[u_i]
-        additions.extend((s, q) for q in _bits_to_labels(add_bits))
-        total += add_bits.bit_count()
-    if total != terminal_cost:
-        raise CorruptTableError(f"reconstructed cost {total} != table cost {terminal_cost}")
-    question_order.extend(_bits_to_labels(((1 << inst.num_questions) - 1) & ~acc))
-
-    return Solution(
-        cost=total,
-        student_order=tuple(student_order),
-        question_order=tuple(question_order),
-        edits=EditSet.of(additions, ()),
-        solver_tag="dp.unconstrained_knear.addition",
+    # is the union of the first i neighborhoods, a prefix of the question
+    # order that lists each position's new questions.
+    labels = [pos.lo + pos.states[sid][0] for pos, sid in zip(auto, chain)]
+    rows = [nb[u] for u in labels]
+    sol = ideal.nested_solution(
+        inst,
+        [alpha[u - 1] for u in labels],
+        ideal.nested_question_order(rows, inst.num_questions),
+        [union.bit_count() for union in itertools.accumulate(rows, or_)],
+        "dp.unconstrained_knear.addition",
     )
+    if sol.edits.size != terminal_cost:
+        raise CorruptTableError(f"reconstructed cost {sol.edits.size} != table cost {terminal_cost}")
+    return sol
 
 
 # ---------------------------------------------------------------------------

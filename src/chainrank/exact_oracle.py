@@ -28,7 +28,6 @@ paths.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
@@ -139,22 +138,35 @@ class KnearPosition(NamedTuple):
     parents: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=128)
-def _knear_shape(k: int, a: int, b: int):
+# Shapes at k <= _SHARED_K are kept across calls, 3.6 MB at most in all. A
+# larger k builds them once per call: kept, k = 15 alone would hold 60 MB.
+_SHARED_K = 6
+_shared_shapes: dict[tuple[int, int, int], tuple] = {}
+
+
+def _shape_memo(k: int) -> dict:
+    return _shared_shapes if k <= _SHARED_K else {}
+
+
+def _knear_shape(k: int, a: int, b: int, memo: dict | None = None):
     """(states, windows, next windows, next parents) of a position with
     a = min(i-1, k) and b = min(n-i, k), in offsets from lo = i - a.
 
     The states of position i depend on its shape (a, b) alone, so one build
-    serves every position of that shape in every n. The cache holds the
-    last 128 shapes built, a few per k. The windows are the successors of
-    the states of the shape before it, (a-1, min(b+1, k)); any position
-    before one of shape (a, b) has the same successors. A state places an
-    unplaced label of [lo, i+b] at i. When i is the last position label lo may take (a = k),
+    serves every position of that shape, kept in ``memo`` (by default
+    ``_shape_memo(k)``). The windows are the successors of the states of
+    the shape before it, (a-1, min(b+1, k)); any position before one of
+    shape (a, b) has the same successors. A state places an unplaced label
+    of [lo, i+b] at i. When i is the last position label lo may take (a = k),
     only placements that leave it placed are kept. Every state so reached
     completes to a k-near order, by the sorted placement of the rest, so no
     state is a dead end.
     """
-    windows = _knear_shape(k, a - 1, min(b + 1, k))[2] if a else ((),)
+    memo = _shape_memo(k) if memo is None else memo
+    shape = memo.get((k, a, b))
+    if shape is not None:
+        return shape
+    windows = _knear_shape(k, a - 1, min(b + 1, k), memo)[2] if a else ((),)
     due = a == k
     masks = [sum(1 << x for x in window) for window in windows]
     states = sorted(
@@ -171,23 +183,29 @@ def _knear_shape(k: int, a: int, b: int):
         (tuple(x for x in range(a + b + 1) if mask >> x & 1), tuple(sids))
         for mask, sids in successors.items()
     )
-    return tuple(states), windows, *zip(*following)
+    shape = memo[k, a, b] = (tuple(states), windows, *zip(*following))
+    return shape
+
+
+def _position(n: int, k: int, i: int, memo: dict) -> KnearPosition:
+    a = min(i - 1, k)
+    states, windows = _knear_shape(k, a, min(n - i, k), memo)[:2]
+    parents = _knear_shape(k, min(i - 2, k), min(n - i + 1, k), memo)[3] if i > 1 else ((0,),)
+    return KnearPosition(i - a, states, windows, parents)
 
 
 def knear_position(n: int, k: int, i: int) -> KnearPosition:
     """Position i of ``knear_automaton(n, k)``, for 1 <= i <= n and k >= 0,
     built without the positions around it."""
-    a = min(i - 1, k)
-    states, windows = _knear_shape(k, a, min(n - i, k))[:2]
-    parents = _knear_shape(k, min(i - 2, k), min(n - i + 1, k))[3] if i > 1 else ((0,),)
-    return KnearPosition(i - a, states, windows, parents)
+    return _position(n, k, i, _shape_memo(k))
 
 
 def knear_automaton(n: int, k: int) -> list[KnearPosition]:
     """The k-near orders of 1..n as a layered automaton: entry i-1 is
     position i. Its paths, one state per position, are exactly the k-near
     orders, each spelled out by its occupants."""
-    return [knear_position(n, k, i) for i in range(1, n + 1)]
+    memo = _shape_memo(k)
+    return [_position(n, k, i, memo) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

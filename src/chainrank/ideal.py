@@ -1,11 +1,18 @@
-"""Polynomial procedures for the ideal case: recognizing instances whose
-neighborhoods already nest, deriving the question order from a nested student
-order, and the optimal solver when one side's ordering is fixed.
+"""Polynomial procedures on per-student bitsets (``Instance.adj_bits``),
+where a neighborhood nests in another iff ``weak & ~strong == 0``:
+recognition, the question order of a nested student order (the one
+derivation, ``nested_question_order``, which the DPs share), the fixed-side
+solver, and ``nested_solution``, the nesting-to-edits step every polynomial
+solver ends with. The verifier and the oracle keep their own derivations,
+as the references these are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import or_
 from typing import Sequence
 
 from .core_model import (
@@ -15,6 +22,7 @@ from .core_model import (
     Mode,
     Side,
     Solution,
+    bit_ids,
     inverse_positions,
 )
 
@@ -49,15 +57,29 @@ def recognize_ideal(inst: Instance) -> NestingCertificate | NotIdeal:
     order, which also makes any failing consecutive pair a genuine
     incomparability witness.
     """
-    n = inst.num_students
-    order = sorted(range(1, n + 1), key=lambda s: (len(inst.neighbors(s)), s))
+    bits = inst.adj_bits
+    order = sorted(range(1, inst.num_students + 1), key=lambda s: (bits[s - 1].bit_count(), s))
     for weak, strong in zip(order, order[1:]):
-        if not inst.neighbors(weak) <= inst.neighbors(strong):
+        if bits[weak - 1] & ~bits[strong - 1]:
             return NotIdeal((weak, strong))
     return NestingCertificate(
         student_order=tuple(order),
         question_order=derive_question_order(inst, order),
     )
+
+
+def nested_question_order(rows: Sequence[int], m: int) -> list[int]:
+    """Questions 1..m (bit q-1 for question q) by the first of ``rows`` to
+    hold them, ascending within a row, then the rest ascending. Every row
+    of nesting rows is a prefix of the result."""
+    qids = list(range(1, m + 1))
+    order: list[int] = []
+    seen = 0
+    for row in rows:
+        order.extend(bit_ids(row & ~seen, qids))
+        seen |= row
+    order.extend(bit_ids(((1 << m) - 1) & ~seen, qids))
+    return order
 
 
 def derive_question_order(inst: Instance, student_order: Sequence[int]) -> tuple[int, ...]:
@@ -68,32 +90,53 @@ def derive_question_order(inst: Instance, student_order: Sequence[int]) -> tuple
     them; ties inside a layer and the unanswered tail are sorted ascending by
     id. Raises NotNestedError if neighborhoods do not nest along the order.
     """
-    seen: set[int] = set()
-    layers: list[int] = []
-    prev: frozenset[int] = frozenset()
-    for s in student_order:
-        nbh = inst.neighbors(s)
-        if not prev <= nbh:
+    rows = [inst.adj_bits[s - 1] for s in student_order]
+    for s, weak, strong in zip(student_order[1:], rows, rows[1:]):
+        if weak & ~strong:
             raise NotNestedError(
                 f"neighborhood of student {s} does not contain its weaker predecessor's"
             )
-        layers.extend(sorted(nbh - seen))
-        seen |= nbh
-        prev = nbh
-    layers.extend(q for q in range(1, inst.num_questions + 1) if q not in seen)
-    return tuple(layers)
+    return tuple(nested_question_order(rows, inst.num_questions))
 
 
-def _cheapest_prefix(positions: set[int], length: int, mode: Mode) -> tuple[int, int]:
-    """(t, cost) for the cheapest prefix of a fixed order of ``length`` to
-    turn a neighborhood, at ``positions`` of that order, into: smallest t on
-    ties. In ADDITION mode the prefix must cover every neighbor."""
+def nested_solution(
+    inst: Instance,
+    student_order: Sequence[int],
+    question_order: Sequence[int],
+    prefix_lengths: Sequence[int],
+    solver_tag: str,
+) -> Solution:
+    """The Solution whose edits make the i-th student of ``student_order``
+    answer exactly the first ``prefix_lengths[i]`` questions of
+    ``question_order``; its cost is their number. Non-decreasing lengths
+    make the corrected neighborhoods nest."""
+    prefix = list(accumulate((1 << (q - 1) for q in question_order), or_, initial=0))
+    qids = list(range(1, inst.num_questions + 1))
+    additions = []
+    deletions = []
+    for s, t in zip(student_order, prefix_lengths):
+        row, target = inst.adj_bits[s - 1], prefix[t]
+        additions.append(zip(repeat(s), bit_ids(target & ~row, qids)))
+        deletions.append(zip(repeat(s), bit_ids(row & ~target, qids)))
+    edits = EditSet(frozenset(chain.from_iterable(additions)), frozenset(chain.from_iterable(deletions)))
+    return Solution(
+        cost=edits.size,
+        student_order=tuple(student_order),
+        question_order=tuple(question_order),
+        edits=edits,
+        solver_tag=solver_tag,
+    )
+
+
+def _cheapest_prefix(positions: set[int], length: int, mode: Mode) -> int:
+    """The cheapest prefix of a fixed order of ``length`` to turn a
+    neighborhood, at ``positions`` of that order, into: smallest on ties.
+    In ADDITION mode the prefix must cover every neighbor."""
     costs = [len(positions)]
     for t in range(1, length + 1):
         costs.append(costs[-1] + (-1 if t in positions else 1))
     lo = max(positions) if (mode == Mode.ADDITION and positions) else 0
-    t = min(range(lo, length + 1), key=costs.__getitem__)
-    return t, costs[t]
+    return min(range(lo, length + 1), key=costs.__getitem__)
 
 
 def solve_fixed_side(
@@ -110,46 +153,29 @@ def solve_fixed_side(
     additions occur); students are then ordered by threshold. With students
     fixed the same pass runs per question on the reversed student order:
     a question's answerers are a suffix of the student order, the strongest
-    students, and questions answered by more students come first.
+    students, and questions answered by more students come first, so each
+    student answers a prefix of that question order.
     """
     fixed_order = tuple(fixed_order)
+    n, m = inst.num_students, inst.num_questions
+    tag = f"ideal.fixed_side.{mode.value}"
     if side == Side.QUESTIONS_FIXED:
-        order = fixed_order
-        members = {s: inst.neighbors(s) for s in range(1, inst.num_students + 1)}
-        pair = lambda s, q: (s, q)
-    elif side == Side.STUDENTS_FIXED:
-        order = fixed_order[::-1]
-        members = {q: set() for q in range(1, inst.num_questions + 1)}
-        for s, q in inst.edges():
-            members[q].add(s)
-        pair = lambda q, s: (s, q)
-    else:
+        pos = inverse_positions(fixed_order)
+        prefix = [_cheapest_prefix({pos[q] for q in row}, len(fixed_order), mode) for row in inst.adjacency]
+        student_order = sorted(range(1, n + 1), key=lambda s: (prefix[s - 1], s))
+        lengths = [prefix[s - 1] for s in student_order]
+        return nested_solution(inst, student_order, fixed_order, lengths, tag)
+    if side != Side.STUDENTS_FIXED:
         raise ValueError(f"unknown side {side!r}")
 
-    pos = inverse_positions(order)
-    additions: list[tuple[int, int]] = []
-    deletions: list[tuple[int, int]] = []
-    total = 0
-    prefix: dict[int, int] = {}
-    for e, nbh in members.items():
-        t, cost = _cheapest_prefix({pos[x] for x in nbh}, len(order), mode)
-        prefix[e] = t
-        total += cost
-        target = set(order[:t])
-        additions.extend(pair(e, x) for x in target - nbh)
-        deletions.extend(pair(e, x) for x in nbh - target)
-
-    if side == Side.QUESTIONS_FIXED:
-        student_order = tuple(sorted(members, key=lambda s: (prefix[s], s)))
-        question_order = fixed_order
-    else:
-        question_order = tuple(sorted(members, key=lambda q: (-prefix[q], q)))
-        student_order = fixed_order
-
-    return Solution(
-        cost=total,
-        student_order=student_order,
-        question_order=question_order,
-        edits=EditSet.of(additions, deletions),
-        solver_tag=f"ideal.fixed_side.{mode.value}",
-    )
+    pos = inverse_positions(fixed_order[::-1])
+    answerers: list[set[int]] = [set() for _ in range(m + 1)]
+    for s, q in inst.edges():
+        answerers[q].add(pos[s])
+    # depth[q]: how many of the strongest students answer q once corrected.
+    depth = [0] + [_cheapest_prefix(answerers[q], n, mode) for q in range(1, m + 1)]
+    question_order = sorted(range(1, m + 1), key=lambda q: (-depth[q], q))
+    # The student at position p answers the questions of depth n - p + 1 or more.
+    ascending = sorted(depth[1:])
+    lengths = [m - bisect_left(ascending, n - p + 1) for p in range(1, n + 1)]
+    return nested_solution(inst, fixed_order, question_order, lengths, tag)

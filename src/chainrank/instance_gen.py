@@ -11,15 +11,17 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Sequence
 
 from .core_model import (
     ChainRankError,
     Instance,
     InvalidInstanceError,
+    bit_ids,
+    instance_from_bitsets,
     inverse_positions,
-    make_instance,
-    validate_instance,
 )
 
 
@@ -87,12 +89,12 @@ def gen_ideal(
             raise InvalidInstanceError("prefix_lengths must give each student 0..m questions")
         if any(a > b for a, b in zip(lengths, lengths[1:])):
             raise InvalidInstanceError("prefix_lengths must be non-decreasing")
-    edges = [
-        (true_students[p], q)
-        for p in range(n)
-        for q in true_questions[: lengths[p]]
-    ]
-    return make_instance(n, m, edges), true_students, true_questions
+    # prefix[t] holds the first t questions of the true question order.
+    prefix = list(accumulate((1 << (q - 1) for q in true_questions), or_, initial=0))
+    bits = [0] * n
+    for s, length in zip(true_students, lengths):
+        bits[s - 1] = prefix[length]
+    return instance_from_bitsets(n, m, bits), true_students, true_questions
 
 
 def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
@@ -100,13 +102,14 @@ def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
     through unchanged."""
     rng = _rng(cfg.seed, "edges")
     n, m = inst.num_students, inst.num_questions
-    present = set(inst.edges())
+    bits = inst.adj_bits
     # Every pair, as the index (s - 1) * m + (q - 1): the same draws as a
     # list of the pairs in that order, without building it.
     pool: Sequence[int] = range(n * m)
     if cfg.mode_hint != "toggle":
-        delete = cfg.mode_hint == "delete"
-        pool = [i for i in pool if ((i // m + 1, i % m + 1) in present) == delete]
+        full = (1 << m) - 1
+        eligible = bits if cfg.mode_hint == "delete" else [full & ~b for b in bits]
+        pool = [r * m + c for r, b in enumerate(eligible) for c in bit_ids(b, range(m))]
 
     if cfg.flip_count is not None:
         if cfg.flip_count > len(pool):
@@ -118,21 +121,12 @@ def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
         chosen = [i for i in pool if rng.random() < cfg.flip_probability]
     else:
         chosen = []
-    chosen = [(i // m + 1, i % m + 1) for i in chosen]
 
-    flipped = present.symmetric_difference(chosen)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for s, q in flipped:
-        rows[s - 1].append(q)
-    return validate_instance(
-        Instance(
-            num_students=n,
-            num_questions=m,
-            adjacency=tuple(tuple(sorted(r)) for r in rows),
-            base_student_order=inst.base_student_order,
-            base_question_order=inst.base_question_order,
-        )
-    )
+    flips = [0] * n
+    for i in chosen:
+        flips[i // m] |= 1 << (i % m)
+    flipped = [b ^ f for b, f in zip(bits, flips)]
+    return instance_from_bitsets(n, m, flipped, inst.base_student_order, inst.base_question_order)
 
 
 def perturb_order(true_order: Sequence[int], k: int, seed: int) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,22 @@ class TestInstanceFormat:
     def test_figure_one_file(self):
         inst = parse_instance(FIG1_TEXT)
         assert inst.num_students == 3 and inst.num_questions == 5
-        assert inst.neighbors(2) == frozenset({1, 2, 3, 4})
+        assert inst.adjacency[1] == (1, 2, 3, 4)
+
+    def test_dense_instance_shares_its_question_ids(self):
+        """A parsed dense 400x400 instance holds its rows, 1.3 MB of tuples,
+        and not one int object per edge whose id is above 256 (3 MB)."""
+        n = 400
+        text = f"chainrank v1 {n} {n}\n" + ("1" * n + "\n") * n
+        gc.collect()
+        tracemalloc.start()
+        try:
+            inst = parse_instance(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert inst.edge_count == n * n
+        assert held < 2 * 2**20, f"{held / 2**20:.2f} MB"
 
     def test_write_read_round_trip(self):
         rng = random.Random(41)

@@ -21,10 +21,13 @@ from chainrank import (
     Side,
     Solution,
     Variant,
+    GenConfig,
     apply_edits,
     make_instance,
+    perturb_edges,
     validate_instance,
     verify_solution,
+    with_base_orders,
 )
 from chainrank.core_model import instance_from_bitsets
 from conftest import figure_one, random_instance
@@ -83,6 +86,26 @@ class TestValidateInstance:
             instance_from_bitsets(2, 3, (0, 0), base_question_order=(1, 2, 2))
 
 
+class TestHandBuiltRows:
+    """An Instance built directly has its rows checked the first time its
+    bitsets are read, so nothing built from it carries a bad row on."""
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [(((1, 1),), DuplicateEdgeError), (((0,),), OutOfRangeEdgeError), (((3,),), OutOfRangeEdgeError)],
+    )
+    def test_bad_row_raises_everywhere(self, rows, error):
+        inst = Instance(1, 2, rows)
+        for build in (
+            lambda: inst.adj_bits,
+            lambda: with_base_orders(inst, (1,)),
+            lambda: apply_edits(inst, EMPTY_EDITS),
+            lambda: perturb_edges(inst, GenConfig(1, 2)),
+        ):
+            with pytest.raises(error):
+                build()
+
+
 class TestApplyEdits:
     def test_addition(self):
         inst = make_instance(1, 2, [(1, 1)])
@@ -113,7 +136,7 @@ class TestApplyEdits:
                 (s, q)
                 for s in range(1, inst.num_students + 1)
                 for q in range(1, inst.num_questions + 1)
-                if not inst.has_edge(s, q)
+                if q not in inst.adjacency[s - 1]
             ]
             dels = rng.sample(present, min(len(present), rng.randint(0, 3)))
             adds = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
@@ -191,8 +214,8 @@ def test_edit_roundtrip_property(data):
         for q in range(1, inst.num_questions + 1)
     ]
     chosen = [p for p in pairs if rng.random() < 0.3]
-    adds = [p for p in chosen if not inst.has_edge(*p)]
-    dels = [p for p in chosen if inst.has_edge(*p)]
+    adds = [(s, q) for s, q in chosen if q not in inst.adjacency[s - 1]]
+    dels = [(s, q) for s, q in chosen if q in inst.adjacency[s - 1]]
     edits = EditSet.of(adds, dels)
     assert apply_edits(apply_edits(inst, edits), edits.reversed()) == inst
 
@@ -432,3 +455,202 @@ def test_verifier_matches_set_reference(data):
 
     report = verify_solution(inst, spec, sol)
     assert [(c.name, c.passed, c.detail) for c in report.checks] == _reference_verify(inst, spec, sol)
+
+
+# ---------------------------------------------------------------------------
+# The row-set constructors that the bitset ones replaced, kept as references
+
+
+def _validated_order_reference(order, n, label):
+    order = tuple(int(x) for x in order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise NotAPermutationError(f"base {label} order {order!r} is not a permutation of 1..{n}")
+    return order
+
+
+def _validate_instance_reference(inst: Instance) -> Instance:
+    n, m = inst.num_students, inst.num_questions
+    if n < 1 or m < 1:
+        raise InvalidInstanceError(f"need at least one student and one question, got {n}x{m}")
+    if len(inst.adjacency) != n:
+        raise InvalidInstanceError(f"adjacency has {len(inst.adjacency)} rows for {n} students")
+    rows = []
+    for s, row in enumerate(inst.adjacency, start=1):
+        seen: set[int] = set()
+        for q in row:
+            q = int(q)
+            if not 1 <= q <= m:
+                raise OutOfRangeEdgeError(f"student {s} lists question {q}, outside 1..{m}")
+            if q in seen:
+                raise DuplicateEdgeError(f"student {s} lists question {q} twice")
+            seen.add(q)
+        rows.append(tuple(sorted(seen)))
+    so, qo = inst.base_student_order, inst.base_question_order
+    return Instance(
+        n,
+        m,
+        tuple(rows),
+        None if so is None else _validated_order_reference(so, n, "student"),
+        None if qo is None else _validated_order_reference(qo, m, "question"),
+    )
+
+
+def _make_instance_reference(n, m, edges=(), so=None, qo=None) -> Instance:
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for s, q in edges:
+        if not 1 <= int(s) <= n:
+            raise OutOfRangeEdgeError(f"edge ({s},{q}) names student outside 1..{n}")
+        rows[int(s) - 1].add(int(q))
+    return _validate_instance_reference(
+        Instance(
+            n,
+            m,
+            tuple(tuple(sorted(r)) for r in rows),
+            None if so is None else tuple(so),
+            None if qo is None else tuple(qo),
+        )
+    )
+
+
+def _apply_edits_reference(inst: Instance, edits: EditSet) -> Instance:
+    n, m = inst.num_students, inst.num_questions
+    overlap = edits.additions & edits.deletions
+    if overlap:
+        raise EditConflictError(f"pairs both added and deleted: {sorted(overlap)}")
+    rows = [set(r) for r in inst.adjacency]
+    for s, q in sorted(edits.additions):
+        if not (1 <= s <= n and 1 <= q <= m):
+            raise EditConflictError(f"addition ({s},{q}) is out of range")
+        if q in rows[s - 1]:
+            raise EditConflictError(f"addition ({s},{q}) already present")
+        rows[s - 1].add(q)
+    for s, q in sorted(edits.deletions):
+        if not (1 <= s <= n and 1 <= q <= m):
+            raise EditConflictError(f"deletion ({s},{q}) is out of range")
+        if q not in rows[s - 1]:
+            raise EditConflictError(f"deletion ({s},{q}) is absent")
+        rows[s - 1].discard(q)
+    return Instance(n, m, tuple(tuple(sorted(r)) for r in rows), inst.base_student_order, inst.base_question_order)
+
+
+def _outcome(build):
+    """(instance, bitsets) of a build, or the (type, message) it raised."""
+    try:
+        inst = build()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return inst, inst.adj_bits
+
+
+_ORDER_FAULTS = ("duplicate", "short", "long", "zero", "too_big")
+
+
+def _broken_order(rng: random.Random, size: int, how: str) -> list[int]:
+    order = rng.sample(range(1, size + 1), size)
+    if how == "duplicate" and size > 1:
+        order[0] = order[1]
+    elif how == "short":
+        order.pop()
+    elif how == "long":
+        order.append(rng.randint(1, size))
+    elif how == "zero":
+        order[rng.randrange(size)] = 0
+    elif how == "too_big":
+        order[rng.randrange(size)] = size + 1
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_make_instance_matches_row_set_reference(data):
+    """Equal instances without a fault; the same error type and message with
+    any single fault: a size below 1, a student or question out of range, a
+    malformed base order."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    fault = data.draw(st.sampled_from(["none", "size", "student", "question", "student_order", "question_order"]))
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    edges = [(rng.randint(1, n), rng.randint(1, m)) for _ in range(rng.randint(0, 2 * n * m))]
+    so = rng.sample(range(1, n + 1), n) if rng.random() < 0.7 else None
+    qo = rng.sample(range(1, m + 1), m) if rng.random() < 0.7 else None
+    if fault == "size":
+        n, m = rng.choice([(0, m), (n, 0), (-1, m), (0, 0)])
+        edges = [] if n < 1 or rng.random() < 0.5 else [(1, 1)]
+        so = qo = None
+    elif fault == "student":
+        edges.insert(rng.randint(0, len(edges)), (rng.choice([0, -1, n + 1, n + 7]), rng.randint(1, m)))
+    elif fault == "question":
+        # One or two such pairs: the smallest one is reported, as the
+        # sorted rows of the reference report it.
+        for _ in range(rng.randint(1, 2)):
+            edges.insert(rng.randint(0, len(edges)), (rng.randint(1, n), rng.choice([0, -3, m + 1, 10**12])))
+    elif fault == "student_order":
+        so = _broken_order(rng, n, rng.choice(_ORDER_FAULTS[1:] if n == 1 else _ORDER_FAULTS))
+    elif fault == "question_order":
+        qo = _broken_order(rng, m, rng.choice(_ORDER_FAULTS[1:] if m == 1 else _ORDER_FAULTS))
+    got = _outcome(lambda: make_instance(n, m, edges, so, qo))
+    assert got == _outcome(lambda: _make_instance_reference(n, m, edges, so, qo))
+    if fault == "none":
+        assert isinstance(got[0], Instance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_instance_matches_row_set_reference(data):
+    """The same for ``validate_instance`` on hand-built instances, with rows
+    in any order: a size below 1, a row count off, a question out of range
+    or listed twice, a malformed base order."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    fault = data.draw(st.sampled_from(["none", "size", "rows", "question", "duplicate", "student_order", "question_order"]))
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(n)]
+    so = rng.sample(range(1, n + 1), n) if rng.random() < 0.7 else None
+    qo = rng.sample(range(1, m + 1), m) if rng.random() < 0.7 else None
+    s = rng.randrange(n)
+    if fault == "size":
+        n, m = rng.choice([(0, m), (n, 0), (-2, m)])
+    elif fault == "rows":
+        rows = rows[:-1] if rng.random() < 0.5 else rows + [[]]
+    elif fault == "question":
+        rows[s].insert(rng.randint(0, len(rows[s])), rng.choice([0, -1, m + 1, 10**12]))
+    elif fault == "duplicate" and rows[s]:
+        rows[s].insert(rng.randint(0, len(rows[s])), rng.choice(rows[s]))
+    elif fault == "student_order":
+        so = _broken_order(rng, n, rng.choice(_ORDER_FAULTS[1:] if n == 1 else _ORDER_FAULTS))
+    elif fault == "question_order":
+        qo = _broken_order(rng, m, rng.choice(_ORDER_FAULTS[1:] if m == 1 else _ORDER_FAULTS))
+    inst = Instance(n, m, tuple(map(tuple, rows)), None if so is None else tuple(so), None if qo is None else tuple(qo))
+    got = _outcome(lambda: validate_instance(inst))
+    assert got == _outcome(lambda: _validate_instance_reference(inst))
+    if isinstance(got[0], Instance):
+        assert validate_instance(got[0]) == got[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_apply_edits_matches_row_set_reference(data):
+    """The same for ``apply_edits``: pairs both added and deleted, out of
+    range, added while present or deleted while absent."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    fault = data.draw(st.sampled_from(["none", "overlap", "out_of_range", "present", "absent"]))
+    inst = random_instance(rng, max_side=5)
+    n, m = inst.num_students, inst.num_questions
+    edges = set(inst.edges())
+    pairs = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1)]
+    chosen = [p for p in pairs if rng.random() < 0.3]
+    adds = {p for p in chosen if p not in edges}
+    dels = {p for p in chosen if p in edges}
+    # One or two faulty pairs of the fault's kind: the first in sorted
+    # order is reported.
+    for _ in range(rng.randint(1, 2)):
+        pair = rng.choice(pairs)
+        if fault == "overlap":
+            adds.add(pair)
+            dels.add(pair)
+        elif fault == "out_of_range":
+            rng.choice([adds, dels]).add(rng.choice([(0, 1), (n + 1, 1), (1, 0), (1, m + 1)]))
+        elif fault == "present" and edges:
+            adds.add(rng.choice(sorted(edges)))
+        elif fault == "absent" and len(edges) < len(pairs):
+            dels.add(rng.choice(sorted(set(pairs) - edges)))
+    edits = EditSet(frozenset(adds), frozenset(dels))
+    assert _outcome(lambda: apply_edits(inst, edits)) == _outcome(lambda: _apply_edits_reference(inst, edits))

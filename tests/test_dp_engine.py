@@ -34,7 +34,7 @@ from chainrank import (
     solve_unconstrained_knear_editing_exact,
     verify_solution,
 )
-from chainrank.exact_oracle import _knear_shape, knear_automaton
+from chainrank.exact_oracle import _knear_shape, _shared_shapes, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
 from conftest import DP_VARIANT_MODES, figure_one, random_instance
 
@@ -174,7 +174,7 @@ class TestAutomaton:
 
     def test_window_view_cost_does_not_grow_with_n(self):
         """A view builds the shape of one position, not the automaton."""
-        _knear_shape.cache_clear()
+        _shared_shapes.clear()
         start = time.perf_counter()
         windows = enumerate_window_sets(50_000, 50_000, 2, 100_000)
         assert time.perf_counter() - start < 0.05
@@ -214,7 +214,7 @@ def _constrained_bruteforce(inst, k, mode):
             total = 0
             ok = True
             for s, v in zip(pi, frontiers):
-                positions = {qpos[q] for q in inst.neighbors(s)}
+                positions = {qpos[q] for q in inst.adjacency[s - 1]}
                 target = set(range(1, v + 1))
                 if mode == Mode.ADDITION and not positions <= target:
                     ok = False

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -23,6 +25,7 @@ from chainrank import (
     solve_unconstrained_knear_editing_exact,
     verify_solution,
 )
+from chainrank.exact_oracle import knear_automaton
 from conftest import random_instance
 
 
@@ -91,6 +94,22 @@ class TestEnumeration:
         assert count_knear_permutations(8, 7) == factorial(8)
 
 
+def test_large_k_shapes_are_not_kept_after_the_call():
+    """Shapes above the shared bound live for one call: after the automaton
+    at n = 15, k = 7 (12.5 MB of shapes) is dropped, under 5 MB stays."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        auto = knear_automaton(15, 7)
+        assert len(auto) == 15
+        del auto
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 2**20, f"{held / 2**20:.2f} MB"
+
+
 class TestInnerFixedOrders:
     def test_ideal_true_orders_cost_nothing(self, fig1):
         cost, _, edits = inner_fixed_orders_cost(fig1, (1, 2, 3), ((1, 2, 3, 4, 5), 0))
@@ -138,13 +157,13 @@ class TestInnerFixedOrders:
 
                 _, _, got = inner_fixed_orders_cost(inst, sorder, (qorder, 0), mode)
                 edited = apply_edits(inst, got)
-                rows = [edited.neighbors(s) for s in sorder]
+                rows = [set(edited.adjacency[s - 1]) for s in sorder]
                 thresholds = tuple(len(row) for row in rows)
                 assert all(row == set(qorder[:t]) for row, t in zip(rows, thresholds))
                 best = min(
                     itertools.combinations_with_replacement(range(m + 1), n),
                     key=lambda ts: (
-                        sum(edits(inst.neighbors(s), set(qorder[:t])) for s, t in zip(sorder, ts)),
+                        sum(edits(set(inst.adjacency[s - 1]), set(qorder[:t])) for s, t in zip(sorder, ts)),
                         ts[::-1],
                     ),
                 )
@@ -154,8 +173,8 @@ class TestInnerFixedOrders:
                 edited = apply_edits(inst, got)
                 sizes = {}
                 for q in range(1, m + 1):
-                    nbh = {s for s in sorder if inst.has_edge(s, q)}
-                    target = {s for s in sorder if edited.has_edge(s, q)}
+                    nbh = {s for s in sorder if q in inst.adjacency[s - 1]}
+                    target = {s for s in sorder if q in edited.adjacency[s - 1]}
                     sizes[q] = len(target)
                     assert target == set(sorder[n - sizes[q] :])
                     assert sizes[q] == min(

@@ -3,9 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrank import (
     EMPTY_EDITS,
+    GenConfig,
     Mode,
     NestingCertificate,
     NotIdeal,
@@ -15,12 +18,14 @@ from chainrank import (
     Solution,
     Variant,
     derive_question_order,
+    gen_ideal,
     make_instance,
     oracle_solve,
     recognize_ideal,
     solve_fixed_side,
     verify_solution,
 )
+from chainrank.ideal import nested_solution
 from conftest import figure_one, random_instance
 
 
@@ -37,8 +42,9 @@ class TestRecognizeIdeal:
         assert isinstance(result, NotIdeal)
         assert result.witness == (1, 2)
         s1, s2 = result.witness
-        assert not inst.neighbors(s1) <= inst.neighbors(s2)
-        assert not inst.neighbors(s2) <= inst.neighbors(s1)
+        n1, n2 = set(inst.adjacency[s1 - 1]), set(inst.adjacency[s2 - 1])
+        assert not n1 <= n2
+        assert not n2 <= n1
 
     def test_edgeless_graph_gets_identity_orders(self):
         inst = make_instance(3, 4, [])
@@ -145,7 +151,92 @@ class TestSolveFixedSide:
             for mode in (Mode.EDITING, Mode.ADDITION):
                 expected = 0
                 for s in range(1, inst.num_students + 1):
-                    costs = _enumerate_prefix_costs(set(inst.neighbors(s)), order, mode)
+                    costs = _enumerate_prefix_costs(set(inst.adjacency[s - 1]), order, mode)
                     expected += min(costs.values())
                 sol = solve_fixed_side(inst, Side.QUESTIONS_FIXED, order, mode)
                 assert sol.cost == expected
+
+
+# ---------------------------------------------------------------------------
+# The frozenset procedures that the bitset ones replaced, kept as references
+
+
+def _derive_question_order_reference(inst, student_order):
+    seen: set[int] = set()
+    layers: list[int] = []
+    prev: frozenset[int] = frozenset()
+    for s in student_order:
+        nbh = frozenset(inst.adjacency[s - 1])
+        if not prev <= nbh:
+            raise NotNestedError(
+                f"neighborhood of student {s} does not contain its weaker predecessor's"
+            )
+        layers.extend(sorted(nbh - seen))
+        seen |= nbh
+        prev = nbh
+    layers.extend(q for q in range(1, inst.num_questions + 1) if q not in seen)
+    return tuple(layers)
+
+
+def _recognize_ideal_reference(inst):
+    nbh = [frozenset(row) for row in inst.adjacency]
+    order = sorted(range(1, inst.num_students + 1), key=lambda s: (len(nbh[s - 1]), s))
+    for weak, strong in zip(order, order[1:]):
+        if not nbh[weak - 1] <= nbh[strong - 1]:
+            return NotIdeal((weak, strong))
+    return NestingCertificate(tuple(order), _derive_question_order_reference(inst, order))
+
+
+def _nearly_ideal(rng: random.Random):
+    """An ideal instance with up to two pairs toggled, so that both nested
+    and crossing neighborhoods come up."""
+    n, m = rng.randint(1, 8), rng.randint(1, 8)
+    inst, _, _ = gen_ideal(GenConfig(num_students=n, num_questions=m, seed=rng.randint(0, 10**6)))
+    edges = set(inst.edges())
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        edges ^= {(rng.randint(1, n), rng.randint(1, m))}
+    return make_instance(n, m, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_recognition_and_derivation_match_frozenset_reference(data):
+    """Equal certificates and witnesses; equal question orders, or the same
+    NotNestedError message, along the recognized order and random ones."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    inst = _nearly_ideal(rng) if rng.random() < 0.7 else random_instance(rng, with_orders=False)
+    result = recognize_ideal(inst)
+    assert result == _recognize_ideal_reference(inst)
+    n = inst.num_students
+    orders = [rng.sample(range(1, n + 1), n) for _ in range(3)]
+    if isinstance(result, NestingCertificate):
+        orders.append(list(result.student_order))
+    for order in orders:
+        try:
+            want = _derive_question_order_reference(inst, order)
+        except NotNestedError as exc:
+            with pytest.raises(NotNestedError) as got:
+                derive_question_order(inst, order)
+            assert str(got.value) == str(exc)
+        else:
+            assert derive_question_order(inst, order) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_nested_solution_verifies_and_counts_its_edits(data):
+    """For any student order, question order and non-decreasing prefix
+    lengths, the Solution passes the verifier and its edits number the sum
+    of (row ^ prefix[t]).bit_count()."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    inst = random_instance(rng, with_orders=False)
+    n, m = inst.num_students, inst.num_questions
+    student_order = rng.sample(range(1, n + 1), n)
+    question_order = rng.sample(range(1, m + 1), m)
+    lengths = sorted(rng.randint(0, m) for _ in range(n))
+    sol = nested_solution(inst, student_order, question_order, lengths, "test")
+    assert verify_solution(inst, ProblemSpec(Variant.IMO_RECOGNIZE), sol).ok
+    prefix = [sum(1 << (q - 1) for q in question_order[:t]) for t in range(m + 1)]
+    want = sum((inst.adj_bits[s - 1] ^ prefix[t]).bit_count() for s, t in zip(student_order, lengths))
+    assert sol.edits.size == sol.cost == want
+    assert (sol.student_order, sol.question_order) == (tuple(student_order), tuple(question_order))

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import random
+from typing import Sequence
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrank import (
     GenConfig,
@@ -16,8 +21,9 @@ from chainrank import (
     recognize_ideal,
     with_base_orders,
 )
-from chainrank.core_model import InvalidInstanceError
-from chainrank.instance_gen import NotEnoughPairsError
+from chainrank.core_model import Instance, InvalidInstanceError, validate_instance
+from chainrank.instance_gen import NotEnoughPairsError, _rng
+from conftest import random_instance
 
 
 class TestGenIdeal:
@@ -33,10 +39,10 @@ class TestGenIdeal:
     def test_forced_prefix_lengths_make_figure_one_shape(self):
         cfg = GenConfig(num_students=3, num_questions=5, seed=0)
         inst, true_students, _ = gen_ideal(cfg, prefix_lengths=(2, 4, 5))
-        assert sorted(len(inst.neighbors(s)) for s in range(1, 4)) == [2, 4, 5]
+        assert sorted(len(inst.adjacency[s - 1]) for s in range(1, 4)) == [2, 4, 5]
         cert = recognize_ideal(inst)
         assert isinstance(cert, NestingCertificate)
-        sizes = [len(inst.neighbors(s)) for s in cert.student_order]
+        sizes = [len(inst.adjacency[s - 1]) for s in cert.student_order]
         assert sizes == [2, 4, 5]
 
     def test_one_by_one_is_deterministic(self):
@@ -56,17 +62,17 @@ class TestGenIdeal:
         inst, true_students, true_questions = gen_ideal(
             GenConfig(num_students=4, num_questions=5, seed=9)
         )
-        lengths = [len(inst.neighbors(s)) for s in true_students]
+        lengths = [len(inst.adjacency[s - 1]) for s in true_students]
         assert lengths == sorted(lengths)
         for pos, s in enumerate(true_students):
-            assert inst.neighbors(s) == frozenset(true_questions[: lengths[pos]])
+            assert set(inst.adjacency[s - 1]) == set(true_questions[: lengths[pos]])
 
     def test_recognition_recovers_true_order_up_to_ties(self):
         for seed in range(15):
             inst, true_students, _ = gen_ideal(GenConfig(num_students=6, num_questions=8, seed=seed))
             cert = recognize_ideal(inst)
-            recovered = [inst.neighbors(s) for s in cert.student_order]
-            truth = [inst.neighbors(s) for s in true_students]
+            recovered = [inst.adj_bits[s - 1] for s in cert.student_order]
+            truth = [inst.adj_bits[s - 1] for s in true_students]
             assert recovered == truth
 
 
@@ -162,3 +168,72 @@ class TestPerturbOrder:
             # the generator's question order is one the true order can reach
             ideal_q = with_base_orders(inst, question_order=true_q)
             assert solve_constrained_knear(ideal_q, 1).cost == 0
+
+
+def _perturb_edges_reference(inst: Instance, cfg: GenConfig) -> Instance:
+    """The pair-set ``perturb_edges`` that the bitset one replaced."""
+    rng = _rng(cfg.seed, "edges")
+    n, m = inst.num_students, inst.num_questions
+    present = set(inst.edges())
+    pool: Sequence[int] = range(n * m)
+    if cfg.mode_hint != "toggle":
+        delete = cfg.mode_hint == "delete"
+        pool = [i for i in pool if ((i // m + 1, i % m + 1) in present) == delete]
+    if cfg.flip_count is not None:
+        if cfg.flip_count > len(pool):
+            raise NotEnoughPairsError(
+                f"{cfg.flip_count} flips requested but only {len(pool)} eligible pairs"
+            )
+        chosen = rng.sample(pool, cfg.flip_count)
+    elif cfg.flip_probability is not None:
+        chosen = [i for i in pool if rng.random() < cfg.flip_probability]
+    else:
+        chosen = []
+    flipped = present.symmetric_difference((i // m + 1, i % m + 1) for i in chosen)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for s, q in flipped:
+        rows[s - 1].append(q)
+    return validate_instance(
+        Instance(n, m, tuple(tuple(sorted(r)) for r in rows), inst.base_student_order, inst.base_question_order)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_perturb_edges_matches_pair_set_reference(data):
+    """Equal instances for every noise mode and setting; the same error type
+    and message with one fault: more flips than eligible pairs, or a
+    malformed base order on a hand-built instance."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    fault = data.draw(st.sampled_from(["none", "flips", "student_order", "question_order"]))
+    inst = random_instance(rng, max_side=7, with_orders=rng.random() < 0.7)
+    n, m = inst.num_students, inst.num_questions
+    mode = rng.choice(["toggle", "add", "delete"])
+    noise = rng.choice(["count", "probability", "none"])
+    cfg = GenConfig(
+        num_students=n,
+        num_questions=m,
+        seed=rng.randint(0, 10**6),
+        flip_count=rng.randint(0, n * m) if noise == "count" else None,
+        flip_probability=rng.random() if noise == "probability" else None,
+        mode_hint=mode,
+    )
+    if fault == "flips":
+        eligible = inst.edge_count if mode == "delete" else n * m - inst.edge_count
+        if mode != "toggle" and eligible < n * m:
+            cfg = GenConfig(num_students=n, num_questions=m, seed=cfg.seed, flip_count=eligible + 1, mode_hint=mode)
+    elif fault in ("student_order", "question_order"):
+        size = n if fault == "student_order" else m
+        order = tuple(rng.sample(range(1, size + 1), size))
+        bad = order[:-1] if size == 1 or rng.random() < 0.5 else (order[1],) + order[1:]
+        orders = {"student_order": (bad, inst.base_question_order), "question_order": (inst.base_student_order, bad)}
+        inst = Instance(n, m, inst.adjacency, *orders[fault])
+
+    def outcome(perturb):
+        try:
+            out = perturb(inst, cfg)
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc), str(exc)
+        return out, out.adj_bits
+
+    assert outcome(perturb_edges) == outcome(_perturb_edges_reference)

@@ -31,3 +31,26 @@ def test_runtime_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "chainrank":
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert not outside, outside
+
+
+def _sibling_imports(module: str) -> set[str]:
+    """The package modules that ``chainrank/<module>.py`` imports."""
+    path = Path(chainrank.__file__).parent / f"{module}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chainrank."):
+            found.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[2] for a in node.names if a.name.startswith("chainrank."))
+    return found
+
+
+def test_verifier_and_oracle_stay_apart_from_the_solvers():
+    """``core_model`` (the verifier) imports no sibling module, and
+    ``exact_oracle`` only ``core_model``: neither shares the solvers'
+    nesting-to-edits step in ``ideal``."""
+    assert _sibling_imports("core_model") == set()
+    assert _sibling_imports("exact_oracle") == {"core_model"}
+    assert "ideal" in _sibling_imports("dp_engine")  # the guard sees real imports

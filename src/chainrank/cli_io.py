@@ -27,7 +27,6 @@ from .core_model import (
     Side,
     Solution,
     Variant,
-    instance_from_bitsets,
     verify_solution,
     with_base_orders,
 )
@@ -105,7 +104,7 @@ def parse_instance(text: str) -> Instance:
             question_order = _parse_ints(rest, lineno)
         else:
             raise ParseError(f"unexpected line {line!r}", line=lineno)
-    return instance_from_bitsets(n, m, bits, student_order, question_order)
+    return Instance(n, m, bits, student_order, question_order)
 
 
 def _parse_ints(text: str, lineno: int) -> tuple[int, ...]:

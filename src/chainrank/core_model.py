@@ -1,6 +1,9 @@
 """Core domain types for bipartite chain editing: instances, edit sets,
 solutions, and the solver-independent feasibility verifier.
 
+An Instance stores one bitset per student, its neighborhood, and checks its
+sizes, rows and base orders when it is built, so every Instance is valid.
+
 Students and questions are 1-indexed everywhere. Ordering tuples list the
 entity occupying each position, with position 1 holding the weakest student
 (or easiest question). Frontier value 0 is the "answered nothing" sentinel
@@ -33,10 +36,6 @@ class InvalidInstanceError(ChainRankError):
 
 class OutOfRangeEdgeError(ChainRankError):
     code = "OUT_OF_RANGE_EDGE"
-
-
-class DuplicateEdgeError(ChainRankError):
-    code = "DUPLICATE_EDGE"
 
 
 class NotAPermutationError(ChainRankError):
@@ -118,33 +117,51 @@ def max_displacement(order: Sequence[int], base: Sequence[int]) -> int:
 class Instance:
     """Bipartite student/question graph, optionally with base orderings.
 
-    ``adjacency[s - 1]`` holds the sorted question ids answered correctly by
-    student ``s``. Base orders, when present, map position -> entity with
-    position 1 the weakest student / easiest question.
+    ``adj_bits[s - 1]`` is student s's neighborhood as a bitset, bit q-1 set
+    iff s answers question q: the form every solver works on. Base orders,
+    when present, map position -> entity with position 1 the weakest
+    student / easiest question. Construction checks the sizes, each row's
+    range and the base orders, in that order, and stores them as tuples, so
+    every Instance is valid.
     """
 
     num_students: int
     num_questions: int
-    adjacency: tuple[tuple[int, ...], ...]
+    adj_bits: tuple[int, ...]
     base_student_order: tuple[int, ...] | None = None
     base_question_order: tuple[int, ...] | None = None
 
+    def __post_init__(self) -> None:
+        n, m = self.num_students, self.num_questions
+        bits = tuple(self.adj_bits)
+        _check_sizes(n, m, len(bits))
+        for s, b in enumerate(bits, start=1):
+            if not isinstance(b, int):
+                raise InvalidInstanceError(f"student {s}'s bitset {b!r} is not an int")
+            if b >> m:  # a bit past question m, or any negative b
+                raise OutOfRangeEdgeError(f"student {s}'s bitset {b} names a question outside 1..{m}")
+        object.__setattr__(self, "adj_bits", tuple(map(int, bits)))
+        for field, size, label in (("base_student_order", n, "student"), ("base_question_order", m, "question")):
+            order = getattr(self, field)
+            if order is not None:
+                object.__setattr__(self, field, _validated_order(order, size, label))
+
     @cached_property
-    def adj_bits(self) -> tuple[int, ...]:
-        """Per-student neighborhoods as bitsets (bit q-1 set iff edge s-q),
-        the form every solver works on. ``instance_from_bitsets`` seeds it;
-        the rows of an Instance built directly are checked as
-        ``validate_instance`` checks them."""
-        return tuple(_validated_bits(self.num_students, self.num_questions, self.adjacency))
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[s - 1]``: the question ids of student s, ascending,
+        read off its bitset; every row shares one int object per id."""
+        qids = list(range(1, self.num_questions + 1))
+        return tuple(tuple(bit_ids(b, qids)) for b in self.adj_bits)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for s, row in enumerate(self.adjacency, start=1):
-            for q in row:
+        qids = list(range(1, self.num_questions + 1))  # one int object per id
+        for s, b in enumerate(self.adj_bits, start=1):
+            for q in bit_ids(b, qids):
                 yield (s, q)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency)
+        return sum(map(int.bit_count, self.adj_bits))
 
 
 @dataclass(frozen=True)
@@ -168,10 +185,6 @@ class EditSet:
     @property
     def size(self) -> int:
         return len(self.additions) + len(self.deletions)
-
-    def reversed(self) -> "EditSet":
-        """The edit set undoing this one."""
-        return EditSet(self.deletions, self.additions)
 
 
 EMPTY_EDITS = EditSet()
@@ -231,10 +244,10 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Instance construction and validation
+# Instance construction
 #
-# Every constructor builds per-student bitsets and hands them to
-# ``instance_from_bitsets``, the one place an Instance is made.
+# ``Instance`` checks itself; ``make_instance`` builds one from edges and the
+# other constructors from bitsets.
 
 
 def _validated_order(order: Sequence[int], n: int, label: str) -> tuple[int, ...]:
@@ -272,69 +285,6 @@ def bit_ids(bits: int, ids: Sequence[int]) -> Iterator[int]:
     return compress(ids, bin(bits)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def instance_from_bitsets(
-    num_students: int,
-    num_questions: int,
-    bits: Sequence[int],
-    base_student_order: Sequence[int] | None = None,
-    base_question_order: Sequence[int] | None = None,
-) -> Instance:
-    """Build a validated Instance from per-student bitsets (bit q-1 set iff
-    the student answers question q), which become its cached ``adj_bits``.
-
-    Rows read off a bitset are sorted and free of duplicates by
-    construction, so only the bitsets' range and the base orders are
-    checked; the result equals the ``validate_instance`` of the same rows.
-    """
-    n, m = num_students, num_questions
-    _check_sizes(n, m, len(bits))
-    qids = list(range(1, m + 1))  # one int object per question, shared by all rows
-    rows = []
-    for s, b in enumerate(bits, start=1):
-        if b >> m:  # a bit past question m, or any negative b
-            raise OutOfRangeEdgeError(f"student {s}'s bitset {b} names a question outside 1..{m}")
-        rows.append(tuple(bit_ids(b, qids)))
-    inst = Instance(
-        num_students=n,
-        num_questions=m,
-        adjacency=tuple(rows),
-        base_student_order=None if base_student_order is None else _validated_order(base_student_order, n, "student"),
-        base_question_order=None if base_question_order is None else _validated_order(base_question_order, m, "question"),
-    )
-    vars(inst)["adj_bits"] = tuple(bits)  # seeds the cached_property
-    return inst
-
-
-def _validated_bits(n: int, m: int, rows: Sequence[Iterable[int]]) -> list[int]:
-    """The bitsets of the rows of an n x m instance, once the sizes and
-    every row are checked."""
-    _check_sizes(n, m, len(rows))
-    bits = []
-    for s, row in enumerate(rows, start=1):
-        seen: set[int] = set()
-        for q in row:
-            q = int(q)
-            if not 1 <= q <= m:
-                raise OutOfRangeEdgeError(f"student {s} lists question {q}, outside 1..{m}")
-            if q in seen:
-                raise DuplicateEdgeError(f"student {s} lists question {q} twice")
-            seen.add(q)
-        bits.append(_row_bits(seen, m))
-    return bits
-
-
-def validate_instance(inst: Instance) -> Instance:
-    """Check all invariants and return the instance in canonical form.
-
-    Canonical form stores each adjacency row as a sorted tuple and the base
-    orders as int tuples. Idempotent: validating a validated instance returns
-    an equal instance.
-    """
-    n, m = inst.num_students, inst.num_questions
-    bits = _validated_bits(n, m, inst.adjacency)
-    return instance_from_bitsets(n, m, bits, inst.base_student_order, inst.base_question_order)
-
-
 def make_instance(
     num_students: int,
     num_questions: int,
@@ -342,16 +292,24 @@ def make_instance(
     base_student_order: Sequence[int] | None = None,
     base_question_order: Sequence[int] | None = None,
 ) -> Instance:
-    """Build a validated Instance from an edge list; a repeated edge counts
-    once."""
+    """Build an Instance from an edge list; a repeated edge counts once.
+
+    Checks each edge's student in input order, then the sizes, then each
+    student's question ids in ascending order, then the base orders.
+    """
     n, m = num_students, num_questions
     rows: list[set[int]] = [set() for _ in range(n)]
     for s, q in edges:
         if not 1 <= int(s) <= n:
             raise OutOfRangeEdgeError(f"edge ({s},{q}) names student outside 1..{n}")
         rows[int(s) - 1].add(int(q))
-    bits = _validated_bits(n, m, [sorted(row) for row in rows])
-    return instance_from_bitsets(n, m, bits, base_student_order, base_question_order)
+    _check_sizes(n, m, len(rows))
+    for s, row in enumerate(rows, start=1):
+        outside = [q for q in row if not 1 <= q <= m]
+        if outside:
+            raise OutOfRangeEdgeError(f"student {s} lists question {min(outside)}, outside 1..{m}")
+    bits = [_row_bits(row, m) for row in rows]
+    return Instance(n, m, bits, base_student_order, base_question_order)
 
 
 def with_base_orders(
@@ -361,7 +319,7 @@ def with_base_orders(
 ) -> Instance:
     """Attach (or replace) base orders, validating them; the rows are
     ``inst.adj_bits`` as they are."""
-    return instance_from_bitsets(
+    return Instance(
         inst.num_students,
         inst.num_questions,
         inst.adj_bits,
@@ -393,7 +351,7 @@ def apply_edits(inst: Instance, edits: EditSet) -> Instance:
             if (bits[s - 1] >> (q - 1)) & 1 != present:
                 raise EditConflictError(f"{kind} ({s},{q}) {fault}")
             bits[s - 1] ^= 1 << (q - 1)
-    return instance_from_bitsets(n, m, bits, inst.base_student_order, inst.base_question_order)
+    return Instance(n, m, bits, inst.base_student_order, inst.base_question_order)
 
 
 # ---------------------------------------------------------------------------

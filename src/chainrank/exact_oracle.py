@@ -322,7 +322,7 @@ def inner_fixed_orders_cost(
         target = {(s, q) for q, size in size_of.items() for s in student_order[n - size :]}
     else:
         nbh_bits = [inst.adj_bits[s - 1] for s in student_order]
-        degs = [len(inst.adjacency[s - 1]) for s in student_order]
+        degs = [b.bit_count() for b in nbh_bits]
         cost, order, rows = _INF, None, []
         for beta in enumerate_knear_permutations(*question_side):
             beta_rows: list[list[int | float]] = []
@@ -383,7 +383,7 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
     group_keys, group_members = _question_groups(inst)
     group_sizes = [len(ms) for ms in group_members]
     nbh_bits_by_id = inst.adj_bits
-    degs_by_id = [len(row) for row in inst.adjacency]
+    degs_by_id = [b.bit_count() for b in nbh_bits_by_id]
 
     best_cost: int | float = _INF
     best_pi: tuple[int, ...] | None = None

@@ -191,21 +191,16 @@ class ReductionInstance:
     gadget_ranges: tuple[GadgetRange, ...]
 
 
-def build_reduction(phi: Formula, gadget_multiplicity: int | None = None) -> ReductionInstance:
+def build_reduction(phi: Formula) -> ReductionInstance:
     """Instance whose optimal unconstrained 1-near editing cost is t_phi
-    exactly when phi is satisfiable.
-
-    ``gadget_multiplicity`` overrides the faithful t_phi + 1 copies per
-    enforced pair; lowering it voids the hardness guarantee and exists only
-    for instance-size experiments.
+    exactly when phi is satisfiable. Each enforced pair gets t_phi + 1
+    copies of its gadget question.
     """
     n = phi.num_vars
     m = len(phi.clauses)
     num_students = 6 * n
     t_phi = m * (3 * n - 1)
-    mult = (t_phi + 1) if gadget_multiplicity is None else gadget_multiplicity
-    if mult < 0:
-        raise InvalidInstanceError("gadget multiplicity must be non-negative")
+    mult = t_phi + 1
 
     # Base order, weakest first: ids descend from the weakest (last group's d).
     pi_phi = tuple(range(num_students, 0, -1))
@@ -216,8 +211,6 @@ def build_reduction(phi: Formula, gadget_multiplicity: int | None = None) -> Red
 
     def add_block(upper: tuple[int, str], lower: tuple[int, str]) -> None:
         nonlocal next_q
-        if mult == 0:
-            return
         cut = student_id(*upper)
         first = next_q
         for q in range(first, first + mult):

@@ -161,7 +161,8 @@ def solve_fixed_side(
     tag = f"ideal.fixed_side.{mode.value}"
     if side == Side.QUESTIONS_FIXED:
         pos = inverse_positions(fixed_order)
-        prefix = [_cheapest_prefix({pos[q] for q in row}, len(fixed_order), mode) for row in inst.adjacency]
+        qids = range(1, m + 1)
+        prefix = [_cheapest_prefix({pos[q] for q in bit_ids(b, qids)}, len(fixed_order), mode) for b in inst.adj_bits]
         student_order = sorted(range(1, n + 1), key=lambda s: (prefix[s - 1], s))
         lengths = [prefix[s - 1] for s in student_order]
         return nested_solution(inst, student_order, fixed_order, lengths, tag)

@@ -20,7 +20,6 @@ from .core_model import (
     Instance,
     InvalidInstanceError,
     bit_ids,
-    instance_from_bitsets,
     inverse_positions,
 )
 
@@ -94,7 +93,7 @@ def gen_ideal(
     bits = [0] * n
     for s, length in zip(true_students, lengths):
         bits[s - 1] = prefix[length]
-    return instance_from_bitsets(n, m, bits), true_students, true_questions
+    return Instance(n, m, bits), true_students, true_questions
 
 
 def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
@@ -126,7 +125,7 @@ def perturb_edges(inst: Instance, cfg: GenConfig) -> Instance:
     for i in chosen:
         flips[i // m] |= 1 << (i % m)
     flipped = [b ^ f for b, f in zip(bits, flips)]
-    return instance_from_bitsets(n, m, flipped, inst.base_student_order, inst.base_question_order)
+    return Instance(n, m, flipped, inst.base_student_order, inst.base_question_order)
 
 
 def perturb_order(true_order: Sequence[int], k: int, seed: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from chainrank import (
     EMPTY_EDITS,
     MissingBaseOrderError,
-    DuplicateEdgeError,
     EditConflictError,
     EditSet,
     Instance,
@@ -21,15 +22,10 @@ from chainrank import (
     Side,
     Solution,
     Variant,
-    GenConfig,
     apply_edits,
     make_instance,
-    perturb_edges,
-    validate_instance,
     verify_solution,
-    with_base_orders,
 )
-from chainrank.core_model import instance_from_bitsets
 from conftest import figure_one, random_instance
 
 
@@ -45,21 +41,11 @@ class TestValidateInstance:
 
     def test_out_of_range_edge(self):
         with pytest.raises(OutOfRangeEdgeError):
-            validate_instance(Instance(1, 2, ((1, 3),)))
-
-    def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdgeError):
-            validate_instance(Instance(1, 2, ((1, 1),)))
+            make_instance(1, 2, [(1, 3)])
 
     def test_rows_are_sorted(self):
-        inst = validate_instance(Instance(1, 3, ((3, 1),)))
+        inst = make_instance(1, 3, [(1, 3), (1, 1)])
         assert inst.adjacency == ((1, 3),)
-
-    def test_validation_is_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            inst = random_instance(rng)
-            assert validate_instance(inst) == inst
 
     def test_adj_bits_match_rows(self):
         inst = make_instance(2, 4, [(1, 2), (1, 4), (2, 1)])
@@ -69,41 +55,40 @@ class TestValidateInstance:
         rng = random.Random(8)
         for _ in range(25):
             inst = random_instance(rng, max_side=9, with_orders=rng.random() < 0.5)
-            built = instance_from_bitsets(
+            built = Instance(
                 inst.num_students, inst.num_questions, inst.adj_bits,
                 inst.base_student_order, inst.base_question_order,
             )
-            assert built == inst and built.adj_bits == inst.adj_bits
+            assert built == inst and built.adjacency == inst.adjacency
 
     def test_instance_from_bitsets_checks_range_and_orders(self):
         with pytest.raises(OutOfRangeEdgeError):
-            instance_from_bitsets(2, 3, (0b001, 0b1000))
+            Instance(2, 3, (0b001, 0b1000))
         with pytest.raises(OutOfRangeEdgeError):
-            instance_from_bitsets(1, 3, (-1,))
+            Instance(1, 3, (-1,))
         with pytest.raises(InvalidInstanceError):
-            instance_from_bitsets(2, 3, (0b001,))
+            Instance(2, 3, (0b001,))
         with pytest.raises(NotAPermutationError):
-            instance_from_bitsets(2, 3, (0, 0), base_question_order=(1, 2, 2))
+            Instance(2, 3, (0, 0), base_question_order=(1, 2, 2))
 
+    def test_checks_sizes_then_rows_then_orders(self):
+        with pytest.raises(InvalidInstanceError, match="rows for 2 students"):
+            Instance(2, 3, (0b1000,), base_student_order=(1, 1))
+        with pytest.raises(OutOfRangeEdgeError, match="student 2's bitset"):
+            Instance(2, 3, (0, 0b1000), base_student_order=(1, 1))
+        with pytest.raises(NotAPermutationError, match="base student order"):
+            Instance(2, 3, (0, 0), (1, 1), (1, 2, 2))
 
-class TestHandBuiltRows:
-    """An Instance built directly has its rows checked the first time its
-    bitsets are read, so nothing built from it carries a bad row on."""
+    @pytest.mark.parametrize("row", [1.0, "1", None, (1,)])
+    def test_row_that_is_not_an_int_is_invalid(self, row):
+        with pytest.raises(InvalidInstanceError, match="student 2's bitset .* is not an int"):
+            Instance(2, 3, (0b001, row))
 
-    @pytest.mark.parametrize(
-        "rows, error",
-        [(((1, 1),), DuplicateEdgeError), (((0,),), OutOfRangeEdgeError), (((3,),), OutOfRangeEdgeError)],
-    )
-    def test_bad_row_raises_everywhere(self, rows, error):
-        inst = Instance(1, 2, rows)
-        for build in (
-            lambda: inst.adj_bits,
-            lambda: with_base_orders(inst, (1,)),
-            lambda: apply_edits(inst, EMPTY_EDITS),
-            lambda: perturb_edges(inst, GenConfig(1, 2)),
-        ):
-            with pytest.raises(error):
-                build()
+    def test_stores_canonical_tuples(self):
+        inst = Instance(2, 3, [True, 0b101], [2, 1], (3, 1, 2))
+        assert inst.adj_bits == (1, 5) and type(inst.adj_bits[0]) is int
+        assert inst.base_student_order == (2, 1) and inst.adjacency == ((1,), (1, 3))
+        assert inst == make_instance(2, 3, [(1, 1), (2, 1), (2, 3)], (2, 1), (3, 1, 2))
 
 
 class TestApplyEdits:
@@ -141,7 +126,8 @@ class TestApplyEdits:
             dels = rng.sample(present, min(len(present), rng.randint(0, 3)))
             adds = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
             edits = EditSet.of(adds, dels)
-            assert apply_edits(apply_edits(inst, edits), edits.reversed()) == inst
+            undo = EditSet(edits.deletions, edits.additions)
+            assert apply_edits(apply_edits(inst, edits), undo) == inst
 
 
 def _solution(inst, student_order, question_order, edits=EMPTY_EDITS, cost=None):
@@ -217,7 +203,7 @@ def test_edit_roundtrip_property(data):
     adds = [(s, q) for s, q in chosen if q not in inst.adjacency[s - 1]]
     dels = [(s, q) for s, q in chosen if q in inst.adjacency[s - 1]]
     edits = EditSet.of(adds, dels)
-    assert apply_edits(apply_edits(inst, edits), edits.reversed()) == inst
+    assert apply_edits(apply_edits(inst, edits), EditSet(edits.deletions, edits.additions)) == inst
 
 
 @settings(max_examples=200, deadline=None)
@@ -468,31 +454,15 @@ def _validated_order_reference(order, n, label):
     return order
 
 
-def _validate_instance_reference(inst: Instance) -> Instance:
-    n, m = inst.num_students, inst.num_questions
+def _check_sizes_reference(n, m, row_count):
     if n < 1 or m < 1:
         raise InvalidInstanceError(f"need at least one student and one question, got {n}x{m}")
-    if len(inst.adjacency) != n:
-        raise InvalidInstanceError(f"adjacency has {len(inst.adjacency)} rows for {n} students")
-    rows = []
-    for s, row in enumerate(inst.adjacency, start=1):
-        seen: set[int] = set()
-        for q in row:
-            q = int(q)
-            if not 1 <= q <= m:
-                raise OutOfRangeEdgeError(f"student {s} lists question {q}, outside 1..{m}")
-            if q in seen:
-                raise DuplicateEdgeError(f"student {s} lists question {q} twice")
-            seen.add(q)
-        rows.append(tuple(sorted(seen)))
-    so, qo = inst.base_student_order, inst.base_question_order
-    return Instance(
-        n,
-        m,
-        tuple(rows),
-        None if so is None else _validated_order_reference(so, n, "student"),
-        None if qo is None else _validated_order_reference(qo, m, "question"),
-    )
+    if row_count != n:
+        raise InvalidInstanceError(f"adjacency has {row_count} rows for {n} students")
+
+
+def _row_set_bits(rows) -> list[int]:
+    return [sum(1 << (q - 1) for q in row) for row in rows]
 
 
 def _make_instance_reference(n, m, edges=(), so=None, qo=None) -> Instance:
@@ -501,14 +471,17 @@ def _make_instance_reference(n, m, edges=(), so=None, qo=None) -> Instance:
         if not 1 <= int(s) <= n:
             raise OutOfRangeEdgeError(f"edge ({s},{q}) names student outside 1..{n}")
         rows[int(s) - 1].add(int(q))
-    return _validate_instance_reference(
-        Instance(
-            n,
-            m,
-            tuple(tuple(sorted(r)) for r in rows),
-            None if so is None else tuple(so),
-            None if qo is None else tuple(qo),
-        )
+    _check_sizes_reference(n, m, len(rows))
+    for s, row in enumerate(rows, start=1):
+        for q in sorted(row):
+            if not 1 <= q <= m:
+                raise OutOfRangeEdgeError(f"student {s} lists question {q}, outside 1..{m}")
+    return Instance(
+        n,
+        m,
+        _row_set_bits(rows),
+        None if so is None else _validated_order_reference(so, n, "student"),
+        None if qo is None else _validated_order_reference(qo, m, "question"),
     )
 
 
@@ -530,7 +503,51 @@ def _apply_edits_reference(inst: Instance, edits: EditSet) -> Instance:
         if q not in rows[s - 1]:
             raise EditConflictError(f"deletion ({s},{q}) is absent")
         rows[s - 1].discard(q)
-    return Instance(n, m, tuple(tuple(sorted(r)) for r in rows), inst.base_student_order, inst.base_question_order)
+    return Instance(n, m, _row_set_bits(rows), inst.base_student_order, inst.base_question_order)
+
+
+@dataclass(frozen=True)
+class _RowInstance:
+    """The old Instance, which stored row tuples and derived its bitsets."""
+
+    num_students: int
+    num_questions: int
+    adjacency: tuple[tuple[int, ...], ...]
+    base_student_order: tuple[int, ...] | None = None
+    base_question_order: tuple[int, ...] | None = None
+
+    @cached_property
+    def adj_bits(self) -> tuple[int, ...]:
+        return tuple(_row_set_bits(self.adjacency))
+
+    def edges(self):
+        for s, row in enumerate(self.adjacency, start=1):
+            for q in row:
+                yield (s, q)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(row) for row in self.adjacency)
+
+
+def _instance_from_bitsets_reference(n, m, bits, so=None, qo=None) -> _RowInstance:
+    """The old ``instance_from_bitsets``: row tuples read off the bitsets,
+    which then seed the cached ``adj_bits``."""
+    _check_sizes_reference(n, m, len(bits))
+    rows = []
+    for s, b in enumerate(bits, start=1):
+        if b >> m:
+            raise OutOfRangeEdgeError(f"student {s}'s bitset {b} names a question outside 1..{m}")
+        rows.append(tuple(q for q in range(1, m + 1) if b >> (q - 1) & 1))
+    inst = _RowInstance(
+        n,
+        m,
+        tuple(rows),
+        None if so is None else _validated_order_reference(so, n, "student"),
+        None if qo is None else _validated_order_reference(qo, m, "question"),
+    )
+    vars(inst)["adj_bits"] = tuple(bits)
+    return inst
 
 
 def _outcome(build):
@@ -595,34 +612,52 @@ def test_make_instance_matches_row_set_reference(data):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_validate_instance_matches_row_set_reference(data):
-    """The same for ``validate_instance`` on hand-built instances, with rows
-    in any order: a size below 1, a row count off, a question out of range
-    or listed twice, a malformed base order."""
+def test_instance_matches_bitset_reference(data):
+    """``Instance`` against the old ``instance_from_bitsets``: equal bitsets,
+    rows, edges, edge count and orders without a fault; the same error type
+    and message with one fault: a bit past m, a negative row, a row count
+    off, a size below 1, a malformed base order."""
     rng = random.Random(data.draw(st.integers(0, 10**9)))
-    fault = data.draw(st.sampled_from(["none", "size", "rows", "question", "duplicate", "student_order", "question_order"]))
-    n, m = rng.randint(1, 6), rng.randint(1, 6)
-    rows = [rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(n)]
+    fault = data.draw(st.sampled_from(["none", "bit", "negative", "rows", "size", "student_order", "question_order"]))
+    n, m = rng.randint(1, 6), rng.randint(1, 70)
+    bits = [rng.getrandbits(m) for _ in range(n)]
     so = rng.sample(range(1, n + 1), n) if rng.random() < 0.7 else None
     qo = rng.sample(range(1, m + 1), m) if rng.random() < 0.7 else None
-    s = rng.randrange(n)
-    if fault == "size":
-        n, m = rng.choice([(0, m), (n, 0), (-2, m)])
-    elif fault == "rows":
-        rows = rows[:-1] if rng.random() < 0.5 else rows + [[]]
-    elif fault == "question":
-        rows[s].insert(rng.randint(0, len(rows[s])), rng.choice([0, -1, m + 1, 10**12]))
-    elif fault == "duplicate" and rows[s]:
-        rows[s].insert(rng.randint(0, len(rows[s])), rng.choice(rows[s]))
+    # One or two faulty rows of the fault's kind: the first is reported.
+    for s in rng.sample(range(n), min(n, rng.randint(1, 2))):
+        if fault == "bit":
+            bits[s] |= 1 << rng.choice([m, m + 1, rng.randint(m, m + 70)])
+        elif fault == "negative":
+            bits[s] = rng.choice([-1, -bits[s] - 1, -(1 << m)])
+    if fault == "rows":
+        bits = bits[:-1] if rng.random() < 0.5 else bits + [0]
+    elif fault == "size":
+        n, m = rng.choice([(0, m), (n, 0), (-2, m), (0, 0)])
     elif fault == "student_order":
         so = _broken_order(rng, n, rng.choice(_ORDER_FAULTS[1:] if n == 1 else _ORDER_FAULTS))
     elif fault == "question_order":
         qo = _broken_order(rng, m, rng.choice(_ORDER_FAULTS[1:] if m == 1 else _ORDER_FAULTS))
-    inst = Instance(n, m, tuple(map(tuple, rows)), None if so is None else tuple(so), None if qo is None else tuple(qo))
-    got = _outcome(lambda: validate_instance(inst))
-    assert got == _outcome(lambda: _validate_instance_reference(inst))
-    if isinstance(got[0], Instance):
-        assert validate_instance(got[0]) == got[0]
+
+    def outcome(build):
+        try:
+            inst = build()
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc), str(exc)
+        return (
+            inst.num_students,
+            inst.num_questions,
+            inst.adj_bits,
+            inst.adjacency,
+            list(inst.edges()),
+            inst.edge_count,
+            inst.base_student_order,
+            inst.base_question_order,
+        )
+
+    got = outcome(lambda: Instance(n, m, bits, so, qo))
+    assert got == outcome(lambda: _instance_from_bitsets_reference(n, m, bits, so, qo))
+    if fault == "none":
+        assert isinstance(got[0], int)
 
 
 @settings(max_examples=300, deadline=None)

@@ -338,19 +338,29 @@ def apply_edits(inst: Instance, edits: EditSet) -> Instance:
     overlap = edits.additions & edits.deletions
     if overlap:
         raise EditConflictError(f"pairs both added and deleted: {sorted(overlap)}")
-    bits = list(inst.adj_bits)
-    # Additions go first, but the sets are disjoint, so every deletion is
-    # checked against the original rows.
+    original = bits = inst.adj_bits
+    qbit = {q: 1 << (q - 1) for q in range(1, m + 1)}
+    # The sets are disjoint, so each is checked whole against the original
+    # rows, as in ``verify_solution``. On a fault the smallest faulty pair is
+    # reported: the first that checking additions, then deletions, in sorted
+    # order would meet.
     for kind, pairs, present, fault in (
         ("addition", edits.additions, 0, "already present"),
         ("deletion", edits.deletions, 1, "is absent"),
     ):
-        for s, q in sorted(pairs):
-            if not (1 <= s <= n and 1 <= q <= m):
+        rows = _pair_rows(pairs, n, qbit)
+        if sum(map(int.bit_count, rows)) < len(pairs) or any(
+            r & o != (r if present else 0) for r, o in zip(rows, original)
+        ):
+            s, q = min(
+                (s, q)
+                for s, q in pairs
+                if not (0 < s <= n and q in qbit and (original[s - 1] >> (q - 1)) & 1 == present)
+            )
+            if not (0 < s <= n and q in qbit):
                 raise EditConflictError(f"{kind} ({s},{q}) is out of range")
-            if (bits[s - 1] >> (q - 1)) & 1 != present:
-                raise EditConflictError(f"{kind} ({s},{q}) {fault}")
-            bits[s - 1] ^= 1 << (q - 1)
+            raise EditConflictError(f"{kind} ({s},{q}) {fault}")
+        bits = [b ^ r for b, r in zip(bits, rows)]
     return Instance(n, m, bits, inst.base_student_order, inst.base_question_order)
 
 

@@ -20,10 +20,11 @@ the cost alone; ``inner_fixed_orders_cost`` calls the same pass once more on
 the winning orders and reads the witness from what it already computes, the
 smallest optimal suffix sizes or the prefix-minimum rows.
 
-The k-near orders of 1..n also come as a layered automaton,
-``knear_automaton``, whose paths are those orders: the DP engines fill
-their tables over its states and ``count_knear_permutations`` counts its
-paths.
+Every k-near walk reads one layered automaton, ``knear_automaton``, whose
+paths are the k-near orders of 1..n: the DP engines fill their tables over
+its states, ``count_knear_permutations`` counts its paths, and the
+enumeration and the branch-and-bound follow its forward view by entity,
+``_knear_steps``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core_model import (
     ChainRankError,
     EditSet,
     Instance,
+    InvalidInstanceError,
     Mode,
     ProblemSpec,
     Side,
@@ -55,58 +57,60 @@ class InstanceTooLargeError(ChainRankError):
 # Bounded-displacement permutation enumeration
 
 
-def _knear_candidates(base: Sequence[int], k: int, p: int, used: list[bool]) -> list[int]:
-    """The entities that may go at position p of a k-near order of ``base``,
-    ascending, where ``used[e]`` marks the entities already placed. The
-    deadline rule: the entity whose last admissible position is p goes
-    there. Every entity due earlier was placed by then, so no branch
-    dead-ends."""
-    if p > k and not used[base[p - k - 1]]:
-        return [base[p - k - 1]]
-    return sorted(e for e in base[max(0, p - 1 - k) : p + k] if not used[e])
-
-
 def enumerate_knear_permutations(base: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     """Yield every permutation moving each entity at most k positions from
     its position in ``base``, each exactly once, in lexicographic order of
     the emitted position -> entity tuples.
 
-    Backtracking with displacement pruning over ``_knear_candidates``. The
-    stack is explicit, so n is not limited by the recursion limit.
+    A walk of the automaton's forward view, ``_knear_steps``. The stack is
+    explicit, so n is not limited by the recursion limit.
     """
     base = tuple(base)
-    n = len(base)
-    if k == 0 or n == 0:
-        yield base
-        return
-    used = [False] * (max(base) + 1)
-    out: list[int] = []
+    steps = _knear_steps(base, k)
+    return _walk(steps) if base else iter([()])
 
-    # stack[p-1] iterates the candidates at position p; out[p-1] is the one
-    # placed there, if any.
-    stack = [iter(_knear_candidates(base, k, 1, used))]
+
+def _knear_steps(base: tuple[int, ...], k: int) -> list[list[list[tuple[int, int]]]]:
+    """The forward view of ``knear_automaton`` over ``base``: entry i lists,
+    per state id at position i (state 0 of the start layer at i = 0), the
+    (entity, state id) pairs at position i+1 that may follow it, ascending by
+    entity, shared by the states that lead to the same window."""
+    steps = []
+    for pos in knear_automaton(len(base), min(k, max(len(base) - 1, 0))):
+        by_window: list[list[tuple[int, int]]] = [[] for _ in pos.windows]
+        for sid, (e, w) in enumerate(pos.states):
+            by_window[w].append((base[pos.lo + e - 1], sid))
+        step = {p: f for f, ps in zip(map(sorted, by_window), pos.parents) for p in ps}
+        steps.append([step[p] for p in range(len(step))])
+    return steps
+
+
+def _walk(steps: list[list[list[tuple[int, int]]]]) -> Iterator[tuple[int, ...]]:
+    """The orders spelled by ``steps`` (at least one position), in order."""
+    n = len(steps)
+    out: list[int] = []
+    # stack[p] iterates the successors of the state placed at position p
+    # (the start state at p = 0); out[p-1] is the entity placed at p, if any.
+    stack = [iter(steps[0][0])]
     while stack:
         if len(out) == len(stack):
-            used[out.pop()] = False
-        e = next(stack[-1], None)
+            out.pop()
+        e, sid = next(stack[-1], (None, 0))
         if e is None:
             stack.pop()
             continue
-        used[e] = True
         out.append(e)
         if len(out) == n:
             yield tuple(out)
         else:
-            stack.append(iter(_knear_candidates(base, k, len(out) + 1, used)))
+            stack.append(iter(steps[len(out)][sid]))
 
 
 def count_knear_permutations(n: int, k: int) -> int:
     """Number of permutations of n elements with displacement at most k,
     without enumerating them: the paths through ``knear_automaton(n, k)``."""
-    if n <= 0 or k <= 0:
-        return 1
-    if k >= n - 1:
-        return factorial(n)
+    if k >= max(n - 1, 0):
+        return factorial(max(n, 0))
     counts = [1]
     for pos in knear_automaton(n, k):
         per_window = [sum(counts[p] for p in parents) for parents in pos.parents]
@@ -145,6 +149,8 @@ _shared_shapes: dict[tuple[int, int, int], tuple] = {}
 
 
 def _shape_memo(k: int) -> dict:
+    if k < 0:
+        raise InvalidInstanceError("k must be non-negative")
     return _shared_shapes if k <= _SHARED_K else {}
 
 
@@ -382,6 +388,7 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
 
     group_keys, group_members = _question_groups(inst)
     group_sizes = [len(ms) for ms in group_members]
+    qsteps = None if qbase is None else _knear_steps(qbase, qk)
     nbh_bits_by_id = inst.adj_bits
     degs_by_id = [b.bit_count() for b in nbh_bits_by_id]
 
@@ -397,7 +404,7 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
         else:
             nbh_bits = [nbh_bits_by_id[s - 1] for s in pi]
             degs = [degs_by_id[s - 1] for s in pi]
-            for beta in enumerate_knear_permutations(qbase, qk):
+            for beta in _walk(qsteps):
                 c = _exact_cost(nbh_bits, degs, beta, mode)
                 if c < best_cost:
                     best_cost, best_pi, best_beta = c, pi, beta
@@ -423,10 +430,11 @@ def solve_unconstrained_knear_editing_exact(
 
     Depth-first branch-and-bound over the k-near student orders, placed
     position by position in the order ``enumerate_knear_permutations``
-    yields them. A question with deg answerers, A(t) of them among the first
-    t students, costs ``n - deg + 2A(t) - t`` at threshold t. Each question
-    group carries A and M, the minimum of ``2A(t) - t`` up to its last placed
-    answerer. Past the placed prefix the value cannot drop below
+    yields them: each frame takes its candidates from ``_knear_steps``, the
+    successors of the automaton state placed before it. A question with deg
+    answerers, A(t) of them among the first t students, costs
+    ``n - deg + 2A(t) - t`` at threshold t. Each question group carries A
+    and M, the minimum of ``2A(t) - t`` up to its last placed answerer. Past the placed prefix the value cannot drop below
     ``A + deg - n``, since the unplaced answerers fit at the end at best, so
     ``sum(w * (n - deg + min(M, A + deg - n)))`` bounds every completion and
     is ``_free_cost`` itself at a leaf. A subtree whose bound is no better than
@@ -438,7 +446,7 @@ def solve_unconstrained_knear_editing_exact(
     ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.EDITING, k).validate_for(inst)
     n = inst.num_students
     _guard(count_knear_permutations(n, k), cap)
-    base = inst.base_student_order
+    steps = _knear_steps(inst.base_student_order, k)
 
     group_keys, group_members = _question_groups(inst)
     weights = [len(ms) for ms in group_members]
@@ -450,35 +458,30 @@ def solve_unconstrained_knear_editing_exact(
     answered = [0] * len(group_keys)  # A per group
     run_min = [0] * len(group_keys)  # M per group
 
-    used = [False] * (n + 1)
-
-    # Per position p: the student placed there (0 for none), its candidates,
-    # the index of the next one to try, the bound of the prefix before p and
-    # the run minima that placing order[p] overwrote.
+    # Per position p: the student placed there (0 for none), an iterator
+    # over its candidates as (student, automaton state id) pairs, the bound
+    # of the prefix before p and the run minima that placing order[p]
+    # overwrote.
     order = [0] * (n + 1)
-    cands_at: list[list[int]] = [[] for _ in range(n + 1)]
-    next_at = [0] * (n + 1)
+    cands_at: list[Iterator[tuple[int, int]]] = [iter(())] * (n + 1)
     bound_at = [0] * (n + 1)
     saved_at: list[list[int]] = [[] for _ in range(n + 1)]
     best_cost: int | float = _INF
     best_pi: tuple[int, ...] | None = None
 
     p = 1
-    cands_at[1] = _knear_candidates(base, k, 1, used)
+    cands_at[1] = iter(steps[0][0])
     while p:
         s = order[p]
         if s:
             order[p] = 0
-            used[s] = False
             for g, m in zip(groups_of[s], saved_at[p]):
                 answered[g] -= 1
                 run_min[g] = m
-        i = next_at[p]
-        if i == len(cands_at[p]):
+        s, sid = next(cands_at[p], (0, 0))
+        if not s:
             p -= 1
             continue
-        next_at[p] = i + 1
-        s = cands_at[p][i]
         gs = groups_of[s]
         bound = bound_at[p]
         new_min = []
@@ -501,11 +504,9 @@ def solve_unconstrained_knear_editing_exact(
             run_min[g] = m2
             answered[g] += 1
         order[p] = s
-        used[s] = True
         p += 1
         bound_at[p] = bound
-        cands_at[p] = _knear_candidates(base, k, p, used)
-        next_at[p] = 0
+        cands_at[p] = iter(steps[p - 1][sid])
 
     assert best_pi is not None, "feasible ordering always exists"
     cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, None, Mode.EDITING)

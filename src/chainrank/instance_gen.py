@@ -132,13 +132,15 @@ def perturb_order(true_order: Sequence[int], k: int, seed: int) -> tuple[int, ..
     """A scramble of ``true_order`` in which no entity moves more than k
     positions, via a random walk of adjacent swaps that rejects any swap
     breaking the bound. Not uniform over the k-bounded permutations, which
-    the tests do not need."""
+    the tests do not need. Past n - 1 every swap is admissible, so a larger
+    k walks as k = n - 1 does."""
     if k < 0:
         raise InvalidInstanceError("k must be non-negative")
     order = list(true_order)
     n = len(order)
     if k == 0 or n < 2:
         return tuple(order)
+    k = min(k, n - 1)
     rng = _rng(seed, "order")
     base_pos = inverse_positions(order)
     for _ in range(4 * n * k):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainrank import (
     InstanceTooLargeError,
+    InvalidInstanceError,
     Mode,
     ProblemSpec,
     Side,
@@ -19,6 +20,7 @@ from chainrank import (
     apply_edits,
     count_knear_permutations,
     enumerate_knear_permutations,
+    enumerate_window_sets,
     inner_fixed_orders_cost,
     make_instance,
     oracle_solve,
@@ -92,6 +94,74 @@ class TestEnumeration:
                 stream = sum(1 for _ in enumerate_knear_permutations(tuple(range(1, n + 1)), k))
                 assert count_knear_permutations(n, k) == stream
         assert count_knear_permutations(8, 7) == factorial(8)
+
+
+def _knear_candidates_reference(base, k, p, used):
+    """The entities that may go at position p of a k-near order of ``base``,
+    ascending, where ``used[e]`` marks the entities already placed. The
+    deadline rule: the entity whose last admissible position is p goes
+    there. Every entity due earlier was placed by then, so no branch
+    dead-ends."""
+    if p > k and not used[base[p - k - 1]]:
+        return [base[p - k - 1]]
+    return sorted(e for e in base[max(0, p - 1 - k) : p + k] if not used[e])
+
+
+def _enumerate_knear_reference(base, k):
+    """The enumeration before it walked the automaton: backtracking over
+    ``_knear_candidates_reference`` with an explicit stack."""
+    base = tuple(base)
+    n = len(base)
+    if k == 0 or n == 0:
+        yield base
+        return
+    used = [False] * (max(base) + 1)
+    out = []
+    stack = [iter(_knear_candidates_reference(base, k, 1, used))]
+    while stack:
+        if len(out) == len(stack):
+            used[out.pop()] = False
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        used[e] = True
+        out.append(e)
+        if len(out) == n:
+            yield tuple(out)
+        else:
+            stack.append(iter(_knear_candidates_reference(base, k, len(out) + 1, used)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_candidate_reference(data):
+    """The automaton walk emits the deadline-rule reference's orders, in
+    the same sequence, for bounds up to past the base's size."""
+    n = data.draw(st.integers(0, 8))
+    base = tuple(data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)))
+    k = data.draw(st.integers(0, n + 1))
+    assert list(enumerate_knear_permutations(base, k)) == list(_enumerate_knear_reference(base, k))
+
+
+class TestNegativeK:
+    """Every public k-near function refuses a negative bound, with the
+    message ``ProblemSpec.validate_for`` uses."""
+
+    def test_enumeration(self):
+        with pytest.raises(InvalidInstanceError, match="k must be non-negative"):
+            list(enumerate_knear_permutations((1, 2, 3, 4), -1))
+
+    def test_automaton(self):
+        with pytest.raises(InvalidInstanceError, match="k must be non-negative"):
+            knear_automaton(4, -1)
+
+    def test_count(self):
+        with pytest.raises(InvalidInstanceError, match="k must be non-negative"):
+            count_knear_permutations(4, -1)
+
+    def test_window_sets_stay_empty(self):
+        assert enumerate_window_sets(2, 1, -1, 4) == []
 
 
 def test_large_k_shapes_are_not_kept_after_the_call():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from typing import Sequence
 
 import pytest
@@ -145,6 +146,19 @@ class TestPerturbOrder:
             assert sorted(out) == list(base)
             for pos, e in enumerate(out, start=1):
                 assert abs(pos - e) <= 2
+
+    def test_huge_k_walks_as_n_minus_one(self):
+        """Past n - 1 every swap is admissible, so the walk is k = n - 1's:
+        k = 10**12 neither runs away nor changes the result. k = 10**5 goes
+        first, so that a walk of 4·n·k swaps fails (in seconds) rather than
+        hangs."""
+        base = tuple(range(1, 51))
+        want = perturb_order(base, 49, 5)
+        for k in (10**5, 10**12):
+            start = time.perf_counter()
+            out = perturb_order(base, k, 5)
+            assert time.perf_counter() - start < 1.0, k
+            assert out == want, k
 
     def test_zero_noise_with_perturbed_orders_is_still_free(self):
         from chainrank import (

@@ -456,6 +456,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

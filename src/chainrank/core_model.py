@@ -15,8 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
-from operator import or_
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 
@@ -339,7 +338,6 @@ def apply_edits(inst: Instance, edits: EditSet) -> Instance:
     if overlap:
         raise EditConflictError(f"pairs both added and deleted: {sorted(overlap)}")
     original = bits = inst.adj_bits
-    qbit = {q: 1 << (q - 1) for q in range(1, m + 1)}
     # The sets are disjoint, so each is checked whole against the original
     # rows, as in ``verify_solution``. On a fault the smallest faulty pair is
     # reported: the first that checking additions, then deletions, in sorted
@@ -348,16 +346,16 @@ def apply_edits(inst: Instance, edits: EditSet) -> Instance:
         ("addition", edits.additions, 0, "already present"),
         ("deletion", edits.deletions, 1, "is absent"),
     ):
-        rows = _pair_rows(pairs, n, qbit)
+        rows = _pair_rows(pairs, n, m)
         if sum(map(int.bit_count, rows)) < len(pairs) or any(
             r & o != (r if present else 0) for r, o in zip(rows, original)
         ):
             s, q = min(
                 (s, q)
                 for s, q in pairs
-                if not (0 < s <= n and q in qbit and (original[s - 1] >> (q - 1)) & 1 == present)
+                if not (0 < s <= n and 0 < q <= m and (original[s - 1] >> (q - 1)) & 1 == present)
             )
-            if not (0 < s <= n and q in qbit):
+            if not (0 < s <= n and 0 < q <= m):
                 raise EditConflictError(f"{kind} ({s},{q}) is out of range")
             raise EditConflictError(f"{kind} ({s},{q}) {fault}")
         bits = [b ^ r for b, r in zip(bits, rows)]
@@ -407,14 +405,14 @@ def _knear_check(
     return CheckResult(name, worst <= bound, f"max displacement {worst} vs bound {bound}")
 
 
-def _pair_rows(pairs: Iterable[tuple[int, int]], n: int, qbit: dict[int, int]) -> list[int]:
-    """Per-student bitsets (index s-1) of the pairs that are in range."""
-    rows = [0] * n
+def _pair_rows(pairs: Iterable[tuple[int, int]], n: int, m: int) -> list[int]:
+    """Per-student bitsets (index s-1) of the pairs that are in range; an
+    out-of-range id never reaches a bitset."""
+    cols: list[list[int]] = [[] for _ in range(n)]
     for s, q in pairs:
-        bit = qbit.get(q)
-        if bit and 0 < s <= n:
-            rows[s - 1] |= bit
-    return rows
+        if 0 < s <= n and 0 < q <= m:
+            cols[s - 1].append(q)
+    return [_row_bits(col, m) if col else 0 for col in cols]
 
 
 def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> VerificationReport:
@@ -430,10 +428,8 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
     adds, dels = sol.edits.additions, sol.edits.deletions
     original = inst.adj_bits
 
-    # Only ids 1..m have a bit, so an out-of-range id is never shifted.
-    qbit = {q: 1 << (q - 1) for q in range(1, m + 1)}
-    add_rows = _pair_rows(adds, n, qbit)
-    del_rows = _pair_rows(dels, n, qbit)
+    add_rows = _pair_rows(adds, n, m)
+    del_rows = _pair_rows(dels, n, m)
     # Pairs are distinct, so every pair is in range iff the rows hold one
     # bit per pair. A pair both added and deleted is either present or
     # absent, so the sets are disjoint once both row tests pass.
@@ -494,15 +490,22 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
         checks.append(CheckResult("nested_property", False, "student order malformed"))
 
     if qo_ok:
-        # prefix[c] holds the first c questions of the order; a neighborhood
-        # of c questions is a prefix iff it equals prefix[c].
-        prefix = list(accumulate(map(qbit.__getitem__, sol.question_order), or_, initial=0))
+        # prefix[c] holds the first c questions of the order, for each size c
+        # of an edited neighborhood; a neighborhood of c questions is a
+        # prefix iff it equals prefix[c].
+        sizes = {row.bit_count() for row in edited}
+        prefix = {0: 0}
+        mask = 0
+        for c, q in enumerate(sol.question_order, start=1):
+            mask |= 1 << (q - 1)
+            if c in sizes:
+                prefix[c] = mask
         interval = True
         detail = "each neighborhood is a prefix of the question order"
         for s, row in enumerate(edited, start=1):
             if row != prefix[row.bit_count()]:
                 interval = False
-                positions = [pos for pos, q in enumerate(sol.question_order, start=1) if row & qbit[q]]
+                positions = [pos for pos, q in enumerate(sol.question_order, start=1) if row >> (q - 1) & 1]
                 detail = f"student {s} answers non-prefix positions {positions}"
                 break
         checks.append(CheckResult("interval_property", interval, detail))

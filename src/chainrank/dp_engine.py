@@ -1,17 +1,18 @@
 """Dynamic programs for the polynomial k-near variants, and ``solve``, the
-one map from a ``ProblemSpec`` to the solver for its variant.
+one map from a ``ProblemSpec`` to the engine its bounds call for.
 
 ``solve`` is the only place that turns a spec into an engine call. It
 validates the spec once, reads the student and question bounds (ks, kq) from
-``ProblemSpec.bounds``, clamps each to its side's size minus 1 and sets the
-solver tag; the public per-variant solvers are one-line calls of it. Two
-engines cover the three variants:
+``ProblemSpec.bounds`` and clamps each to its side's size minus 1; the public
+per-variant solvers are one-line calls of it. The clamped bounds alone pick
+the engine, and the variant only names the solver tag:
 
-- The frontier engine (``_frontier_table``) takes both bounds: constrained
-  k-near has kq = 0, where the question order is the base order, and
-  both-near k-near has ks = kq = k.
-- The unconstrained-addition DP has a free question side and tracks no
-  frontier at all.
+- A bound of 0 facing a free side (None, or the side's size minus 1) is the
+  fixed-side problem, ``ideal.solve_fixed_side``.
+- Any other question side without a bound runs the unconstrained-addition
+  DP, which tracks no frontier at all.
+- Everything else runs the frontier engine (``_frontier_table``) with both
+  bounds: constrained k-near is kq = 0, both-near k-near ks = kq = k.
 
 All solvers relabel entities by their base-order positions, so internally a
 student (or question) label equals its base position and the k-near
@@ -34,7 +35,7 @@ size of the union placed so far) to ``ideal.nested_solution``. The
 frontier fill works on lists and stores each finished layer's rows as
 ``array('d')``. Both engines refuse a table whose estimated size passes
 ``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on the state
-count, taken before any state is built.
+counts of both sides, taken before any state is built.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ _TABLE_BYTES_LIMIT = 1 << 30
 # header and share of the automaton. 45-306 were measured per state on the
 # benchmark's n = 300-600 tables; keeping 512 keeps the refused sizes.
 _STATE_BYTES = 512
+# Bytes a question state holds besides its cells: its tuple, prefix and
+# target bitsets, covering edges and automaton state. tracemalloc measured
+# 680-960 per state in the question-state build at m = 10-14, k = m - 1,
+# rising with m.
+_QSTATE_BYTES = 1024
 
 
 class CorruptTableError(ChainRankError):
@@ -122,13 +128,13 @@ def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
 
     The table has n students with bound ks and, when m > 0, m questions with
     bound kq; m = 0 is a table with one cost per state. The estimate is the
-    student-state bound times ``_STATE_BYTES`` plus 8 bytes per question
-    state. The sums stop past the limit, so a refused estimate is a lower
-    bound.
+    question-state bound times ``_QSTATE_BYTES``, plus the student-state
+    bound times ``_STATE_BYTES`` and 8 bytes per question state. The sums
+    stop past the limit, so a refused estimate is a lower bound.
     """
-    cells = 1 + _window_state_bound(kq, m, _TABLE_BYTES_LIMIT // 8) if m else 0
+    cells = 1 + _window_state_bound(kq, m, _TABLE_BYTES_LIMIT // _QSTATE_BYTES) if m else 0
     per_state = _STATE_BYTES + 8 * cells
-    estimate = per_state * _window_state_bound(ks, n, _TABLE_BYTES_LIMIT // per_state)
+    estimate = _QSTATE_BYTES * cells + per_state * _window_state_bound(ks, n, _TABLE_BYTES_LIMIT // per_state)
     if estimate > _TABLE_BYTES_LIMIT:
         raise InstanceTooLargeError(
             f"the DP table needs an estimated {estimate / 2**30:.3g} GiB or more, "
@@ -161,15 +167,17 @@ def solve_constrained_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -
 
     This is the frontier engine with question bound 0. Frontiers must not
     decrease along the output order, so thresholds are nested. A bound
-    k >= n-1 admits every student order, which the fixed-side solver handles
-    directly.
+    k >= n-1 frees the student side, which ``solve`` hands to the fixed-side
+    solver.
     """
     return solve(inst, ProblemSpec(Variant.CONSTRAINED_KNEAR, mode, k))
 
 
 def solve_both_knear(inst: Instance, k: int, mode: Mode = Mode.EDITING) -> Solution:
     """Minimum edits (or additions) with both output orders within k of
-    their base orders: the frontier engine with both bounds k."""
+    their base orders: the frontier engine with both bounds k, or the
+    fixed-side solver when one side has a single entity and k frees the
+    other."""
     return solve(inst, ProblemSpec(Variant.BOTH_KNEAR, mode, k))
 
 
@@ -421,7 +429,8 @@ def solve_unconstrained_knear_addition(inst: Instance, k: int) -> Solution:
     No frontier is tracked: in addition mode the corrected neighborhood of
     the student at position i is forced to the union of the original
     neighborhoods of the weakest i students, so the state is just (position,
-    occupant, window).
+    occupant, window). At k = 0 the student order is the base order, which
+    ``solve`` hands to the fixed-side solver.
     """
     return solve(inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, k))
 
@@ -502,16 +511,27 @@ _TAGS = {
 
 
 def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution:
-    """Solve ``spec`` on ``inst`` with the solver for its variant.
+    """Solve ``spec`` on ``inst`` with the engine its bounds call for.
 
-    The DPs take their bounds from ``spec.bounds``, each clamped to its
-    side's size minus 1, beyond which it constrains nothing. Constrained
-    k-near with a clamped student bound admits every student order and goes
-    to the fixed-side solver. Unconstrained k-near editing is NP-hard; it
-    runs the exact branch-and-bound over the k-near student orders, which
-    raises InstanceTooLargeError when there are more than ``cap`` of them.
-    Recognition and the fixed-both check are not optimization problems and
-    raise ChainRankError, as does a missing base order (MissingBaseOrderError).
+    The bounds (ks, kq) come from ``spec.bounds``, each clamped to its
+    side's size minus 1, beyond which it constrains nothing; a side is free
+    when its bound is None or that size minus 1. The engine follows from the
+    clamped bounds alone:
+
+    - a question bound 0 facing a free student side is the fixed-side
+      problem with the questions fixed;
+    - a student bound 0 facing a free question side is the fixed-side
+      problem with the students fixed;
+    - any other question side without a bound (None) runs the
+      unconstrained-addition DP;
+    - everything else runs the frontier engine with (ks, kq).
+
+    The variant names the solver tag, and unconstrained k-near editing, which
+    is NP-hard, runs the exact branch-and-bound over the k-near student
+    orders; it raises InstanceTooLargeError when there are more than ``cap``
+    of them. Recognition and the fixed-both check are not optimization
+    problems and raise ChainRankError, as does a missing base order
+    (MissingBaseOrderError).
     """
     variant, mode = spec.variant, spec.mode
     if variant == Variant.UNCONSTRAINED_KNEAR and mode == Mode.EDITING:
@@ -522,14 +542,11 @@ def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution
         raise ChainRankError(f"variant {variant.value} has no solver")
     n, m = inst.num_students, inst.num_questions
     ks, kq = (None if b is None else min(b, size - 1) for b, size in zip(spec.bounds, (n, m)))
-    if variant == Variant.FIXED_ONE_SIDE or (variant == Variant.CONSTRAINED_KNEAR and ks == n - 1):
-        # One side keeps its base order and the other is free.
-        if kq == 0:
-            sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
-        else:
-            sol = ideal.solve_fixed_side(inst, Side.STUDENTS_FIXED, inst.base_student_order, mode)
+    if kq == 0 and ks in (None, n - 1):
+        sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
+    elif ks == 0 and kq in (None, m - 1):
+        sol = ideal.solve_fixed_side(inst, Side.STUDENTS_FIXED, inst.base_student_order, mode)
     elif kq is None:
-        # Unconstrained addition: the question side is free.
         _check_table_size(n, ks)
         sol = _reconstruct_unconstrained_addition(inst, *_unconstrained_addition_table(inst, ks))
     else:

@@ -11,8 +11,8 @@ returns the oracle's solution and is checked against it.
 What it enumerates comes from ``ProblemSpec.bounds``: each bounded side's
 orders within its bound of the base order, every order of a free student
 side, and no orders at all for a free question side, which the inner pass
-solves directly. ``inner_fixed_orders_cost`` takes the question side the same
-way: None when free, ``(base, k)`` when bounded (k = 0 is the base order).
+solves directly. ``inner_fixed_orders_cost`` takes the question side as None
+when free and as the question order itself when fixed.
 
 Each inner problem is one pass: ``_free_cost`` for a free question side and
 ``_exact_cost`` for a fixed question order. The enumeration calls them for
@@ -305,19 +305,18 @@ def _exact_cost(
 def inner_fixed_orders_cost(
     inst: Instance,
     student_order: Sequence[int],
-    question_side: tuple[Sequence[int], int] | None,
+    question_order: Sequence[int] | None,
     mode: Mode = Mode.EDITING,
 ) -> tuple[int, tuple[int, ...], EditSet]:
-    """Optimal edits for a fixed student order. ``question_side`` is None for
-    a free question order, or ``(base, k)`` for one within k of ``base`` (k = 0
-    is ``base`` itself). Returns (cost, question_order, edits).
+    """Optimal edits for a fixed student order and either a free question
+    order (None) or the given one. Returns (cost, question_order, edits).
 
     Ties go to the smallest optimal suffix per question (free) or the
     smallest optimal threshold per student, last student first (ordered).
     """
     student_order = tuple(student_order)
     n = inst.num_students
-    if question_side is None:
+    if question_order is None:
         group_keys, group_members = _question_groups(inst)
         sizes: list[int] = []
         cost = _free_cost(
@@ -329,13 +328,9 @@ def inner_fixed_orders_cost(
     else:
         nbh_bits = [inst.adj_bits[s - 1] for s in student_order]
         degs = [b.bit_count() for b in nbh_bits]
-        cost, order, rows = _INF, None, []
-        for beta in enumerate_knear_permutations(*question_side):
-            beta_rows: list[list[int | float]] = []
-            c = _exact_cost(nbh_bits, degs, beta, mode, beta_rows)
-            if c < cost:
-                cost, order, rows = c, beta, beta_rows
-        assert order is not None
+        order = tuple(question_order)
+        rows: list[list[int | float]] = []
+        cost = _exact_cost(nbh_bits, degs, order, mode, rows)
         # Prefix-minimum rows are non-increasing, so the first occurrence of
         # row[t] is the smallest optimal threshold <= t for that student.
         t = len(order)
@@ -411,8 +406,7 @@ def oracle_solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> S
 
     assert best_pi is not None, "feasible ordering always exists"
     assert qbase is None or best_beta is not None
-    question_side = None if qbase is None else (best_beta, 0)
-    cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, question_side, mode)
+    cost, qorder, edits = inner_fixed_orders_cost(inst, best_pi, best_beta, mode)
     assert cost == best_cost
     return Solution(
         cost=cost,

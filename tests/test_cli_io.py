@@ -19,6 +19,7 @@ from chainrank import (
     Instance,
     make_instance,
 )
+from chainrank import cli_io
 from chainrank.cli_io import (
     format_instance,
     format_solution,
@@ -480,6 +481,15 @@ class TestCli:
         assert code == 1
         assert "flip_count must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "gen.txt").exists()
+
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_io, "_cmd_gen", exhausted)
+        code = main(["gen", "--students", "3", "--questions", "3", "--output", str(tmp_path / "gen.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize(
         "variant, mode, k, size, seed, noise, digest",

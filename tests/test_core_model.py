@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,7 @@ from chainrank import (
     Variant,
     apply_edits,
     make_instance,
+    solve_fixed_side,
     verify_solution,
 )
 from conftest import figure_one, random_instance
@@ -689,3 +691,33 @@ def test_apply_edits_matches_row_set_reference(data):
             dels.add(rng.choice(sorted(set(pairs) - edges)))
     edits = EditSet(frozenset(adds), frozenset(dels))
     assert _outcome(lambda: apply_edits(inst, edits)) == _outcome(lambda: _apply_edits_reference(inst, edits))
+
+
+def test_verifier_memory_does_not_grow_with_questions_squared():
+    """On 3 students and 30,000 questions ``verify_solution`` and
+    ``apply_edits`` hold per-student rows and one prefix mask per
+    neighbourhood size present: a bit per question id and a mask per
+    prefix took 119.5 MB and 62 MB traced."""
+    rng = random.Random(30000)
+    m = 30000
+    inst = Instance(3, m, [rng.getrandbits(m) for _ in range(3)], (1, 2, 3), tuple(range(1, m + 1)))
+    spec = ProblemSpec(Variant.FIXED_ONE_SIDE, Mode.EDITING, 0, Side.QUESTIONS_FIXED)
+    sol = solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order)
+    bad = Solution(sol.cost, sol.student_order, sol.question_order[::-1], sol.edits, sol.solver_tag)
+    for candidate, ok in ((sol, True), (bad, False)):
+        tracemalloc.start()
+        try:
+            report = verify_solution(inst, spec, candidate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok == ok
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"
+    tracemalloc.start()
+    try:
+        edited = apply_edits(inst, sol.edits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edited.adj_bits[0] == (1 << edited.adj_bits[0].bit_count()) - 1
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"

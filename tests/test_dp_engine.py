@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from array import array
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from chainrank import (
     ChainRankError,
+    Instance,
     InstanceTooLargeError,
     MissingBaseOrderError,
     Mode,
@@ -34,6 +36,7 @@ from chainrank import (
     solve_unconstrained_knear_editing_exact,
     verify_solution,
 )
+from chainrank import dp_engine, ideal
 from chainrank.exact_oracle import _knear_shape, _shared_shapes, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
 from conftest import DP_VARIANT_MODES, figure_one, random_instance
@@ -444,6 +447,17 @@ class TestTableSizeGuard:
             solver(inst, k)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_question_states_are_charged(self, mode):
+        """2x20 at k = 19 has few student states but about 10.5M question
+        states, each holding far more than its 8-byte cells."""
+        rng = random.Random(20)
+        inst = Instance(2, 20, [rng.getrandbits(20) for _ in range(2)], (1, 2), tuple(range(1, 21)))
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError, match="GiB"):
+            solve_both_knear(inst, 19, mode)
+        assert time.perf_counter() - start < 1.0
+
     def test_state_bound_covers_the_families(self):
         from chainrank.dp_engine import _window_state_bound
 
@@ -581,3 +595,61 @@ class TestSolveDispatch:
     def test_missing_base_order_raises(self, spec):
         with pytest.raises(MissingBaseOrderError):
             solve(figure_one(), spec)
+
+
+def _variant_dispatch_reference(inst, spec):
+    """``solve`` as it was when variant names chose the engine, kept as the
+    reference for the dispatch by bounds. The NP-hard variant is left out."""
+    variant, mode = spec.variant, spec.mode
+    spec.validate_for(inst)
+    n, m = inst.num_students, inst.num_questions
+    ks, kq = (None if b is None else min(b, size - 1) for b, size in zip(spec.bounds, (n, m)))
+    if variant == Variant.FIXED_ONE_SIDE or (variant == Variant.CONSTRAINED_KNEAR and ks == n - 1):
+        if kq == 0:
+            sol = ideal.solve_fixed_side(inst, Side.QUESTIONS_FIXED, inst.base_question_order, mode)
+        else:
+            sol = ideal.solve_fixed_side(inst, Side.STUDENTS_FIXED, inst.base_student_order, mode)
+    elif kq is None:
+        dp_engine._check_table_size(n, ks)
+        table = dp_engine._unconstrained_addition_table(inst, ks)
+        sol = dp_engine._reconstruct_unconstrained_addition(inst, *table)
+    else:
+        dp_engine._check_table_size(n, ks, m, kq)
+        sol = dp_engine._reconstruct_frontier(inst, ks, kq, mode, *dp_engine._frontier_table(inst, ks, kq, mode))
+    return replace(sol, solver_tag=f"{dp_engine._TAGS[variant]}.{mode.value}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9), k=st.integers(0, 8))
+def test_dispatch_by_bounds_matches_variant_dispatch(seed, k):
+    """Same cost always, and the same solution outside the thin ``both``
+    shapes (one student or one question, k >= 1), whose orders are ties;
+    there the cost is the oracle's."""
+    inst = random_instance(random.Random(seed), max_side=7)
+    n, m = inst.num_students, inst.num_questions
+    specs = [ProblemSpec(v, mode, k) for v, mode in DP_VARIANT_MODES]
+    specs += [ProblemSpec(Variant.FIXED_ONE_SIDE, mode, 0, side) for side in Side for mode in Mode]
+    for spec in specs:
+        got, ref = solve(inst, spec), _variant_dispatch_reference(inst, spec)
+        assert got.cost == ref.cost, spec
+        if spec.variant == Variant.BOTH_KNEAR and min(n, m) == 1 and k >= 1:
+            assert got.cost == oracle_solve(inst, spec).cost, spec
+            assert verify_solution(inst, spec, got).ok, spec
+        else:
+            assert got == ref, spec
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 16, 15), (1, 20, 19), (20, 1, 19), (40, 1, 39), (1, 2000, 1999)])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_thin_both_takes_the_fixed_side_solver(n, m, k, mode):
+    """One student or one question at a k that frees the other side is the
+    fixed-side problem, solved at once."""
+    rng = random.Random(n + m)
+    inst = Instance(n, m, [rng.getrandbits(m) for _ in range(n)], tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+    spec = ProblemSpec(Variant.BOTH_KNEAR, mode, k)
+    start = time.perf_counter()
+    sol = solve(inst, spec)
+    assert time.perf_counter() - start < 1.0
+    side = Side.STUDENTS_FIXED if n == 1 else Side.QUESTIONS_FIXED
+    assert sol.cost == solve_fixed_side(inst, side, (1,), mode).cost
+    assert verify_solution(inst, spec, sol).ok

@@ -182,17 +182,17 @@ def test_large_k_shapes_are_not_kept_after_the_call():
 
 class TestInnerFixedOrders:
     def test_ideal_true_orders_cost_nothing(self, fig1):
-        cost, _, edits = inner_fixed_orders_cost(fig1, (1, 2, 3), ((1, 2, 3, 4, 5), 0))
+        cost, _, edits = inner_fixed_orders_cost(fig1, (1, 2, 3), (1, 2, 3, 4, 5))
         assert cost == 0 and edits.size == 0
 
     def test_monotone_thresholds_force_two_edits(self):
         inst = make_instance(2, 2, [(1, 1), (1, 2)])
-        cost, _, edits = inner_fixed_orders_cost(inst, (1, 2), ((1, 2), 0))
+        cost, _, edits = inner_fixed_orders_cost(inst, (1, 2), (1, 2))
         assert cost == 2 == edits.size
 
     def test_single_student_exact(self):
         inst = make_instance(1, 2, [(1, 2)])
-        cost, _, _ = inner_fixed_orders_cost(inst, (1,), ((1, 2), 0))
+        cost, _, _ = inner_fixed_orders_cost(inst, (1,), (1, 2))
         assert cost == 1
 
     def test_free_equals_best_exact_over_all_question_orders(self):
@@ -203,7 +203,7 @@ class TestInnerFixedOrders:
             for mode in (Mode.EDITING, Mode.ADDITION):
                 free_cost, _, _ = inner_fixed_orders_cost(inst, order, None, mode)
                 best = min(
-                    inner_fixed_orders_cost(inst, order, (beta, 0), mode)[0]
+                    inner_fixed_orders_cost(inst, order, beta, mode)[0]
                     for beta in itertools.permutations(range(1, inst.num_questions + 1))
                 )
                 assert free_cost == best
@@ -225,7 +225,7 @@ class TestInnerFixedOrders:
                         return float("inf")
                     return len(nbh ^ target)
 
-                _, _, got = inner_fixed_orders_cost(inst, sorder, (qorder, 0), mode)
+                _, _, got = inner_fixed_orders_cost(inst, sorder, qorder, mode)
                 edited = apply_edits(inst, got)
                 rows = [set(edited.adjacency[s - 1]) for s in sorder]
                 thresholds = tuple(len(row) for row in rows)
@@ -252,13 +252,6 @@ class TestInnerFixedOrders:
                     )
                 assert qfree == tuple(sorted(sizes, key=lambda q: (-sizes[q], q)))
 
-    def test_knear_constraint_scans_admissible_orders(self):
-        inst = make_instance(1, 2, [(1, 2)])
-        cost0, order0, _ = inner_fixed_orders_cost(inst, (1,), ((1, 2), 0))
-        cost1, order1, _ = inner_fixed_orders_cost(inst, (1,), ((1, 2), 1))
-        assert (cost0, order0) == (1, (1, 2))
-        assert (cost1, order1) == (0, (2, 1))
-
 
 class TestOracleSolve:
     def test_k0_equals_exact_inner(self):
@@ -266,9 +259,7 @@ class TestOracleSolve:
         for _ in range(30):
             inst = random_instance(rng, max_side=4)
             spec = ProblemSpec(Variant.BOTH_KNEAR, Mode.EDITING, 0)
-            exact, _, _ = inner_fixed_orders_cost(
-                inst, inst.base_student_order, (inst.base_question_order, 0)
-            )
+            exact, _, _ = inner_fixed_orders_cost(inst, inst.base_student_order, inst.base_question_order)
             assert oracle_solve(inst, spec).cost == exact
 
     def test_fixed_both_matches_exact_inner(self):
@@ -279,7 +270,7 @@ class TestOracleSolve:
                 spec = ProblemSpec(Variant.FIXED_BOTH_CHECK, mode)
                 sol = oracle_solve(inst, spec)
                 exact, _, _ = inner_fixed_orders_cost(
-                    inst, inst.base_student_order, (inst.base_question_order, 0), mode
+                    inst, inst.base_student_order, inst.base_question_order, mode
                 )
                 assert sol.cost == exact
                 assert sol.student_order == inst.base_student_order

@@ -68,3 +68,11 @@ def test_only_core_model_reads_adjacency():
             if isinstance(node, ast.Attribute) and node.attr == "adjacency":
                 reads.append(f"{path.name}:{node.lineno}")
     assert not reads, reads
+
+
+def test_every_module_parses_as_python_3_10():
+    """``pyproject.toml`` declares ``requires-python >= 3.10``: no module
+    may use syntax that a 3.10 parser rejects."""
+    root = Path(chainrank.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -144,13 +143,6 @@ class Instance:
             order = getattr(self, field)
             if order is not None:
                 object.__setattr__(self, field, _validated_order(order, size, label))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """``adjacency[s - 1]``: the question ids of student s, ascending,
-        read off its bitset; every row shares one int object per id."""
-        qids = list(range(1, self.num_questions + 1))
-        return tuple(tuple(bit_ids(b, qids)) for b in self.adj_bits)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         qids = list(range(1, self.num_questions + 1))  # one int object per id

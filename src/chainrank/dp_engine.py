@@ -28,6 +28,11 @@ each window's parents at the position before.
   far, by its position, identity and easier set (position 0 = none). They
   are its states for (m, kq), and the covering edges are its parents.
 
+In addition mode a frontier state costs what it costs in editing, or
+infinity where its student would lose a question; the union of the prefix's
+neighborhoods appears only in the unconstrained-addition DP, where it is the
+target itself.
+
 Tables store costs only; each engine's reconstruction walks the parents
 back, which keeps the hot loops small, then hands the orders and each
 student's prefix length (its question state's frontier position, or the
@@ -143,21 +148,6 @@ def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
-
-
-def _prefix_union(nb: list[int], pref_union: list[int], pos: KnearPosition, w: int) -> int:
-    """Union of the neighborhoods of the labels placed before a state of
-    window w at ``pos``: those below ``pos.lo``, which are due there, and
-    the window's."""
-    lo = pos.lo
-    bits = pref_union[lo - 1]
-    for x in pos.windows[w]:
-        bits |= nb[lo + x]
-    return bits
-
-
-# ---------------------------------------------------------------------------
 # Frontier engine: constrained k-near (kq = 0) and both k-near
 
 
@@ -229,14 +219,25 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     bound ks < n and question bound kq < m; the callers check the base
     orders.
 
-    Returns (layers, auto, nb, qstates, edges). ``layers[i-1][s]`` holds the
-    costs of student state s of ``auto[i-1]``, position i of the student
+    Returns (layers, auto, costs, qstates, edges). ``layers[i-1][s]`` holds
+    the costs of student state s of ``auto[i-1]``, position i of the student
     automaton, indexed by question state: an ``array('d')`` with ``_INF``
     where the state is infeasible. The rest is what reconstruction shares
     with the fill. Layer i is filled as lists from the lists of layer i-1,
     whose rows are then frozen into arrays. Each window's parent rows are
     merged and relaxed once per layer and the result is shared by every
     occupant with that window.
+
+    ``costs[u]`` is (skip, tail), student u's costs over the question
+    states: ``_INF`` before state skip, ``tail`` from there. Editing costs
+    |b ^ t| for neighborhood b and target t. Addition costs the same where
+    b lies inside t and ``_INF`` where u would lose a question; skip cuts
+    the states whose frontier lies more than kq below b's hardest question,
+    which all miss it. Both modes fill a state as its window's merged row
+    plus its student's costs. The prefix's neighborhoods need no test of
+    their own: a finite merged cell has a parent chain that placed each of
+    them inside a parent target, and targets only grow along the covering
+    edges.
     """
     n, m = inst.num_students, inst.num_questions
     alpha = inst.base_student_order
@@ -246,40 +247,22 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     # pick lists those characters from the last position to the first.
     pick = itemgetter(*[q - 1 for q in reversed(beta0)])
     nb = [0] + [int("".join(pick(bin(inst.adj_bits[s - 1])[:1:-1].ljust(m, "0"))), 2) for s in alpha]
-    pref_union = list(itertools.accumulate(nb, or_))
 
     auto = knear_automaton(n, ks)
     qstates, edges = _question_states(m, kq)
     nq = len(qstates)
-    targets = [st[3] for st in qstates]
-    first_at = [nq] * (m + 2)  # first question state at frontier position >= j
+    first_at = [nq] * (m + 1)  # first question state at frontier position >= j
     for qi in range(nq - 1, -1, -1):
         first_at[qstates[qi][0]] = qi
 
-    editing = mode == Mode.EDITING
-    if editing:
-        cost_table = [[(b ^ t).bit_count() for t in targets] for b in nb]
-    else:
-        cost_table = [[(t & ~b).bit_count() for t in targets] for b in nb]
-
-    def fill(u: int, union: int, merged: list) -> list:
-        """merged + state cost per question state, where ``union`` is the
-        union of the prefix's neighborhoods. In addition mode the target set
-        must contain it and nb[u]. States whose frontier lies more than kq
-        below the hardest label of those miss it; states kq or more above it
-        contain every label up to it. Only the band between needs the subset
-        test."""
-        row = cost_table[u]
-        if editing:
-            return list(map(add, merged, row))
-        un = union | nb[u]
-        hi = un.bit_length()
-        lo_q, hi_q = first_at[max(0, hi - kq)], first_at[min(m + 1, hi + kq)]
-        out = [_INF] * lo_q
-        for qi in range(lo_q, hi_q):
-            out.append(_INF if un & ~targets[qi] else merged[qi] + row[qi])
-        out.extend(map(add, itertools.islice(merged, hi_q, None), itertools.islice(row, hi_q, None)))
-        return out
+    targets = [st[3] for st in qstates]
+    costs = []
+    for b in nb:
+        if mode == Mode.EDITING:
+            costs.append((0, [(b ^ t).bit_count() for t in targets]))
+        else:
+            skip = first_at[max(0, b.bit_length() - kq)]
+            costs.append((skip, [(b ^ t).bit_count() if b & t == b else _INF for t in targets[skip:]]))
 
     def merge(rows: list) -> list:
         """Elementwise minimum of the parent rows, relaxed over the covering
@@ -296,15 +279,19 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     prev: list = [[0] * nq]  # the start state, parent of position 1
     for pos in auto:
         # The parents depend on the window alone, so the occupants sharing a
-        # window share one merged row; fill copies it.
+        # window share one merged row.
         merged = [merge([prev[p] for p in parents]) for parents in pos.parents]
-        unions = [0 if editing else _prefix_union(nb, pref_union, pos, w) for w in range(len(merged))]
-        cur = [fill(pos.lo + e, unions[w], merged[w]) for e, w in pos.states]
+        cur = []
+        for e, w in pos.states:
+            skip, tail = costs[pos.lo + e]
+            row = [_INF] * skip
+            row += map(add, merged[w][skip:] if skip else merged[w], tail)  # no copy at skip 0
+            cur.append(row)
         _freeze(prev)
         layers.append(cur)
         prev = cur
     _freeze(prev)
-    return layers, auto, nb, qstates, edges
+    return layers, auto, costs, qstates, edges
 
 
 def _freeze(layer: list) -> None:
@@ -328,12 +315,11 @@ def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
 
 def _reconstruct_frontier(
     inst: Instance,
-    ks: int,
     kq: int,
     mode: Mode,
     layers: list[list],
     auto: list[KnearPosition],
-    nb: list[int],
+    costs: list[tuple[int, list]],
     qstates: list[tuple],
     edges: list[tuple[int, int]],
 ) -> Solution:
@@ -342,20 +328,9 @@ def _reconstruct_frontier(
     disagrees with the table."""
     n, m = inst.num_students, inst.num_questions
     alpha, beta0 = inst.base_student_order, inst.base_question_order
-    pref_union = list(itertools.accumulate(nb, or_))
     covered_by: list[list[int]] = [[] for _ in qstates]
     for qi, p in edges:
         covered_by[qi].append(p)
-
-    def state_cost(pos: KnearPosition, sid: int, qi: int):
-        e, w = pos.states[sid]
-        u = pos.lo + e
-        target_bits = qstates[qi][3]
-        if mode == Mode.EDITING:
-            return (nb[u] ^ target_bits).bit_count()
-        if (_prefix_union(nb, pref_union, pos, w) | nb[u]) & ~target_bits:
-            return _INF
-        return (target_bits & ~nb[u]).bit_count()
 
     terminal_cost = _INF
     terminal = None
@@ -372,7 +347,8 @@ def _reconstruct_frontier(
     chain = [terminal]
     for i in range(n, 1, -1):
         pos = auto[i - 1]
-        target = value - state_cost(pos, sid, qi)
+        skip, tail = costs[pos.lo + pos.states[sid][0]]
+        target = value - (tail[qi - skip] if qi >= skip else _INF)
         candidates = _reaching(qi, covered_by)
         found = None
         for p in pos.parents[pos.states[sid][1]]:
@@ -433,6 +409,17 @@ def solve_unconstrained_knear_addition(inst: Instance, k: int) -> Solution:
     ``solve`` hands to the fixed-side solver.
     """
     return solve(inst, ProblemSpec(Variant.UNCONSTRAINED_KNEAR, Mode.ADDITION, k))
+
+
+def _prefix_union(nb: list[int], pref_union: list[int], pos: KnearPosition, w: int) -> int:
+    """Union of the neighborhoods of the labels placed before a state of
+    window w at ``pos``: those below ``pos.lo``, which are due there, and
+    the window's."""
+    lo = pos.lo
+    bits = pref_union[lo - 1]
+    for x in pos.windows[w]:
+        bits |= nb[lo + x]
+    return bits
 
 
 def _unconstrained_addition_table(inst: Instance, k: int):
@@ -551,5 +538,5 @@ def solve(inst: Instance, spec: ProblemSpec, cap: int = DEFAULT_CAP) -> Solution
         sol = _reconstruct_unconstrained_addition(inst, *_unconstrained_addition_table(inst, ks))
     else:
         _check_table_size(n, ks, m, kq)
-        sol = _reconstruct_frontier(inst, ks, kq, mode, *_frontier_table(inst, ks, kq, mode))
+        sol = _reconstruct_frontier(inst, kq, mode, *_frontier_table(inst, ks, kq, mode))
     return replace(sol, solver_tag=f"{_TAGS[variant]}.{mode.value}")

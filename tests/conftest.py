@@ -25,6 +25,13 @@ def figure_one() -> Instance:
     return make_instance(3, 5, edges)
 
 
+def adjacency(inst) -> tuple[tuple[int, ...], ...]:
+    """``adjacency(inst)[s - 1]``: the question ids of student s, ascending,
+    read off its bitset."""
+    qids = range(1, inst.num_questions + 1)
+    return tuple(tuple(q for q in qids if b >> (q - 1) & 1) for b in inst.adj_bits)
+
+
 @pytest.fixture
 def fig1() -> Instance:
     return figure_one()

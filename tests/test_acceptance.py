@@ -39,7 +39,7 @@ from chainrank import (
     with_base_orders,
 )
 from chainrank.hardness import formula
-from conftest import DP_VARIANT_MODES, random_instance
+from conftest import DP_VARIANT_MODES, adjacency, random_instance
 
 _REGISTRY: list[tuple] = []
 
@@ -157,7 +157,7 @@ def test_criterion_3_recognition():
         result = recognize_ideal(crossed)
         assert isinstance(result, NotIdeal), f"seed {seed}: crossing not detected"
         s1, s2 = result.witness
-        n1, n2 = set(crossed.adjacency[s1 - 1]), set(crossed.adjacency[s2 - 1])
+        n1, n2 = set(adjacency(crossed)[s1 - 1]), set(adjacency(crossed)[s2 - 1])
         assert not n1 <= n2 and not n2 <= n1, f"seed {seed}: witness not incomparable"
     elapsed = time.perf_counter() - started
     assert elapsed < 60, f"criterion 3 took {elapsed:.0f}s, budget 60s"

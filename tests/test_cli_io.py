@@ -28,7 +28,7 @@ from chainrank.cli_io import (
     parse_solution,
     read_solution,
 )
-from conftest import random_instance
+from conftest import adjacency, random_instance
 
 FIG1_TEXT = """chainrank v1 3 5
 11000
@@ -41,7 +41,7 @@ class TestInstanceFormat:
     def test_figure_one_file(self):
         inst = parse_instance(FIG1_TEXT)
         assert inst.num_students == 3 and inst.num_questions == 5
-        assert inst.adjacency[1] == (1, 2, 3, 4)
+        assert adjacency(inst)[1] == (1, 2, 3, 4)
 
     def test_dense_instance_shares_its_question_ids(self):
         """A parsed dense 400x400 instance, once its rows are read, holds
@@ -53,7 +53,7 @@ class TestInstanceFormat:
         tracemalloc.start()
         try:
             inst = parse_instance(text)
-            assert len(inst.adjacency) == n
+            assert len(adjacency(inst)) == n
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -89,7 +89,7 @@ class TestInstanceFormat:
 
         def per_cell(inst):
             lines = [f"chainrank v1 {inst.num_students} {inst.num_questions}"]
-            for row in inst.adjacency:
+            for row in adjacency(inst):
                 cells = set(row)
                 lines.append("".join("1" if q in cells else "0" for q in range(1, inst.num_questions + 1)))
             return "\n".join(lines) + "\n"
@@ -114,14 +114,14 @@ class TestInstanceFormat:
         rng = random.Random(43)
         for _ in range(30):
             inst = parse_instance(format_instance(random_instance(rng, max_side=9)))
-            assert inst.adj_bits == tuple(sum(1 << (q - 1) for q in row) for row in inst.adjacency)
+            assert inst.adj_bits == tuple(sum(1 << (q - 1) for q in row) for row in adjacency(inst))
             orders = (inst.base_student_order, inst.base_question_order)
             assert Instance(inst.num_students, inst.num_questions, inst.adj_bits, *orders) == inst
 
     def test_comments_and_blanks_ignored(self):
         text = "# header comment\n\nchainrank v1 1 2\n# rows\n10\n"
         inst = parse_instance(text)
-        assert inst.adjacency == ((1,),)
+        assert adjacency(inst) == ((1,),)
 
     def test_wrong_row_length_reports_line(self):
         text = "chainrank v1 2 3\n101\n10\n"

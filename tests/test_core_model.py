@@ -28,13 +28,13 @@ from chainrank import (
     solve_fixed_side,
     verify_solution,
 )
-from conftest import figure_one, random_instance
+from conftest import adjacency, figure_one, random_instance
 
 
 class TestValidateInstance:
     def test_minimal_instance_is_valid(self):
         inst = make_instance(2, 2, [(1, 1)])
-        assert inst.adjacency == ((1,), ())
+        assert adjacency(inst) == ((1,), ())
         assert inst.base_student_order is None
 
     def test_duplicate_position_in_base_order(self):
@@ -47,7 +47,7 @@ class TestValidateInstance:
 
     def test_rows_are_sorted(self):
         inst = make_instance(1, 3, [(1, 3), (1, 1)])
-        assert inst.adjacency == ((1, 3),)
+        assert adjacency(inst) == ((1, 3),)
 
     def test_adj_bits_match_rows(self):
         inst = make_instance(2, 4, [(1, 2), (1, 4), (2, 1)])
@@ -61,7 +61,7 @@ class TestValidateInstance:
                 inst.num_students, inst.num_questions, inst.adj_bits,
                 inst.base_student_order, inst.base_question_order,
             )
-            assert built == inst and built.adjacency == inst.adjacency
+            assert built == inst and adjacency(built) == adjacency(inst)
 
     def test_instance_from_bitsets_checks_range_and_orders(self):
         with pytest.raises(OutOfRangeEdgeError):
@@ -89,7 +89,7 @@ class TestValidateInstance:
     def test_stores_canonical_tuples(self):
         inst = Instance(2, 3, [True, 0b101], [2, 1], (3, 1, 2))
         assert inst.adj_bits == (1, 5) and type(inst.adj_bits[0]) is int
-        assert inst.base_student_order == (2, 1) and inst.adjacency == ((1,), (1, 3))
+        assert inst.base_student_order == (2, 1) and adjacency(inst) == ((1,), (1, 3))
         assert inst == make_instance(2, 3, [(1, 1), (2, 1), (2, 3)], (2, 1), (3, 1, 2))
 
 
@@ -97,12 +97,12 @@ class TestApplyEdits:
     def test_addition(self):
         inst = make_instance(1, 2, [(1, 1)])
         out = apply_edits(inst, EditSet.of(additions=[(1, 2)]))
-        assert out.adjacency == ((1, 2),)
+        assert adjacency(out) == ((1, 2),)
 
     def test_deletion(self):
         inst = make_instance(1, 2, [(1, 1)])
         out = apply_edits(inst, EditSet.of(deletions=[(1, 1)]))
-        assert out.adjacency == ((),)
+        assert adjacency(out) == ((),)
 
     def test_deleting_absent_edge_conflicts(self):
         inst = make_instance(1, 2, [])
@@ -119,11 +119,12 @@ class TestApplyEdits:
         for _ in range(50):
             inst = random_instance(rng, with_orders=False)
             present = list(inst.edges())
+            adj = adjacency(inst)
             absent = [
                 (s, q)
                 for s in range(1, inst.num_students + 1)
                 for q in range(1, inst.num_questions + 1)
-                if q not in inst.adjacency[s - 1]
+                if q not in adj[s - 1]
             ]
             dels = rng.sample(present, min(len(present), rng.randint(0, 3)))
             adds = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
@@ -202,8 +203,9 @@ def test_edit_roundtrip_property(data):
         for q in range(1, inst.num_questions + 1)
     ]
     chosen = [p for p in pairs if rng.random() < 0.3]
-    adds = [(s, q) for s, q in chosen if q not in inst.adjacency[s - 1]]
-    dels = [(s, q) for s, q in chosen if q in inst.adjacency[s - 1]]
+    adj = adjacency(inst)
+    adds = [(s, q) for s, q in chosen if q not in adj[s - 1]]
+    dels = [(s, q) for s, q in chosen if q in adj[s - 1]]
     edits = EditSet.of(adds, dels)
     assert apply_edits(apply_edits(inst, edits), EditSet(edits.deletions, edits.additions)) == inst
 
@@ -302,7 +304,7 @@ def _reference_verify(inst: Instance, spec: ProblemSpec, sol: Solution) -> list[
     n, m = inst.num_students, inst.num_questions
     checks = []
     adds, dels = sol.edits.additions, sol.edits.deletions
-    original = [set(row) for row in inst.adjacency]
+    original = [set(row) for row in adjacency(inst)]
 
     in_range = all(1 <= s <= n and 1 <= q <= m for s, q in adds | dels)
     bad_add = [p for p in adds if in_range and p[1] in original[p[0] - 1]]
@@ -492,7 +494,7 @@ def _apply_edits_reference(inst: Instance, edits: EditSet) -> Instance:
     overlap = edits.additions & edits.deletions
     if overlap:
         raise EditConflictError(f"pairs both added and deleted: {sorted(overlap)}")
-    rows = [set(r) for r in inst.adjacency]
+    rows = [set(r) for r in adjacency(inst)]
     for s, q in sorted(edits.additions):
         if not (1 <= s <= n and 1 <= q <= m):
             raise EditConflictError(f"addition ({s},{q}) is out of range")
@@ -649,7 +651,7 @@ def test_instance_matches_bitset_reference(data):
             inst.num_students,
             inst.num_questions,
             inst.adj_bits,
-            inst.adjacency,
+            adjacency(inst),
             list(inst.edges()),
             inst.edge_count,
             inst.base_student_order,

@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 from functools import partial
+from operator import add, itemgetter, or_
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from chainrank import (
 from chainrank import dp_engine, ideal
 from chainrank.exact_oracle import _knear_shape, _shared_shapes, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
-from conftest import DP_VARIANT_MODES, figure_one, random_instance
+from conftest import DP_VARIANT_MODES, adjacency, figure_one, random_instance
 
 
 def fig1_with_orders():
@@ -208,6 +209,7 @@ class TestWindowSets:
 def _constrained_bruteforce(inst, k, mode):
     """Independent check: enumerate k-near orders x monotone frontier tuples."""
     n, m = inst.num_students, inst.num_questions
+    adj = adjacency(inst)
     best = None
     for pi in enumerate_knear_permutations(inst.base_student_order, k):
         qpos = {q: p for p, q in enumerate(inst.base_question_order, start=1)}
@@ -217,7 +219,7 @@ def _constrained_bruteforce(inst, k, mode):
             total = 0
             ok = True
             for s, v in zip(pi, frontiers):
-                positions = {qpos[q] for q in inst.adjacency[s - 1]}
+                positions = {qpos[q] for q in adj[s - 1]}
                 target = set(range(1, v + 1))
                 if mode == Mode.ADDITION and not positions <= target:
                     ok = False
@@ -385,7 +387,102 @@ def test_reconstruct_rejects_tampered_table():
         for qi in range(len(row)):
             row[qi] += 1
     with pytest.raises(CorruptTableError):
-        _reconstruct_frontier(inst, 1, 0, Mode.EDITING, layers, *shared)
+        _reconstruct_frontier(inst, 0, Mode.EDITING, layers, *shared)
+
+
+def test_reconstruct_rejects_finite_cell_in_infinite_prefix():
+    """A finite addition cell in a last-layer student's infinite prefix,
+    where the student would lose a question, is a corrupt table: the
+    reconstruction reads that cell's cost as infinite, not by a negative
+    index into the student's cost row."""
+    from chainrank.dp_engine import CorruptTableError, _frontier_table, _reconstruct_frontier
+
+    inst = make_instance(2, 3, [(1, 3), (2, 2), (2, 3)], (1, 2), (1, 2, 3))
+    _layers, auto, costs, _qstates, _edges = _frontier_table(inst, 1, 0, Mode.ADDITION)
+    last = auto[-1]
+    cells = [(sid, qi) for sid, (e, _w) in enumerate(last.states) for qi in range(costs[last.lo + e][0])]
+    assert len(cells) == 6  # both students' hardest question is 3: three states each
+    for sid, qi in cells:
+        layers, *shared = _frontier_table(inst, 1, 0, Mode.ADDITION)
+        assert layers[-1][sid][qi] == float("inf")
+        layers[-1][sid][qi] = 0
+        with pytest.raises(CorruptTableError):
+            _reconstruct_frontier(inst, 0, Mode.ADDITION, layers, *shared)
+
+
+def _union_band_table_reference(inst, ks, kq, mode):
+    """The frontier table as filled when addition tested each cell's target
+    against the union of the prefix's neighborhoods, kept as the reference
+    for the per-student cost rows: ``layers[i-1][s]`` as lists."""
+    inf = float("inf")
+    n, m = inst.num_students, inst.num_questions
+    alpha, beta0 = inst.base_student_order, inst.base_question_order
+    pick = itemgetter(*[q - 1 for q in reversed(beta0)])
+    nb = [0] + [int("".join(pick(bin(inst.adj_bits[s - 1])[:1:-1].ljust(m, "0"))), 2) for s in alpha]
+    pref_union = list(itertools.accumulate(nb, or_))
+    auto = knear_automaton(n, ks)
+    qstates, edges = dp_engine._question_states(m, kq)
+    nq = len(qstates)
+    targets = [st[3] for st in qstates]
+    first_at = [nq] * (m + 2)
+    for qi in range(nq - 1, -1, -1):
+        first_at[qstates[qi][0]] = qi
+    editing = mode == Mode.EDITING
+    if editing:
+        cost_table = [[(b ^ t).bit_count() for t in targets] for b in nb]
+    else:
+        cost_table = [[(t & ~b).bit_count() for t in targets] for b in nb]
+
+    def prefix_union(pos, w):
+        bits = pref_union[pos.lo - 1]
+        for x in pos.windows[w]:
+            bits |= nb[pos.lo + x]
+        return bits
+
+    def fill(u, union, merged):
+        row = cost_table[u]
+        if editing:
+            return list(map(add, merged, row))
+        un = union | nb[u]
+        hi = un.bit_length()
+        lo_q, hi_q = first_at[max(0, hi - kq)], first_at[min(m + 1, hi + kq)]
+        out = [inf] * lo_q
+        for qi in range(lo_q, hi_q):
+            out.append(inf if un & ~targets[qi] else merged[qi] + row[qi])
+        out.extend(map(add, itertools.islice(merged, hi_q, None), itertools.islice(row, hi_q, None)))
+        return out
+
+    def merge(rows):
+        merged = list(rows[0])
+        for arr in rows[1:]:
+            merged = [a if a < b else b for a, b in zip(merged, arr)]
+        for qi, p in edges:
+            if merged[p] < merged[qi]:
+                merged[qi] = merged[p]
+        return merged
+
+    layers = []
+    prev = [[0] * nq]
+    for pos in auto:
+        merged = [merge([prev[p] for p in parents]) for parents in pos.parents]
+        unions = [0 if editing else prefix_union(pos, w) for w in range(len(merged))]
+        prev = [fill(pos.lo + e, unions[w], merged[w]) for e, w in pos.states]
+        layers.append(prev)
+    return layers
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9), ks=st.integers(0, 3), kq=st.integers(0, 3), mode=st.sampled_from(list(Mode)))
+def test_frontier_table_matches_union_band_reference(seed, ks, kq, mode):
+    """Every cell equals the union-band fill's: the prefix-union test never
+    changes a cell, so addition is editing with infinite cost where a
+    student would lose a question."""
+    inst = random_instance(random.Random(seed), max_side=7)
+    n, m = inst.num_students, inst.num_questions
+    ks, kq = min(ks, n - 1), min(kq, m - 1)
+    layers = dp_engine._frontier_table(inst, ks, kq, mode)[0]
+    ref = _union_band_table_reference(inst, ks, kq, mode)
+    assert [[list(row) for row in layer] for layer in layers] == ref
 
 
 @pytest.mark.parametrize("mode", [Mode.EDITING, Mode.ADDITION])
@@ -397,7 +494,7 @@ def test_frontier_rows_are_double_arrays(mode, ks, kq):
     for _ in range(10):
         inst = random_instance(rng, max_side=6)
         n, m = inst.num_students, inst.num_questions
-        layers, auto, _nb, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
+        layers, auto, _costs, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
         assert len(layers) == n
         for layer, pos in zip(layers, auto):
             assert len(layer) == len(pos.states)
@@ -615,7 +712,7 @@ def _variant_dispatch_reference(inst, spec):
         sol = dp_engine._reconstruct_unconstrained_addition(inst, *table)
     else:
         dp_engine._check_table_size(n, ks, m, kq)
-        sol = dp_engine._reconstruct_frontier(inst, ks, kq, mode, *dp_engine._frontier_table(inst, ks, kq, mode))
+        sol = dp_engine._reconstruct_frontier(inst, kq, mode, *dp_engine._frontier_table(inst, ks, kq, mode))
     return replace(sol, solver_tag=f"{dp_engine._TAGS[variant]}.{mode.value}")
 
 

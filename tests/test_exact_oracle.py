@@ -28,7 +28,7 @@ from chainrank import (
     verify_solution,
 )
 from chainrank.exact_oracle import knear_automaton
-from conftest import random_instance
+from conftest import adjacency, random_instance
 
 
 def fib(n: int) -> int:
@@ -225,15 +225,16 @@ class TestInnerFixedOrders:
                         return float("inf")
                     return len(nbh ^ target)
 
+                adj = adjacency(inst)
                 _, _, got = inner_fixed_orders_cost(inst, sorder, qorder, mode)
                 edited = apply_edits(inst, got)
-                rows = [set(edited.adjacency[s - 1]) for s in sorder]
+                rows = [set(adjacency(edited)[s - 1]) for s in sorder]
                 thresholds = tuple(len(row) for row in rows)
                 assert all(row == set(qorder[:t]) for row, t in zip(rows, thresholds))
                 best = min(
                     itertools.combinations_with_replacement(range(m + 1), n),
                     key=lambda ts: (
-                        sum(edits(set(inst.adjacency[s - 1]), set(qorder[:t])) for s, t in zip(sorder, ts)),
+                        sum(edits(set(adj[s - 1]), set(qorder[:t])) for s, t in zip(sorder, ts)),
                         ts[::-1],
                     ),
                 )
@@ -241,10 +242,11 @@ class TestInnerFixedOrders:
 
                 _, qfree, got = inner_fixed_orders_cost(inst, sorder, None, mode)
                 edited = apply_edits(inst, got)
+                edited_adj = adjacency(edited)
                 sizes = {}
                 for q in range(1, m + 1):
-                    nbh = {s for s in sorder if q in inst.adjacency[s - 1]}
-                    target = {s for s in sorder if q in edited.adjacency[s - 1]}
+                    nbh = {s for s in sorder if q in adj[s - 1]}
+                    target = {s for s in sorder if q in edited_adj[s - 1]}
                     sizes[q] = len(target)
                     assert target == set(sorder[n - sizes[q] :])
                     assert sizes[q] == min(

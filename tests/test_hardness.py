@@ -27,6 +27,7 @@ from chainrank.hardness import (
     student_id,
     student_role,
 )
+from conftest import adjacency
 
 
 class TestParseCnf:
@@ -68,7 +69,7 @@ class TestBuildReduction:
         phi = formula(4, [(1, -2, 3)])
         red = build_reduction(phi)
         q = red.clause_question_ids[0]
-        neighbors = {s for s in range(1, 25) if q in red.instance.adjacency[s - 1]}
+        neighbors = {s for s in range(1, 25) if q in adjacency(red.instance)[s - 1]}
         expected = {student_id(1, "t"), student_id(2, "f"), student_id(3, "t"), student_id(4, "c")}
         for g in range(1, 5):
             expected |= {student_id(g, "b"), student_id(g, "d")}
@@ -84,7 +85,7 @@ class TestBuildReduction:
         red = build_reduction(formula(1, [(1,)]))
         assert red.instance.num_students == 6
         q = red.clause_question_ids[0]
-        neighbors = {s for s in range(1, 7) if q in red.instance.adjacency[s - 1]}
+        neighbors = {s for s in range(1, 7) if q in adjacency(red.instance)[s - 1]}
         assert neighbors == {student_id(1, "t"), student_id(1, "b"), student_id(1, "d")}
         # four enforced pairs per group, t_phi + 1 = 3 questions each
         assert red.instance.num_questions == 4 * 3 + 1
@@ -101,10 +102,11 @@ class TestBuildReduction:
         phi = formula(2, [(1, -2)])
         red = build_reduction(phi)
         inst = red.instance
+        adj = adjacency(inst)
         members = {}
         for fam in red.gadget_ranges:
             q = fam.first_question
-            members[q] = {s for s in range(1, 13) if q in inst.adjacency[s - 1]}
+            members[q] = {s for s in range(1, 13) if q in adj[s - 1]}
             assert student_id(*fam.upper) in members[q]
             assert student_id(*fam.lower) not in members[q]
         for a, b in itertools.combinations(members.values(), 2):

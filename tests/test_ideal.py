@@ -26,7 +26,7 @@ from chainrank import (
     verify_solution,
 )
 from chainrank.ideal import nested_solution
-from conftest import figure_one, random_instance
+from conftest import adjacency, figure_one, random_instance
 
 
 class TestRecognizeIdeal:
@@ -42,7 +42,7 @@ class TestRecognizeIdeal:
         assert isinstance(result, NotIdeal)
         assert result.witness == (1, 2)
         s1, s2 = result.witness
-        n1, n2 = set(inst.adjacency[s1 - 1]), set(inst.adjacency[s2 - 1])
+        n1, n2 = set(adjacency(inst)[s1 - 1]), set(adjacency(inst)[s2 - 1])
         assert not n1 <= n2
         assert not n2 <= n1
 
@@ -151,7 +151,7 @@ class TestSolveFixedSide:
             for mode in (Mode.EDITING, Mode.ADDITION):
                 expected = 0
                 for s in range(1, inst.num_students + 1):
-                    costs = _enumerate_prefix_costs(set(inst.adjacency[s - 1]), order, mode)
+                    costs = _enumerate_prefix_costs(set(adjacency(inst)[s - 1]), order, mode)
                     expected += min(costs.values())
                 sol = solve_fixed_side(inst, Side.QUESTIONS_FIXED, order, mode)
                 assert sol.cost == expected
@@ -166,7 +166,7 @@ def _derive_question_order_reference(inst, student_order):
     layers: list[int] = []
     prev: frozenset[int] = frozenset()
     for s in student_order:
-        nbh = frozenset(inst.adjacency[s - 1])
+        nbh = frozenset(adjacency(inst)[s - 1])
         if not prev <= nbh:
             raise NotNestedError(
                 f"neighborhood of student {s} does not contain its weaker predecessor's"
@@ -179,7 +179,7 @@ def _derive_question_order_reference(inst, student_order):
 
 
 def _recognize_ideal_reference(inst):
-    nbh = [frozenset(row) for row in inst.adjacency]
+    nbh = [frozenset(row) for row in adjacency(inst)]
     order = sorted(range(1, inst.num_students + 1), key=lambda s: (len(nbh[s - 1]), s))
     for weak, strong in zip(order, order[1:]):
         if not nbh[weak - 1] <= nbh[strong - 1]:

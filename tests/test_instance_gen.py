@@ -24,7 +24,7 @@ from chainrank import (
 )
 from chainrank.core_model import Instance, InvalidInstanceError
 from chainrank.instance_gen import NotEnoughPairsError, _rng
-from conftest import random_instance
+from conftest import adjacency, random_instance
 
 
 class TestGenIdeal:
@@ -40,10 +40,10 @@ class TestGenIdeal:
     def test_forced_prefix_lengths_make_figure_one_shape(self):
         cfg = GenConfig(num_students=3, num_questions=5, seed=0)
         inst, true_students, _ = gen_ideal(cfg, prefix_lengths=(2, 4, 5))
-        assert sorted(len(inst.adjacency[s - 1]) for s in range(1, 4)) == [2, 4, 5]
+        assert sorted(len(adjacency(inst)[s - 1]) for s in range(1, 4)) == [2, 4, 5]
         cert = recognize_ideal(inst)
         assert isinstance(cert, NestingCertificate)
-        sizes = [len(inst.adjacency[s - 1]) for s in cert.student_order]
+        sizes = [len(adjacency(inst)[s - 1]) for s in cert.student_order]
         assert sizes == [2, 4, 5]
 
     def test_one_by_one_is_deterministic(self):
@@ -63,10 +63,10 @@ class TestGenIdeal:
         inst, true_students, true_questions = gen_ideal(
             GenConfig(num_students=4, num_questions=5, seed=9)
         )
-        lengths = [len(inst.adjacency[s - 1]) for s in true_students]
+        lengths = [len(adjacency(inst)[s - 1]) for s in true_students]
         assert lengths == sorted(lengths)
         for pos, s in enumerate(true_students):
-            assert set(inst.adjacency[s - 1]) == set(true_questions[: lengths[pos]])
+            assert set(adjacency(inst)[s - 1]) == set(true_questions[: lengths[pos]])
 
     def test_recognition_recovers_true_order_up_to_ties(self):
         for seed in range(15):

@@ -56,14 +56,12 @@ def test_verifier_and_oracle_stay_apart_from_the_solvers():
     assert "ideal" in _sibling_imports("dp_engine")  # the guard sees real imports
 
 
-def test_only_core_model_reads_adjacency():
-    """Bitsets stay the working form: outside ``core_model``, no module of
-    the package reads an ``.adjacency`` attribute."""
+def test_no_module_reads_adjacency():
+    """Bitsets are the one neighborhood form: no module of the package
+    reads an ``.adjacency`` attribute."""
     root = Path(chainrank.__file__).parent
     reads = []
     for path in sorted(root.rglob("*.py")):
-        if path.name == "core_model.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "adjacency":
                 reads.append(f"{path.name}:{node.lineno}")

@@ -62,48 +62,40 @@ def format_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line))
-    return out
-
-
 def parse_instance(text: str) -> Instance:
-    lines = _significant_lines(text)
-    if not lines:
+    lines = _Lines(text)
+    header = lines.next()
+    if header is None:
         raise ParseError("empty instance file", line=1)
-    lineno, header = lines[0]
+    header_lineno = lines.lineno
     parts = header.split()
     if len(parts) != 4 or parts[0] != "chainrank" or parts[1] != "v1":
-        raise ParseError("expected header 'chainrank v1 <students> <questions>'", line=lineno)
+        raise ParseError("expected header 'chainrank v1 <students> <questions>'", line=header_lineno)
     try:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
-        raise ParseError("non-integer sizes in header", line=lineno) from None
+        raise ParseError("non-integer sizes in header", line=header_lineno) from None
     if n < 1 or m < 1:
-        raise ParseError(f"header sizes must be at least 1, got {n}x{m}", line=lineno)
-    if len(lines) < 1 + n:
-        raise ParseError(f"expected {n} adjacency rows", line=lineno)
+        raise ParseError(f"header sizes must be at least 1, got {n}x{m}", line=header_lineno)
     bits = []
     for s in range(1, n + 1):
-        lineno, line = lines[s]
+        line = lines.next()
+        if line is None:
+            raise ParseError(f"expected {n} adjacency rows", line=header_lineno)
         if len(line) != m or line.strip("01"):
-            raise ParseError(f"row for student {s} must be {m} characters of 0/1", line=lineno)
+            raise ParseError(f"row for student {s} must be {m} characters of 0/1", line=lines.lineno)
         bits.append(int(line[::-1], 2))  # column q becomes bit q-1
     student_order = None
     question_order = None
-    for lineno, line in lines[1 + n :]:
+    while (line := lines.next()) is not None:
         key, _, rest = line.partition(":")
         key = key.strip()
         if key == "students" and student_order is None:
-            student_order = _parse_ints(rest, lineno)
+            student_order = _parse_ints(rest, lines.lineno)
         elif key == "questions" and question_order is None:
-            question_order = _parse_ints(rest, lineno)
+            question_order = _parse_ints(rest, lines.lineno)
         else:
-            raise ParseError(f"unexpected line {line!r}", line=lineno)
+            raise ParseError(f"unexpected line {line!r}", line=lines.lineno)
     return Instance(n, m, bits, student_order, question_order)
 
 

@@ -37,6 +37,8 @@ Tables store costs only; each engine's reconstruction walks the parents
 back, which keeps the hot loops small, then hands the orders and each
 student's prefix length (its question state's frontier position, or the
 size of the union placed so far) to ``ideal.nested_solution``. The
+frontier walk-back finds a step's candidate question states by one
+backward sweep over the covering edges the fill relaxed over. The
 frontier fill works on lists and stores each finished layer's rows as
 ``array('d')``. Both engines refuse a table whose estimated size passes
 ``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on the state
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_right
 from dataclasses import replace
 from math import comb
 from operator import add, itemgetter, or_
@@ -301,18 +304,6 @@ def _freeze(layer: list) -> None:
     layer[:] = [array("d", row) for row in layer]
 
 
-def _reaching(qi: int, covered_by: list[list[int]]) -> list[int]:
-    """qi and every question state that reaches it, ascending."""
-    seen = {qi}
-    stack = [qi]
-    while stack:
-        for p in covered_by[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return sorted(seen)
-
-
 def _reconstruct_frontier(
     inst: Instance,
     kq: int,
@@ -325,31 +316,36 @@ def _reconstruct_frontier(
 ) -> Solution:
     """Walk parents back from the cheapest terminal state and assemble the
     Solution; raises CorruptTableError if the chain breaks or the result
-    disagrees with the table."""
+    disagrees with the table.
+
+    A parent's question state is qi or one that reaches qi. Each step marks
+    them in one backward sweep over the covering edges the fill relaxed, cut
+    at qi: the edges are sorted by child and every parent has a lower index
+    than its child, so a state's mark is final before the sweep reads the
+    edges to its parents. The candidates come ascending, and the first
+    (parent, state) whose cell holds the target is taken.
+    """
     n, m = inst.num_students, inst.num_questions
     alpha, beta0 = inst.base_student_order, inst.base_question_order
-    covered_by: list[list[int]] = [[] for _ in qstates]
-    for qi, p in edges:
-        covered_by[qi].append(p)
 
-    terminal_cost = _INF
-    terminal = None
-    for sid, row in enumerate(layers[-1]):
-        for qi, val in enumerate(row):
-            if val < terminal_cost:
-                terminal_cost = val
-                terminal = (sid, qi)
-    if terminal is None:
+    terminal_cost = min(map(min, layers[-1]))
+    if terminal_cost == _INF:
         raise CorruptTableError("no feasible terminal state")
+    sid = next(s for s, row in enumerate(layers[-1]) if terminal_cost in row)
+    qi = layers[-1][sid].index(terminal_cost)
 
-    sid, qi = terminal
     value = terminal_cost
-    chain = [terminal]
+    chain = [(sid, qi)]
     for i in range(n, 1, -1):
         pos = auto[i - 1]
         skip, tail = costs[pos.lo + pos.states[sid][0]]
         target = value - (tail[qi - skip] if qi >= skip else _INF)
-        candidates = _reaching(qi, covered_by)
+        reach = bytearray(qi + 1)
+        reach[qi] = 1
+        for q, p in reversed(edges[: bisect_right(edges, (qi, qi))]):
+            if reach[q]:
+                reach[p] = 1
+        candidates = list(itertools.compress(range(qi + 1), reach))
         found = None
         for p in pos.parents[pos.states[sid][1]]:
             arr = layers[i - 2][p]

@@ -17,12 +17,12 @@ less than any other cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 from typing import Sequence
 
 from . import ideal
 from .core_model import (
     ChainRankError,
-    EditSet,
     Instance,
     InvalidInstanceError,
     Mode,
@@ -30,7 +30,6 @@ from .core_model import (
     ProblemSpec,
     Solution,
     Variant,
-    apply_edits,
     inverse_positions,
     make_instance,
     verify_solution,
@@ -111,11 +110,14 @@ def formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> Formula:
 
 def parse_cnf(text: str) -> Formula:
     """Parse DIMACS CNF text. The 'p cnf' header is optional; without it the
-    variable count is inferred from the literals."""
+    variable count is inferred from the literals. A line starting with '%'
+    ends the formula: SATLIB files close with a '%' line and a lone '0'."""
     tokens: list[str] = []
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped or stripped.startswith(("c", "%")):
+        if stripped.startswith("%"):
+            break
+        if not stripped or stripped.startswith("c"):
             continue
         tokens.extend(stripped.split())
     if not tokens:
@@ -280,39 +282,28 @@ def assignment_to_editing(red: ReductionInstance, assignment: Sequence[bool]) ->
             f"assignment covers {len(assignment)} of {phi.num_vars} variables"
         )
     order = _swapped_order(red, assignment)
-    ppos = inverse_positions(order)
     n = phi.num_vars
-
-    q_members: dict[int, set[int]] = {q: set() for q in red.clause_question_ids}
-    for s, q in red.instance.edges():
-        if q in q_members:
-            q_members[q].add(s)
-
-    additions: list[tuple[int, int]] = []
-    deletions: list[tuple[int, int]] = []
+    # The rows in ``order``; each clause question goes to exactly the
+    # students at or above its cut.
+    rows = [red.instance.adj_bits[s - 1] for s in order]
     for idx, (clause, q) in enumerate(zip(phi.clauses, red.clause_question_ids), start=1):
         chosen = next(
             (lit for lit in clause if (lit > 0) == bool(assignment[abs(lit) - 1])), None
         )
         if chosen is None:
             raise UnsatisfiedClauseError(idx)
-        cut = student_id(abs(chosen), "t" if chosen > 0 else "f")
-        target = {s for s in range(1, 6 * n + 1) if ppos[s] >= ppos[cut]}
-        before = q_members[q]
-        adds = sorted(target - before)
-        dels = sorted(before - target)
-        assert len(adds) + len(dels) == 3 * n - 1, "clause edit count off"
-        additions.extend((s, q) for s in adds)
-        deletions.extend((s, q) for s in dels)
+        cut = order.index(student_id(abs(chosen), "t" if chosen > 0 else "f"))
+        bit = 1 << (q - 1)
+        edited = [row | bit if p >= cut else row & ~bit for p, row in enumerate(rows)]
+        assert sum(map(ne, rows, edited)) == 3 * n - 1, "clause edit count off"
+        rows = edited
 
-    edits = EditSet.of(additions, deletions)
-    edited = apply_edits(red.instance, edits)
-    sol = Solution(
-        cost=edits.size,
-        student_order=tuple(order),
-        question_order=ideal.derive_question_order(edited, order),
-        edits=edits,
-        solver_tag="hardness.assignment_to_editing",
+    sol = ideal.nested_solution(
+        red.instance,
+        order,
+        ideal.nested_question_order(rows, red.instance.num_questions),
+        [row.bit_count() for row in rows],
+        "hardness.assignment_to_editing",
     )
     assert sol.cost == red.t_phi
     report = verify_solution(

@@ -129,6 +129,20 @@ class TestInstanceFormat:
             parse_instance(text)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("chainrank v1 3 2\n# rows\n10\n\n11\n", "line 1: expected 3 adjacency rows"),
+            # Short of rows with a malformed row before the end: the first
+            # fault in reading order.
+            ("chainrank v1 3 2\n1\n", "line 2: row for student 1 must be 2 characters of 0/1"),
+        ],
+    )
+    def test_missing_rows_reported_in_reading_order(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("row", ["1x1", "1_1", "+11", "1 1", "0b1", "١١١"])
     def test_row_of_other_characters_rejected(self, row):
         with pytest.raises(ParseError) as exc:
@@ -445,6 +459,16 @@ class TestCli:
         ])
         assert code == 0
         assert "cost: 2" in capsys.readouterr().out
+
+    def test_reduce_reads_a_satlib_trailer(self, tmp_path):
+        text = "p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
+        outputs = []
+        for name, body in (("plain", text), ("satlib", text + "%\n0\n")):
+            cnf = tmp_path / f"{name}.cnf"
+            cnf.write_text(body)
+            assert main(["reduce", "--cnf", str(cnf), "--output", str(tmp_path / f"{name}.txt")]) == 0
+            outputs.append((tmp_path / f"{name}.txt").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "size, seed, noise, digest",

@@ -38,6 +38,7 @@ from chainrank import (
     verify_solution,
 )
 from chainrank import dp_engine, ideal
+from chainrank.dp_engine import CorruptTableError
 from chainrank.exact_oracle import _knear_shape, _shared_shapes, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
 from conftest import DP_VARIANT_MODES, adjacency, figure_one, random_instance
@@ -408,6 +409,122 @@ def test_reconstruct_rejects_finite_cell_in_infinite_prefix():
         layers[-1][sid][qi] = 0
         with pytest.raises(CorruptTableError):
             _reconstruct_frontier(inst, 0, Mode.ADDITION, layers, *shared)
+
+
+def _reaching_chain(layers, auto, costs, edges):
+    """The frontier walk-back's chain as it was found with a depth-first
+    search over the covering edges: the terminal (sid, qi) and, per step
+    from position n down, (i, qi, p, qp, target)."""
+    inf = float("inf")
+    covered_by = [[] for _ in range(len(layers[0][0]))]
+    for q, p in edges:
+        covered_by[q].append(p)
+
+    def reaching(qi):
+        seen = {qi}
+        stack = [qi]
+        while stack:
+            for p in covered_by[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return sorted(seen)
+
+    terminal_cost, terminal = inf, None
+    for sid, row in enumerate(layers[-1]):
+        for qi, val in enumerate(row):
+            if val < terminal_cost:
+                terminal_cost, terminal = val, (sid, qi)
+    if terminal is None:
+        raise CorruptTableError("no feasible terminal state")
+    sid, qi = terminal
+    value = terminal_cost
+    steps = []
+    for i in range(len(layers), 1, -1):
+        pos = auto[i - 1]
+        skip, tail = costs[pos.lo + pos.states[sid][0]]
+        target = value - (tail[qi - skip] if qi >= skip else inf)
+        found = next(
+            ((p, qp) for p in pos.parents[pos.states[sid][1]] for qp in reaching(qi) if layers[i - 2][p][qp] == target),
+            None,
+        )
+        if found is None:
+            raise CorruptTableError(f"broken parent chain at position {i}")
+        steps.append((i, qi, *found, target))
+        sid, qi = found
+        value = target
+    return terminal, terminal_cost, steps
+
+
+def _reaching_walk_reference(inst, kq, mode, layers, auto, costs, qstates, edges):
+    """``_reconstruct_frontier`` as it was when each step rebuilt the
+    states reaching the current one by a depth-first search, kept as the
+    reference for the sweep over the covering edges."""
+    m = inst.num_questions
+    alpha, beta0 = inst.base_student_order, inst.base_question_order
+    terminal, terminal_cost, steps = _reaching_chain(layers, auto, costs, edges)
+    chain = [terminal] + [(p, qp) for _i, _qi, p, qp, _target in steps]
+    chain.reverse()
+    rows = []
+    for q_idx in dict.fromkeys(qi for _sid, qi in chain):
+        rows.extend(qstates[q_idx][2:])
+    beta_label_order = ideal.nested_question_order(rows, m)
+    if sorted(beta_label_order) != list(range(1, m + 1)):
+        raise CorruptTableError("reconstructed question order is not a permutation")
+    if any(abs(lab - pos) > kq for pos, lab in enumerate(beta_label_order, start=1)):
+        raise CorruptTableError("reconstructed question order exceeds displacement bound")
+    sol = ideal.nested_solution(
+        inst,
+        [alpha[pos.lo + pos.states[sid][0] - 1] for pos, (sid, _qi) in zip(auto, chain)],
+        [beta0[lab - 1] for lab in beta_label_order],
+        [qstates[qi][0] for _sid, qi in chain],
+        f"dp.frontier.{mode.value}",
+    )
+    if mode == Mode.ADDITION and sol.edits.deletions:
+        raise CorruptTableError("addition solve produced deletions")
+    if sol.edits.size != terminal_cost:
+        raise CorruptTableError(f"reconstructed cost {sol.edits.size} != table cost {terminal_cost}")
+    return sol
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9), ks=st.integers(0, 3), kq=st.integers(0, 3), mode=st.sampled_from(list(Mode)))
+def test_reconstruct_frontier_matches_reaching_walk_reference(seed, ks, kq, mode):
+    inst = random_instance(random.Random(seed), max_side=7)
+    n, m = inst.num_students, inst.num_questions
+    ks, kq = min(ks, n - 1), min(kq, m - 1)
+    table = dp_engine._frontier_table(inst, ks, kq, mode)
+    assert dp_engine._reconstruct_frontier(inst, kq, mode, *table) == _reaching_walk_reference(inst, kq, mode, *table)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_reconstruct_ignores_target_at_a_state_that_does_not_reach(mode):
+    """A step's target planted in the chosen parent row, at a state below
+    the chosen one that does not reach the current state, leaves the
+    Solution as it is: the walk-back looks only at the reaching states."""
+    rng = random.Random(41)
+    planted = 0
+    while planted < 20:
+        inst = random_instance(rng, max_side=7)
+        n, m = inst.num_students, inst.num_questions
+        kq = min(rng.randint(1, 3), m - 1)
+        if n < 2 or kq < 1:
+            continue
+        ks = min(rng.randint(0, 3), n - 1)
+        layers, auto, costs, qstates, edges = dp_engine._frontier_table(inst, ks, kq, mode)
+        want = dp_engine._reconstruct_frontier(inst, kq, mode, layers, auto, costs, qstates, edges)
+        reaching = [{q} for q in range(len(qstates))]
+        for q, p in edges:  # sorted by q, and p < q: reaching[p] is complete
+            reaching[q] |= reaching[p]
+        for i, qi, p, qp, target in _reaching_chain(layers, auto, costs, edges)[2]:
+            for x in range(qp):
+                if x not in reaching[qi]:
+                    row = layers[i - 2][p]
+                    row[x], saved = target, row[x]
+                    got = dp_engine._reconstruct_frontier(inst, kq, mode, layers, auto, costs, qstates, edges)
+                    row[x] = saved
+                    assert got == want, (i, qi, p, qp, x)
+                    planted += 1
 
 
 def _union_band_table_reference(inst, ks, kq, mode):

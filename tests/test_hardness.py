@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -11,8 +12,10 @@ from chainrank import (
     ProblemSpec,
     Solution,
     Variant,
+    apply_edits,
     assignment_to_editing,
     build_reduction,
+    derive_question_order,
     editing_to_assignment,
     oracle_solve,
     parse_cnf,
@@ -56,6 +59,10 @@ class TestParseCnf:
     def test_unterminated_clause(self):
         with pytest.raises(ParseError):
             parse_cnf("p cnf 2 1\n1 2\n")
+
+    def test_satlib_trailer_ends_the_formula(self):
+        text = "c SATLIB style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+        assert parse_cnf(text + "%\n0\n\n") == parse_cnf(text)
 
 
 class TestBuildReduction:
@@ -153,6 +160,62 @@ class TestAssignmentToEditing:
         sol = assignment_to_editing(red, [True, True])
         for p, s in enumerate(sol.student_order, start=1):
             assert abs(p - (len(sol.student_order) + 1 - s)) <= 1
+
+
+def _assignment_to_editing_reference(red, assignment):
+    """``assignment_to_editing`` as it was when it built the clause
+    questions' edits as set differences and applied them, kept as the
+    reference for the build through ``nested_solution``."""
+    phi = red.formula
+    order = list(red.pi_phi)
+    for g, value in enumerate(assignment, start=1):
+        if value:
+            pf, pt = len(order) + 1 - student_id(g, "f"), len(order) + 1 - student_id(g, "t")
+            order[pf - 1], order[pt - 1] = order[pt - 1], order[pf - 1]
+    ppos = {s: p for p, s in enumerate(order, start=1)}
+    q_members = {q: set() for q in red.clause_question_ids}
+    for s, q in red.instance.edges():
+        if q in q_members:
+            q_members[q].add(s)
+    additions, deletions = [], []
+    for idx, (clause, q) in enumerate(zip(phi.clauses, red.clause_question_ids), start=1):
+        chosen = next((lit for lit in clause if (lit > 0) == bool(assignment[abs(lit) - 1])), None)
+        if chosen is None:
+            raise UnsatisfiedClauseError(idx)
+        cut = student_id(abs(chosen), "t" if chosen > 0 else "f")
+        target = {s for s in order if ppos[s] >= ppos[cut]}
+        additions.extend((s, q) for s in target - q_members[q])
+        deletions.extend((s, q) for s in q_members[q] - target)
+    edits = EditSet.of(additions, deletions)
+    return Solution(
+        cost=edits.size,
+        student_order=tuple(order),
+        question_order=derive_question_order(apply_edits(red.instance, edits), order),
+        edits=edits,
+        solver_tag="hardness.assignment_to_editing",
+    )
+
+
+def test_assignment_to_editing_matches_set_difference_reference():
+    """The same Solution, or the same unsatisfied clause, for every
+    assignment of random formulas."""
+    rng = random.Random(17)
+    for _ in range(40):
+        num_vars = rng.randint(1, 4)
+        clauses = []
+        for _ in range(rng.randint(1, 5)):
+            chosen = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
+            clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+        red = build_reduction(formula(num_vars, clauses))
+        for assignment in itertools.product([False, True], repeat=num_vars):
+            try:
+                want = _assignment_to_editing_reference(red, assignment)
+            except UnsatisfiedClauseError as exc:
+                with pytest.raises(UnsatisfiedClauseError) as got:
+                    assignment_to_editing(red, assignment)
+                assert got.value.clause_index == exc.clause_index
+            else:
+                assert assignment_to_editing(red, assignment) == want
 
 
 class TestEditingToAssignment:

@@ -137,12 +137,25 @@ def format_solution(sol: Solution, verified: bool) -> str:
         "question_order: " + " ".join(map(str, sol.question_order)),
         f"additions: {len(sol.edits.additions)}",
     ]
-    lines.extend(f"{s} {q}" for s, q in sorted(sol.edits.additions))
+    lines.extend(_pair_lines(sol.edits.additions))
     lines.append(f"deletions: {len(sol.edits.deletions)}")
-    lines.extend(f"{s} {q}" for s, q in sorted(sol.edits.deletions))
+    lines.extend(_pair_lines(sol.edits.deletions))
     lines.append(f"solver_tag: {sol.solver_tag}")
     lines.append(f"verified: {'true' if verified else 'false'}")
     return "\n".join(lines) + "\n"
+
+
+def _pair_lines(pairs) -> list[str]:
+    """One ``s q`` line per (student, question) pair, in sorted pair order:
+    the pairs grouped by student, students ascending and each student's ids
+    ascending, with the ``s `` prefix built once per student."""
+    by_student: dict[int, list[int]] = {}
+    for s, q in pairs:
+        by_student.setdefault(s, []).append(q)
+    lines: list[str] = []
+    for s in sorted(by_student):
+        lines += map(f"{s} ".__add__, map(str, sorted(by_student[s])))
+    return lines
 
 
 class _Lines:

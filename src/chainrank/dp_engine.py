@@ -38,9 +38,14 @@ back, which keeps the hot loops small, then hands the orders and each
 student's prefix length (its question state's frontier position, or the
 size of the union placed so far) to ``ideal.nested_solution``. The
 frontier walk-back finds a step's candidate question states by one
-backward sweep over the covering edges the fill relaxed over. The
-frontier fill works on lists and stores each finished layer's rows as
-``array('d')``. Both engines refuse a table whose estimated size passes
+backward sweep over the covering edges the fill relaxed over.
+
+A frontier row is one int with a 32-bit field per question state, 4 bytes
+a cell: 31 value bits under a guard bit, and the all-ones value
+``_CELL_INF`` for infinity. The fill takes elementwise minima and sums of
+whole rows as big-int arithmetic in C; only the relaxation over the
+covering edges unpacks a row into its cells. Both engines refuse a table
+whose estimated size passes
 ``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on the state
 counts of both sides, taken before any state is built.
 """
@@ -48,11 +53,12 @@ counts of both sides, taken before any state is built.
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import replace
 from math import comb
-from operator import add, itemgetter, or_
+from operator import itemgetter, or_
 
 from . import ideal
 from .core_model import (
@@ -74,6 +80,9 @@ from .exact_oracle import (
 )
 
 _INF = float("inf")
+# The infinite cell of a packed frontier row: every value bit of its 32-bit
+# field set, the guard bit (bit 31) clear.
+_CELL_INF = (1 << 31) - 1
 # The largest DP table a solve may allocate, by ``_check_table_size``.
 _TABLE_BYTES_LIMIT = 1 << 30
 # Bytes a student state holds besides its cost row: its layer slot, row
@@ -224,23 +233,26 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
 
     Returns (layers, auto, costs, qstates, edges). ``layers[i-1][s]`` holds
     the costs of student state s of ``auto[i-1]``, position i of the student
-    automaton, indexed by question state: an ``array('d')`` with ``_INF``
-    where the state is infeasible. The rest is what reconstruction shares
-    with the fill. Layer i is filled as lists from the lists of layer i-1,
-    whose rows are then frozen into arrays. Each window's parent rows are
-    merged and relaxed once per layer and the result is shared by every
+    automaton, as one packed row over the question states (``_pack``): a
+    32-bit field per state, ``_CELL_INF`` where the state is infeasible. The
+    rest is what reconstruction shares with the fill. Each window's parent
+    rows are merged (a packed minimum, then the covering edges relaxed on
+    the unpacked cells) once per layer, and the result is shared by every
     occupant with that window.
 
-    ``costs[u]`` is (skip, tail), student u's costs over the question
-    states: ``_INF`` before state skip, ``tail`` from there. Editing costs
-    |b ^ t| for neighborhood b and target t. Addition costs the same where
-    b lies inside t and ``_INF`` where u would lose a question; skip cuts
-    the states whose frontier lies more than kq below b's hardest question,
-    which all miss it. Both modes fill a state as its window's merged row
-    plus its student's costs. The prefix's neighborhoods need no test of
-    their own: a finite merged cell has a parent chain that placed each of
-    them inside a parent target, and targets only grow along the covering
-    edges.
+    ``costs[u]`` is student u's packed cost row over the question states.
+    Editing costs |b ^ t| for neighborhood b and target t. Addition costs
+    the same where b lies inside t and ``_CELL_INF`` where u would lose a
+    question, which covers every state whose frontier lies more than kq
+    below b's hardest question. Both modes fill a state as its window's
+    merged row plus its student's costs, saturated at ``_CELL_INF``. The
+    prefix's neighborhoods need no test of their own: a finite merged cell
+    has a parent chain that placed each of them inside a parent target, and
+    targets only grow along the covering edges.
+
+    No finite cost reaches ``_CELL_INF`` = 2^31 - 1: a cost is at most n*m,
+    and ``_check_table_size`` charges at least 8*n*(m+1) bytes, so it
+    refuses every table with n*m >= 2^27 before this fill runs.
     """
     n, m = inst.num_students, inst.num_questions
     alpha = inst.base_student_order
@@ -257,60 +269,83 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     first_at = [nq] * (m + 1)  # first question state at frontier position >= j
     for qi in range(nq - 1, -1, -1):
         first_at[qstates[qi][0]] = qi
+    guards = _pack([1 << 31] * nq)
+    full = _pack([_CELL_INF] * nq)
 
     targets = [st[3] for st in qstates]
     costs = []
     for b in nb:
         if mode == Mode.EDITING:
-            costs.append((0, [(b ^ t).bit_count() for t in targets]))
+            costs.append(_pack([(b ^ t).bit_count() for t in targets]))
         else:
             skip = first_at[max(0, b.bit_length() - kq)]
-            costs.append((skip, [(b ^ t).bit_count() if b & t == b else _INF for t in targets[skip:]]))
+            tail = [(b ^ t).bit_count() if b & t == b else _CELL_INF for t in targets[skip:]]
+            costs.append(_pack([_CELL_INF] * skip + tail))
 
-    def merge(rows: list) -> list:
+    def merge(rows: list[int]) -> int:
         """Elementwise minimum of the parent rows, relaxed over the covering
         edges."""
-        merged = list(rows[0])
-        for arr in rows[1:]:
-            merged = [a if a < b else b for a, b in zip(merged, arr)]
+        merged = rows[0]
+        for row in rows[1:]:
+            merged = _packed_min(merged, row, guards)
+        cells = _unpack(merged, nq).tolist()
         for qi, p in edges:
-            if merged[p] < merged[qi]:
-                merged[qi] = merged[p]
-        return merged
+            if cells[p] < cells[qi]:
+                cells[qi] = cells[p]
+        return _pack(cells)
 
-    layers: list[list] = []
-    prev: list = [[0] * nq]  # the start state, parent of position 1
+    layers: list[list[int]] = []
+    prev = [0]  # the start state, parent of position 1: every cell 0
     for pos in auto:
         # The parents depend on the window alone, so the occupants sharing a
         # window share one merged row.
         merged = [merge([prev[p] for p in parents]) for parents in pos.parents]
-        cur = []
-        for e, w in pos.states:
-            skip, tail = costs[pos.lo + e]
-            row = [_INF] * skip
-            row += map(add, merged[w][skip:] if skip else merged[w], tail)  # no copy at skip 0
-            cur.append(row)
-        _freeze(prev)
-        layers.append(cur)
-        prev = cur
-    _freeze(prev)
+        prev = [_packed_add(merged[w], costs[pos.lo + e], guards, full) for e, w in pos.states]
+        layers.append(prev)
     return layers, auto, costs, qstates, edges
 
 
-def _freeze(layer: list) -> None:
-    """Store a finished layer's rows as ``array('d')``: 8 bytes a cell, not
-    a pointer plus an int object. Costs are at most n*m, far below 2^53, so
-    doubles hold them exactly, and ``_INF`` as it is."""
-    layer[:] = [array("d", row) for row in layer]
+def _pack(cells) -> int:
+    """One int holding ``cells`` (each below 2^32) in 32-bit fields, cell i
+    in the i-th 4-byte word of its native-order bytes; ``_unpack`` inverts
+    it."""
+    return int.from_bytes(array("I", cells).tobytes(), sys.byteorder)
+
+
+def _unpack(row: int, nq: int) -> array:
+    """The nq cells of a packed row, as ``array('I')``."""
+    return array("I", row.to_bytes(4 * nq, sys.byteorder))
+
+
+def _packed_min(a: int, b: int, guards: int) -> int:
+    """Elementwise minimum of two packed rows of 31-bit values; ``guards``
+    holds bit 31 of every field. Each field of (a | guards) - b keeps its
+    guard bit iff a >= b there, without borrowing from the next field, and
+    d - (d >> 31) widens each kept guard into a mask of that field's value
+    bits, where b is taken."""
+    d = ((a | guards) - b) & guards
+    return a ^ ((a ^ b) & (d - (d >> 31)))
+
+
+def _packed_add(a: int, b: int, guards: int, full: int) -> int:
+    """Elementwise sum of two packed rows of 31-bit values, saturated at
+    ``_CELL_INF``: a field's sum stays below 2^32, and one that reaches
+    2^31 sets its guard bit, which widens into all ones there. ``full`` is
+    the row of ``_CELL_INF`` fields."""
+    r = a + b
+    g = r & guards
+    if g:
+        r = (r | (g - (g >> 31))) & full
+    return r
 
 
 def _reconstruct_frontier(
     inst: Instance,
     kq: int,
     mode: Mode,
-    layers: list[list],
+    layers: list[list[int]],
     auto: list[KnearPosition],
-    costs: list[tuple[int, list]],
+    costs: list[int],
     qstates: list[tuple],
     edges: list[tuple[int, int]],
 ) -> Solution:
@@ -327,33 +362,31 @@ def _reconstruct_frontier(
     """
     n, m = inst.num_students, inst.num_questions
     alpha, beta0 = inst.base_student_order, inst.base_question_order
+    nq = len(qstates)
 
-    terminal_cost = min(map(min, layers[-1]))
-    if terminal_cost == _INF:
+    last = [_unpack(row, nq) for row in layers[-1]]
+    terminal_cost = min(map(min, last))
+    if terminal_cost == _CELL_INF:
         raise CorruptTableError("no feasible terminal state")
-    sid = next(s for s, row in enumerate(layers[-1]) if terminal_cost in row)
-    qi = layers[-1][sid].index(terminal_cost)
+    sid = next(s for s, row in enumerate(last) if terminal_cost in row)
+    qi = last[sid].index(terminal_cost)
 
     value = terminal_cost
     chain = [(sid, qi)]
     for i in range(n, 1, -1):
         pos = auto[i - 1]
-        skip, tail = costs[pos.lo + pos.states[sid][0]]
-        target = value - (tail[qi - skip] if qi >= skip else _INF)
+        # An infinite cost makes the target negative, which no cell holds.
+        target = value - _unpack(costs[pos.lo + pos.states[sid][0]], nq)[qi]
         reach = bytearray(qi + 1)
         reach[qi] = 1
         for q, p in reversed(edges[: bisect_right(edges, (qi, qi))]):
             if reach[q]:
                 reach[p] = 1
-        candidates = list(itertools.compress(range(qi + 1), reach))
         found = None
         for p in pos.parents[pos.states[sid][1]]:
-            arr = layers[i - 2][p]
-            for qp in candidates:
-                if arr[qp] == target:
-                    found = (p, qp)
-                    break
-            if found:
+            qp = _first_marked(_unpack(layers[i - 2][p], nq), target, reach)
+            if qp is not None:
+                found = (p, qp)
                 break
         if found is None:
             raise CorruptTableError(f"broken parent chain at position {i}")
@@ -388,6 +421,20 @@ def _reconstruct_frontier(
     if sol.edits.size != terminal_cost:
         raise CorruptTableError(f"reconstructed cost {sol.edits.size} != table cost {terminal_cost}")
     return sol
+
+
+def _first_marked(cells: array, value: int, marks: bytearray) -> int | None:
+    """The first index i < len(marks) with ``cells[i] == value`` and
+    ``marks[i]`` set, or None; C-level scans from one match to the next."""
+    i = 0
+    try:
+        while True:
+            i = cells.index(value, i, len(marks))
+            if marks[i]:
+                return i
+            i += 1
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

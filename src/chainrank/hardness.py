@@ -110,8 +110,9 @@ def formula(num_vars: int, clauses: Sequence[Sequence[int]]) -> Formula:
 
 def parse_cnf(text: str) -> Formula:
     """Parse DIMACS CNF text. The 'p cnf' header is optional; without it the
-    variable count is inferred from the literals. A line starting with '%'
-    ends the formula: SATLIB files close with a '%' line and a lone '0'."""
+    variable count is inferred from the literals, and with it the clauses
+    read must number what it declares. A line starting with '%' ends the
+    formula: SATLIB files close with a '%' line and a lone '0'."""
     tokens: list[str] = []
     for line in text.splitlines():
         stripped = line.strip()
@@ -122,14 +123,14 @@ def parse_cnf(text: str) -> Formula:
         tokens.extend(stripped.split())
     if not tokens:
         raise ParseError("no clauses found")
-    num_vars = None
+    num_vars = num_clauses = None
     pos = 0
     if tokens[0] == "p":
         if len(tokens) < 4 or tokens[1] != "cnf":
             raise ParseError("malformed problem line, expected 'p cnf <vars> <clauses>'")
         try:
             num_vars = int(tokens[2])
-            int(tokens[3])
+            num_clauses = int(tokens[3])
         except ValueError as exc:
             raise ParseError(f"bad problem line counts: {exc}") from exc
         pos = 4
@@ -151,6 +152,8 @@ def parse_cnf(text: str) -> Formula:
         raise ParseError("last clause is not terminated by 0")
     if not clauses:
         raise ParseError("no clauses found")
+    if num_clauses is not None and len(clauses) != num_clauses:
+        raise ParseError(f"the problem line declares {num_clauses} clauses, but {len(clauses)} were read")
     if num_vars is None:
         num_vars = max(abs(lit) for clause in clauses for lit in clause)
     return formula(num_vars, clauses)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -30,6 +32,29 @@ def adjacency(inst) -> tuple[tuple[int, ...], ...]:
     read off its bitset."""
     qids = range(1, inst.num_questions + 1)
     return tuple(tuple(q for q in qids if b >> (q - 1) & 1) for b in inst.adj_bits)
+
+
+# The infinite cell of a packed frontier row: all 31 value bits set.
+CELL_INF = (1 << 31) - 1
+
+
+def fields(row: int, nq: int) -> array:
+    """The nq raw 32-bit fields of a packed frontier row, as the engine
+    lays them out: field i is the i-th 4-byte word of the row's
+    native-order bytes."""
+    return array("I", row.to_bytes(4 * nq, sys.byteorder))
+
+
+def cells(row: int, nq: int) -> list:
+    """The nq cells of a packed frontier row, the all-ones field as inf."""
+    return [float("inf") if c == CELL_INF else c for c in fields(row, nq)]
+
+
+def with_cell(row: int, nq: int, qi: int, value) -> int:
+    """``row`` with cell qi set to ``value`` (inf as the all-ones field)."""
+    raw = fields(row, nq)
+    raw[qi] = CELL_INF if value == float("inf") else value
+    return int.from_bytes(raw.tobytes(), sys.byteorder)
 
 
 @pytest.fixture

@@ -190,6 +190,40 @@ class TestSolutionFormat:
             parse_solution(text)
 
 
+def _sorted_tuple_writer(sol: Solution, verified: bool) -> str:
+    """``format_solution`` as it was when each pair block was written from
+    the sorted pair tuples, kept as the reference for the grouped writer."""
+    lines = [
+        "chainrank-solution v1",
+        f"cost: {sol.cost}",
+        "student_order: " + " ".join(map(str, sol.student_order)),
+        "question_order: " + " ".join(map(str, sol.question_order)),
+        f"additions: {len(sol.edits.additions)}",
+    ]
+    lines.extend(f"{s} {q}" for s, q in sorted(sol.edits.additions))
+    lines.append(f"deletions: {len(sol.edits.deletions)}")
+    lines.extend(f"{s} {q}" for s, q in sorted(sol.edits.deletions))
+    lines.append(f"solver_tag: {sol.solver_tag}")
+    lines.append(f"verified: {'true' if verified else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+_ids = st.integers(-5, 12) | st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    additions=st.lists(st.tuples(_ids, _ids), max_size=40),
+    deletions=st.lists(st.tuples(_ids, _ids), max_size=40),
+    verified=st.booleans(),
+)
+def test_grouped_pair_writer_matches_sorted_tuples(additions, deletions, verified):
+    """Grouping each pair block by student writes the bytes of the sorted
+    tuples, negative and huge ids included."""
+    sol = Solution(len(additions) + len(deletions), (2, 1), (1,), EditSet.of(additions, deletions), "t")
+    assert format_solution(sol, verified) == _sorted_tuple_writer(sol, verified)
+
+
 _SOLUTION_HEAD = "chainrank-solution v1\ncost: 2\nstudent_order: 1 2 3\nquestion_order: 1 2 3 4 5\n"
 _SOLUTION_TAIL = "solver_tag: t\nverified: true\n"
 
@@ -469,6 +503,13 @@ class TestCli:
             assert main(["reduce", "--cnf", str(cnf), "--output", str(tmp_path / f"{name}.txt")]) == 0
             outputs.append((tmp_path / f"{name}.txt").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_reduce_rejects_a_cut_file(self, tmp_path, capsys):
+        cnf = tmp_path / "cut.cnf"
+        cnf.write_text("p cnf 3 5\n1 -2 3 0\n-1 2 0\n")
+        assert main(["reduce", "--cnf", str(cnf), "--output", str(tmp_path / "red.txt")]) != 0
+        assert "5 clauses" in capsys.readouterr().err
+        assert not (tmp_path / "red.txt").exists()
 
     @pytest.mark.parametrize(
         "size, seed, noise, digest",

@@ -4,7 +4,6 @@ import itertools
 import random
 import time
 import tracemalloc
-from array import array
 from dataclasses import replace
 from functools import partial
 from operator import add, itemgetter, or_
@@ -41,7 +40,7 @@ from chainrank import dp_engine, ideal
 from chainrank.dp_engine import CorruptTableError
 from chainrank.exact_oracle import _knear_shape, _shared_shapes, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
-from conftest import DP_VARIANT_MODES, adjacency, figure_one, random_instance
+from conftest import CELL_INF, DP_VARIANT_MODES, adjacency, cells, fields, figure_one, random_instance, with_cell
 
 
 def fig1_with_orders():
@@ -383,10 +382,12 @@ def test_reconstruct_rejects_tampered_table():
 
     inst = make_instance(2, 2, [(1, 1), (1, 2)], (1, 2), (1, 2))
     layers, *shared = _frontier_table(inst, 1, 0, Mode.EDITING)
-    for row in layers[0]:
-        assert isinstance(row, array)
-        for qi in range(len(row)):
-            row[qi] += 1
+    nq = len(shared[2])
+    for sid, row in enumerate(layers[0]):
+        assert isinstance(row, int)
+        for qi in range(nq):
+            row = with_cell(row, nq, qi, cells(row, nq)[qi] + 1)
+        layers[0][sid] = row
     with pytest.raises(CorruptTableError):
         _reconstruct_frontier(inst, 0, Mode.EDITING, layers, *shared)
 
@@ -399,24 +400,31 @@ def test_reconstruct_rejects_finite_cell_in_infinite_prefix():
     from chainrank.dp_engine import CorruptTableError, _frontier_table, _reconstruct_frontier
 
     inst = make_instance(2, 3, [(1, 3), (2, 2), (2, 3)], (1, 2), (1, 2, 3))
-    _layers, auto, costs, _qstates, _edges = _frontier_table(inst, 1, 0, Mode.ADDITION)
+    _layers, auto, costs, qstates, _edges = _frontier_table(inst, 1, 0, Mode.ADDITION)
+    nq = len(qstates)
     last = auto[-1]
-    cells = [(sid, qi) for sid, (e, _w) in enumerate(last.states) for qi in range(costs[last.lo + e][0])]
-    assert len(cells) == 6  # both students' hardest question is 3: three states each
-    for sid, qi in cells:
+    prefix = [
+        (sid, qi)
+        for sid, (e, _w) in enumerate(last.states)
+        for qi, _c in enumerate(itertools.takewhile(lambda c: c == float("inf"), cells(costs[last.lo + e], nq)))
+    ]
+    assert len(prefix) == 6  # both students' hardest question is 3: three states each
+    for sid, qi in prefix:
         layers, *shared = _frontier_table(inst, 1, 0, Mode.ADDITION)
-        assert layers[-1][sid][qi] == float("inf")
-        layers[-1][sid][qi] = 0
+        assert cells(layers[-1][sid], nq)[qi] == float("inf")
+        layers[-1][sid] = with_cell(layers[-1][sid], nq, qi, 0)
         with pytest.raises(CorruptTableError):
             _reconstruct_frontier(inst, 0, Mode.ADDITION, layers, *shared)
 
 
-def _reaching_chain(layers, auto, costs, edges):
+def _reaching_chain(layers, auto, costs, edges, nq):
     """The frontier walk-back's chain as it was found with a depth-first
     search over the covering edges: the terminal (sid, qi) and, per step
-    from position n down, (i, qi, p, qp, target)."""
+    from position n down, (i, qi, p, qp, target). The packed rows are
+    read cell by cell, with ``cells``."""
     inf = float("inf")
-    covered_by = [[] for _ in range(len(layers[0][0]))]
+    layers = [[cells(row, nq) for row in layer] for layer in layers]
+    covered_by = [[] for _ in range(nq)]
     for q, p in edges:
         covered_by[q].append(p)
 
@@ -442,8 +450,7 @@ def _reaching_chain(layers, auto, costs, edges):
     steps = []
     for i in range(len(layers), 1, -1):
         pos = auto[i - 1]
-        skip, tail = costs[pos.lo + pos.states[sid][0]]
-        target = value - (tail[qi - skip] if qi >= skip else inf)
+        target = value - cells(costs[pos.lo + pos.states[sid][0]], nq)[qi]
         found = next(
             ((p, qp) for p in pos.parents[pos.states[sid][1]] for qp in reaching(qi) if layers[i - 2][p][qp] == target),
             None,
@@ -462,7 +469,7 @@ def _reaching_walk_reference(inst, kq, mode, layers, auto, costs, qstates, edges
     reference for the sweep over the covering edges."""
     m = inst.num_questions
     alpha, beta0 = inst.base_student_order, inst.base_question_order
-    terminal, terminal_cost, steps = _reaching_chain(layers, auto, costs, edges)
+    terminal, terminal_cost, steps = _reaching_chain(layers, auto, costs, edges, len(qstates))
     chain = [terminal] + [(p, qp) for _i, _qi, p, qp, _target in steps]
     chain.reverse()
     rows = []
@@ -516,13 +523,14 @@ def test_reconstruct_ignores_target_at_a_state_that_does_not_reach(mode):
         reaching = [{q} for q in range(len(qstates))]
         for q, p in edges:  # sorted by q, and p < q: reaching[p] is complete
             reaching[q] |= reaching[p]
-        for i, qi, p, qp, target in _reaching_chain(layers, auto, costs, edges)[2]:
+        for i, qi, p, qp, target in _reaching_chain(layers, auto, costs, edges, len(qstates))[2]:
             for x in range(qp):
                 if x not in reaching[qi]:
-                    row = layers[i - 2][p]
-                    row[x], saved = target, row[x]
+                    layer = layers[i - 2]
+                    saved = layer[p]
+                    layer[p] = with_cell(saved, len(qstates), x, target)
                     got = dp_engine._reconstruct_frontier(inst, kq, mode, layers, auto, costs, qstates, edges)
-                    row[x] = saved
+                    layer[p] = saved
                     assert got == want, (i, qi, p, qp, x)
                     planted += 1
 
@@ -597,14 +605,16 @@ def test_frontier_table_matches_union_band_reference(seed, ks, kq, mode):
     inst = random_instance(random.Random(seed), max_side=7)
     n, m = inst.num_students, inst.num_questions
     ks, kq = min(ks, n - 1), min(kq, m - 1)
-    layers = dp_engine._frontier_table(inst, ks, kq, mode)[0]
+    layers, _auto, _costs, qstates, _edges = dp_engine._frontier_table(inst, ks, kq, mode)
     ref = _union_band_table_reference(inst, ks, kq, mode)
-    assert [[list(row) for row in layer] for layer in layers] == ref
+    assert [[cells(row, len(qstates)) for row in layer] for layer in layers] == ref
 
 
 @pytest.mark.parametrize("mode", [Mode.EDITING, Mode.ADDITION])
 @pytest.mark.parametrize("ks, kq", [(1, 0), (2, 0), (1, 1), (2, 2)])
 def test_frontier_rows_are_double_arrays(mode, ks, kq):
+    """Every frontier row is an int of nq 32-bit fields whose guard bits
+    (bit 31 of each field) are clear; the name predates the packed rows."""
     from chainrank.dp_engine import _frontier_table
 
     rng = random.Random(29)
@@ -616,8 +626,30 @@ def test_frontier_rows_are_double_arrays(mode, ks, kq):
         for layer, pos in zip(layers, auto):
             assert len(layer) == len(pos.states)
             for row in layer:
-                assert isinstance(row, array) and row.typecode == "d"
-                assert len(row) == len(qstates)
+                assert isinstance(row, int) and 0 <= row < 1 << 32 * len(qstates)
+                assert all(c < 1 << 31 for c in fields(row, len(qstates)))
+
+
+_packed_rows = st.integers(1, 40).flatmap(
+    lambda nq: st.tuples(*[st.lists(st.one_of(st.just(CELL_INF), st.integers(0, CELL_INF)), min_size=nq, max_size=nq)] * 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_packed_rows)
+def test_packed_min_and_saturating_add_match_per_cell(rows):
+    """The packed minimum and the saturating sum equal per-cell Python on
+    values up to the infinite field, and keep every guard bit clear."""
+    a, b = rows
+    nq = len(a)
+    pa, pb = dp_engine._pack(a), dp_engine._pack(b)
+    guards, full = dp_engine._pack([1 << 31] * nq), dp_engine._pack([CELL_INF] * nq)
+    assert list(fields(pa, nq)) == a
+    assert list(dp_engine._unpack(pa, nq)) == a
+    low = dp_engine._packed_min(pa, pb, guards)
+    assert list(fields(low, nq)) == [min(x, y) for x, y in zip(a, b)]
+    total = dp_engine._packed_add(pa, pb, guards, full)
+    assert list(fields(total, nq)) == [min(x + y, CELL_INF) for x, y in zip(a, b)]
 
 
 def _noisy_instance(n: int, k: int, seed: int):
@@ -628,9 +660,9 @@ def _noisy_instance(n: int, k: int, seed: int):
 
 
 def test_frontier_table_peak_memory():
-    """Finished rows are 8 bytes a cell. The 120x120 k=2 constrained table
-    peaks at 1.9 MB; the bound leaves 1.6x headroom, and the same table with
-    rows of Python ints (6.4 MB) fails it."""
+    """Rows are packed ints, 4 bytes a cell. The 120x120 k=2 constrained
+    table peaks at 0.87 MB; the bound leaves 1.6x headroom, and the same
+    table with rows of ``array('d')`` (1.70 MB) fails it."""
     from chainrank.dp_engine import _frontier_table
 
     inst = _noisy_instance(120, 2, 5)
@@ -641,7 +673,7 @@ def test_frontier_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert sum(map(len, table[0])) > 1000
-    assert peak < 3 * 2**20, peak
+    assert peak < 1.4 * 2**20, peak
 
 
 class TestTableSizeGuard:
@@ -670,6 +702,19 @@ class TestTableSizeGuard:
         start = time.perf_counter()
         with pytest.raises(InstanceTooLargeError, match="GiB"):
             solve_both_knear(inst, 19, mode)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "n, ks, m, kq",
+        [(1 << 16, 0, 1 << 15, 0), (1 << 15, 0, 1 << 16, 0), (46341, 0, 46341, 0), (1 << 16, 1, 1 << 15, 1)],
+    )
+    def test_costs_stay_below_the_infinite_field(self, n, ks, m, kq):
+        """A frontier cost is at most n*m, and a packed row reads 2^31 - 1
+        as infinite; every shape with n*m >= 2^31 - 1 is refused, fast."""
+        assert n * m >= CELL_INF
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError, match="GiB"):
+            dp_engine._check_table_size(n, ks, m, kq)
         assert time.perf_counter() - start < 1.0
 
     def test_state_bound_covers_the_families(self):

@@ -65,6 +65,20 @@ class TestParseCnf:
         assert parse_cnf(text + "%\n0\n\n") == parse_cnf(text)
 
 
+    @pytest.mark.parametrize(
+        "text, declared, read",
+        [
+            ("p cnf 3 5\n1 -2 0\n", 5, 1),
+            ("p cnf 3 2\n1 -2 3 0\n", 2, 1),
+            ("p cnf 3 1\n1 -2 0\n2 3 0\n-1 0\n", 1, 3),
+        ],
+    )
+    def test_clause_count_must_match_the_header(self, text, declared, read):
+        """A file cut short after a clause's 0, or one with extra clauses."""
+        with pytest.raises(ParseError, match=f"declares {declared} clauses, but {read} were read"):
+            parse_cnf(text)
+
+
 class TestBuildReduction:
     def test_student_layout(self):
         assert student_id(1, "a") == 1

@@ -5,6 +5,13 @@ Instance files: a header line ``chainrank v1 <students> <questions>``, one
 ``questions:`` base-order lines listing the entity at each position, weakest
 or easiest first. ``#`` starts a comment line anywhere.
 
+Solution files list the cost, both orders, then an ``additions: <count>``
+and a ``deletions: <count>`` block of ``student question`` lines, sorted.
+The writer prints each block from ``EditSet.grouped``, which walks a
+solver's per-student rows or groups a parsed set's pairs. The parser builds
+a pair-built EditSet: a file may name any int, such as a negative or huge
+id, which only the verifier judges.
+
 Exit codes: 0 success, 1 usage or bad input, 2 infeasible or violated check,
 3 internal assertion failure.
 """
@@ -130,31 +137,28 @@ def write_instance(inst: Instance, path: str | Path) -> None:
 
 
 def format_solution(sol: Solution, verified: bool) -> str:
+    additions, deletions = map(_pair_lines, sol.edits.grouped())
     lines = [
         _SOLUTION_HEADER,
         f"cost: {sol.cost}",
         "student_order: " + " ".join(map(str, sol.student_order)),
         "question_order: " + " ".join(map(str, sol.question_order)),
-        f"additions: {len(sol.edits.additions)}",
+        f"additions: {len(additions)}",
+        *additions,
+        f"deletions: {len(deletions)}",
+        *deletions,
+        f"solver_tag: {sol.solver_tag}",
+        f"verified: {'true' if verified else 'false'}",
     ]
-    lines.extend(_pair_lines(sol.edits.additions))
-    lines.append(f"deletions: {len(sol.edits.deletions)}")
-    lines.extend(_pair_lines(sol.edits.deletions))
-    lines.append(f"solver_tag: {sol.solver_tag}")
-    lines.append(f"verified: {'true' if verified else 'false'}")
     return "\n".join(lines) + "\n"
 
 
-def _pair_lines(pairs) -> list[str]:
-    """One ``s q`` line per (student, question) pair, in sorted pair order:
-    the pairs grouped by student, students ascending and each student's ids
-    ascending, with the ``s `` prefix built once per student."""
-    by_student: dict[int, list[int]] = {}
-    for s, q in pairs:
-        by_student.setdefault(s, []).append(q)
+def _pair_lines(groups) -> list[str]:
+    """One ``s q`` line per pair of a block grouped by student (see
+    ``EditSet.grouped``), with the ``s `` prefix built once per student."""
     lines: list[str] = []
-    for s in sorted(by_student):
-        lines += map(f"{s} ".__add__, map(str, sorted(by_student[s])))
+    for s, ids in groups:
+        lines += map(f"{s} ".__add__, ids)
     return lines
 
 

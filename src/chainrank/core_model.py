@@ -4,6 +4,13 @@ solutions, and the solver-independent feasibility verifier.
 An Instance stores one bitset per student, its neighborhood, and checks its
 sizes, rows and base orders when it is built, so every Instance is valid.
 
+An EditSet built by a solver holds one addition and one deletion bitset per
+student; one parsed from a file holds (student, question) pairs, since a
+file may name any int. This module alone knows which: the verifier and
+``apply_edits`` read per-student rows from ``EditSet.rows``, the solution
+writer reads ``EditSet.grouped``, and the pair sets are derived on demand
+for the callers that want pairs.
+
 Students and questions are 1-indexed everywhere. Ordering tuples list the
 entity occupying each position, with position 1 holding the weakest student
 (or easiest question). Frontier value 0 is the "answered nothing" sentinel
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -155,12 +162,32 @@ class Instance:
         return sum(map(int.bit_count, self.adj_bits))
 
 
-@dataclass(frozen=True)
 class EditSet:
-    """Disjoint sets of edge additions and deletions."""
+    """Disjoint sets of edge additions and deletions.
 
-    additions: frozenset[tuple[int, int]] = frozenset()
-    deletions: frozenset[tuple[int, int]] = frozenset()
+    An EditSet is built in one of two forms. ``EditSet(additions,
+    deletions)`` and ``EditSet.of`` take (student, question) pairs, which
+    may be any ints: a parsed file is checked only by the verifier.
+    ``EditSet.from_rows`` takes one addition and one deletion bitset per
+    student (index s-1, bit q-1 for question q), the form the solvers
+    compute. Either form reads as the other: the pair sets of a row-built
+    set are derived on first read and kept. Equality and hashing go by the
+    pairs, so the two forms of the same edits are equal.
+
+    Only this module reads the storage. The verifier and ``apply_edits``
+    take rows from ``rows``, the solution writer takes ``grouped``.
+    """
+
+    __slots__ = ("_additions", "_deletions", "_add_rows", "_del_rows")
+
+    def __init__(
+        self,
+        additions: frozenset[tuple[int, int]] = frozenset(),
+        deletions: frozenset[tuple[int, int]] = frozenset(),
+    ):
+        self._additions = additions
+        self._deletions = deletions
+        self._add_rows = self._del_rows = None
 
     @classmethod
     def of(
@@ -173,9 +200,78 @@ class EditSet:
             frozenset((int(s), int(q)) for s, q in deletions),
         )
 
+    @classmethod
+    def from_rows(cls, add_rows: Iterable[int], del_rows: Iterable[int]) -> "EditSet":
+        """The edits whose student s adds the questions of ``add_rows[s-1]``
+        and deletes those of ``del_rows[s-1]``; rows are non-negative ints."""
+        edits = cls.__new__(cls)
+        edits._additions = edits._deletions = None
+        edits._add_rows, edits._del_rows = tuple(add_rows), tuple(del_rows)
+        if min(edits._add_rows + edits._del_rows, default=0) < 0:
+            raise ValueError("edit rows must be non-negative")
+        return edits
+
+    @property
+    def additions(self) -> frozenset[tuple[int, int]]:
+        if self._additions is None:
+            self._additions = _row_pairs(self._add_rows)
+        return self._additions
+
+    @property
+    def deletions(self) -> frozenset[tuple[int, int]]:
+        if self._deletions is None:
+            self._deletions = _row_pairs(self._del_rows)
+        return self._deletions
+
+    @property
+    def counts(self) -> tuple[int, int]:
+        """(number of additions, number of deletions)."""
+        if self._add_rows is None:
+            return len(self._additions), len(self._deletions)
+        return _bit_total(self._add_rows), _bit_total(self._del_rows)
+
     @property
     def size(self) -> int:
-        return len(self.additions) + len(self.deletions)
+        return sum(self.counts)
+
+    def rows(self, n: int, m: int) -> tuple[Sequence[int], Sequence[int], bool]:
+        """Per-student addition and deletion bitsets (index s-1) of the
+        pairs in range for n students and m questions, and whether every
+        pair was in range: an out-of-range id never reaches a bitset."""
+        if self._add_rows is not None and all(
+            len(rows) == n and not max(rows, default=0) >> m for rows in (self._add_rows, self._del_rows)
+        ):
+            return self._add_rows, self._del_rows, True
+        add_rows = _pair_rows(self.additions, n, m)
+        del_rows = _pair_rows(self.deletions, n, m)
+        # Pairs are distinct, so every pair is in range iff the rows hold
+        # one bit per pair.
+        return add_rows, del_rows, _bit_total(add_rows) + _bit_total(del_rows) == self.size
+
+    def grouped(self) -> tuple[list[tuple[int, Iterable[str]]], list[tuple[int, Iterable[str]]]]:
+        """The additions and the deletions, each grouped by student: one
+        (student, question ids as decimal strings) entry per student with a
+        pair, students ascending and each student's ids ascending. Each
+        entry's ids can be read once."""
+        if self._add_rows is None:
+            return _pair_groups(self._additions), _pair_groups(self._deletions)
+        width = max(self._add_rows + self._del_rows, default=0).bit_length()
+        qids = list(map(str, range(1, width + 1)))  # one str per question id
+        return tuple(
+            [(s, bit_ids(row, qids)) for s, row in enumerate(rows, start=1) if row]
+            for rows in (self._add_rows, self._del_rows)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EditSet):
+            return NotImplemented
+        return (self.additions, self.deletions) == (other.additions, other.deletions)
+
+    def __hash__(self) -> int:
+        return hash((self.additions, self.deletions))
+
+    def __repr__(self) -> str:
+        return f"EditSet(additions={self.additions!r}, deletions={self.deletions!r})"
 
 
 EMPTY_EDITS = EditSet()
@@ -326,32 +422,44 @@ def apply_edits(inst: Instance, edits: EditSet) -> Instance:
     an addition already exists, a deletion is absent, or a pair is malformed.
     """
     n, m = inst.num_students, inst.num_questions
+    add_rows, del_rows, in_range = edits.rows(n, m)
+    original = inst.adj_bits
+    # As in ``verify_solution``, a pair both added and deleted fails one of
+    # the two row tests; its message is found on the pairs.
+    if (
+        not in_range
+        or any(a & o for a, o in zip(add_rows, original))
+        or any(d & ~o for d, o in zip(del_rows, original))
+    ):
+        _raise_edit_conflict(inst, edits)
+    bits = [o ^ a ^ d for o, a, d in zip(original, add_rows, del_rows)]
+    return Instance(n, m, bits, inst.base_student_order, inst.base_question_order)
+
+
+def _raise_edit_conflict(inst: Instance, edits: EditSet) -> None:
+    """Raise the EditConflictError of a faulty edit set, read off its
+    pairs: a pair both added and deleted first, then the smallest faulty
+    pair that checking additions, then deletions, in sorted order would
+    meet. Each set is checked whole against the original rows."""
+    n, m = inst.num_students, inst.num_questions
     overlap = edits.additions & edits.deletions
     if overlap:
         raise EditConflictError(f"pairs both added and deleted: {sorted(overlap)}")
-    original = bits = inst.adj_bits
-    # The sets are disjoint, so each is checked whole against the original
-    # rows, as in ``verify_solution``. On a fault the smallest faulty pair is
-    # reported: the first that checking additions, then deletions, in sorted
-    # order would meet.
+    original = inst.adj_bits
     for kind, pairs, present, fault in (
         ("addition", edits.additions, 0, "already present"),
         ("deletion", edits.deletions, 1, "is absent"),
     ):
-        rows = _pair_rows(pairs, n, m)
-        if sum(map(int.bit_count, rows)) < len(pairs) or any(
-            r & o != (r if present else 0) for r, o in zip(rows, original)
-        ):
-            s, q = min(
-                (s, q)
-                for s, q in pairs
-                if not (0 < s <= n and 0 < q <= m and (original[s - 1] >> (q - 1)) & 1 == present)
-            )
+        faulty = [
+            (s, q)
+            for s, q in pairs
+            if not (0 < s <= n and 0 < q <= m and (original[s - 1] >> (q - 1)) & 1 == present)
+        ]
+        if faulty:
+            s, q = min(faulty)
             if not (0 < s <= n and 0 < q <= m):
                 raise EditConflictError(f"{kind} ({s},{q}) is out of range")
             raise EditConflictError(f"{kind} ({s},{q}) {fault}")
-        bits = [b ^ r for b, r in zip(bits, rows)]
-    return Instance(n, m, bits, inst.base_student_order, inst.base_question_order)
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +515,42 @@ def _pair_rows(pairs: Iterable[tuple[int, int]], n: int, m: int) -> list[int]:
     return [_row_bits(col, m) if col else 0 for col in cols]
 
 
+def _row_pairs(rows: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The (student, question) pairs of per-student bitsets (index s-1)."""
+    qids = list(range(1, max(rows, default=0).bit_length() + 1))
+    return frozenset(
+        chain.from_iterable(zip(repeat(s), bit_ids(row, qids)) for s, row in enumerate(rows, start=1) if row)
+    )
+
+
+def _pair_groups(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, Iterable[str]]]:
+    """``EditSet.grouped`` for one set of pairs: grouped by student."""
+    by_student: dict[int, list[int]] = {}
+    for s, q in pairs:
+        by_student.setdefault(s, []).append(q)
+    return [(s, map(str, sorted(by_student[s]))) for s in sorted(by_student)]
+
+
+def _bit_total(rows: Iterable[int]) -> int:
+    return sum(map(int.bit_count, rows))
+
+
 def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> VerificationReport:
     """Feasibility report for a proposed solution.
 
-    Works on one bitset per student (bit q-1 for question q) and shares no
-    code with any solver, so it can serve as the independent oracle for
-    every solver in the package. Failures are report entries, never
-    exceptions.
+    Works on one bitset per student (bit q-1 for question q), the edits'
+    in-range rows from ``EditSet.rows`` included, and shares no code with
+    any solver, so it can serve as the independent oracle for every solver
+    in the package. Failures are report entries, never exceptions.
     """
     n, m = inst.num_students, inst.num_questions
     checks: list[CheckResult] = []
-    adds, dels = sol.edits.additions, sol.edits.deletions
+    add_count, del_count = sol.edits.counts
     original = inst.adj_bits
 
-    add_rows = _pair_rows(adds, n, m)
-    del_rows = _pair_rows(dels, n, m)
-    # Pairs are distinct, so every pair is in range iff the rows hold one
-    # bit per pair. A pair both added and deleted is either present or
-    # absent, so the sets are disjoint once both row tests pass.
-    in_range = sum(map(int.bit_count, add_rows + del_rows)) == len(adds) + len(dels)
+    add_rows, del_rows, in_range = sol.edits.rows(n, m)
+    # A pair both added and deleted is either present or absent, so the
+    # sets are disjoint once both row tests pass.
     edits_ok = (
         in_range
         and not any(a & o for a, o in zip(add_rows, original))
@@ -442,15 +567,15 @@ def verify_solution(inst: Instance, spec: ProblemSpec, sol: Solution) -> Verific
     checks.append(
         CheckResult(
             "cost_matches_edits",
-            sol.cost == len(adds) + len(dels),
-            f"cost field {sol.cost} vs {len(adds)} additions + {len(dels)} deletions",
+            sol.cost == add_count + del_count,
+            f"cost field {sol.cost} vs {add_count} additions + {del_count} deletions",
         )
     )
 
     checks.append(
         CheckResult(
             "mode_compliance",
-            spec.mode != Mode.ADDITION or not dels,
+            spec.mode != Mode.ADDITION or not del_count,
             "ADDITION solutions must not delete edges",
         )
     )

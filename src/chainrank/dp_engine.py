@@ -146,11 +146,12 @@ def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
     The table has n students with bound ks and, when m > 0, m questions with
     bound kq; m = 0 is a table with one cost per state. The estimate is the
     question-state bound times ``_QSTATE_BYTES``, plus the student-state
-    bound times ``_STATE_BYTES`` and 8 bytes per question state. The sums
-    stop past the limit, so a refused estimate is a lower bound.
+    bound times ``_STATE_BYTES`` and 4 bytes (one packed cell) per question
+    state. The sums stop past the limit, so a refused estimate is a lower
+    bound.
     """
     cells = 1 + _window_state_bound(kq, m, _TABLE_BYTES_LIMIT // _QSTATE_BYTES) if m else 0
-    per_state = _STATE_BYTES + 8 * cells
+    per_state = _STATE_BYTES + 4 * cells
     estimate = _QSTATE_BYTES * cells + per_state * _window_state_bound(ks, n, _TABLE_BYTES_LIMIT // per_state)
     if estimate > _TABLE_BYTES_LIMIT:
         raise InstanceTooLargeError(
@@ -251,8 +252,8 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     targets only grow along the covering edges.
 
     No finite cost reaches ``_CELL_INF`` = 2^31 - 1: a cost is at most n*m,
-    and ``_check_table_size`` charges at least 8*n*(m+1) bytes, so it
-    refuses every table with n*m >= 2^27 before this fill runs.
+    and ``_check_table_size`` charges more than 4*n*(m+1) bytes, so it
+    refuses every table with n*m >= 2^28 before this fill runs.
     """
     n, m = inst.num_students, inst.num_questions
     alpha = inst.base_student_order
@@ -416,7 +417,7 @@ def _reconstruct_frontier(
         [qstates[qi][0] for _sid, qi in chain],
         f"dp.frontier.{mode.value}",
     )
-    if mode == Mode.ADDITION and sol.edits.deletions:
+    if mode == Mode.ADDITION and sol.edits.counts[1]:
         raise CorruptTableError("addition solve produced deletions")
     if sol.edits.size != terminal_cost:
         raise CorruptTableError(f"reconstructed cost {sol.edits.size} != table cost {terminal_cost}")

@@ -3,15 +3,18 @@ where a neighborhood nests in another iff ``weak & ~strong == 0``:
 recognition, the question order of a nested student order (the one
 derivation, ``nested_question_order``, which the DPs share), the fixed-side
 solver, and ``nested_solution``, the nesting-to-edits step every polynomial
-solver ends with. The verifier and the oracle keep their own derivations,
-as the references these are checked against.
+solver ends with. It keeps each student's edits as the two bitsets it
+computes, ``prefix & ~row`` and ``row & ~prefix``, in a row-built
+``EditSet``, and builds no (student, question) pairs. The verifier and the
+oracle keep their own derivations, as the references these are checked
+against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from operator import or_
 from typing import Sequence
 
@@ -109,16 +112,18 @@ def nested_solution(
     """The Solution whose edits make the i-th student of ``student_order``
     answer exactly the first ``prefix_lengths[i]`` questions of
     ``question_order``; its cost is their number. Non-decreasing lengths
-    make the corrected neighborhoods nest."""
+    make the corrected neighborhoods nest. The edits are row-built
+    (``EditSet.from_rows``): student s adds ``target & ~row`` and deletes
+    ``row & ~target``."""
     prefix = list(accumulate((1 << (q - 1) for q in question_order), or_, initial=0))
-    qids = list(range(1, inst.num_questions + 1))
-    additions = []
-    deletions = []
+    bits = inst.adj_bits
+    add_rows = [0] * inst.num_students
+    del_rows = [0] * inst.num_students
     for s, t in zip(student_order, prefix_lengths):
-        row, target = inst.adj_bits[s - 1], prefix[t]
-        additions.append(zip(repeat(s), bit_ids(target & ~row, qids)))
-        deletions.append(zip(repeat(s), bit_ids(row & ~target, qids)))
-    edits = EditSet(frozenset(chain.from_iterable(additions)), frozenset(chain.from_iterable(deletions)))
+        row, target = bits[s - 1], prefix[t]
+        add_rows[s - 1] |= target & ~row
+        del_rows[s - 1] |= row & ~target
+    edits = EditSet.from_rows(add_rows, del_rows)
     return Solution(
         cost=edits.size,
         student_order=tuple(student_order),

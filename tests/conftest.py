@@ -34,6 +34,12 @@ def adjacency(inst) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for q in qids if b >> (q - 1) & 1) for b in inst.adj_bits)
 
 
+def row_pairs(rows) -> list[tuple[int, int]]:
+    """The (student, question) pairs of per-student bitsets (index s-1),
+    read bit by bit."""
+    return [(s, q) for s, row in enumerate(rows, start=1) for q in range(1, row.bit_length() + 1) if row >> (q - 1) & 1]
+
+
 # The infinite cell of a packed frontier row: all 31 value bits set.
 CELL_INF = (1 << 31) - 1
 

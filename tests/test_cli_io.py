@@ -28,7 +28,7 @@ from chainrank.cli_io import (
     parse_solution,
     read_solution,
 )
-from conftest import adjacency, random_instance
+from conftest import adjacency, random_instance, row_pairs
 
 FIG1_TEXT = """chainrank v1 3 5
 11000
@@ -222,6 +222,23 @@ def test_grouped_pair_writer_matches_sorted_tuples(additions, deletions, verifie
     tuples, negative and huge ids included."""
     sol = Solution(len(additions) + len(deletions), (2, 1), (1,), EditSet.of(additions, deletions), "t")
     assert format_solution(sol, verified) == _sorted_tuple_writer(sol, verified)
+
+
+_rows = st.lists(st.just(0) | st.integers(0, 2**12 - 1) | st.integers(0, 2**70), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(add_rows=_rows, del_rows=_rows, verified=st.booleans())
+def test_row_writer_matches_sorted_tuples(add_rows, del_rows, verified):
+    """A row-built edit set (``EditSet.from_rows``) writes the bytes of its
+    pairs' sorted tuples; the rows may differ in count and width."""
+    row_built = EditSet.from_rows(add_rows, del_rows)
+    pair_built = EditSet.of(row_pairs(add_rows), row_pairs(del_rows))
+
+    def solution(edits):
+        return Solution(edits.size, (2, 1), (1,), edits, "t")
+
+    assert format_solution(solution(row_built), verified) == _sorted_tuple_writer(solution(pair_built), verified)
 
 
 _SOLUTION_HEAD = "chainrank-solution v1\ncost: 2\nstudent_order: 1 2 3\nquestion_order: 1 2 3 4 5\n"

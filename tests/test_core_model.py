@@ -28,7 +28,7 @@ from chainrank import (
     solve_fixed_side,
     verify_solution,
 )
-from conftest import adjacency, figure_one, random_instance
+from conftest import adjacency, figure_one, random_instance, row_pairs
 
 
 class TestValidateInstance:
@@ -693,6 +693,95 @@ def test_apply_edits_matches_row_set_reference(data):
             dels.add(rng.choice(sorted(set(pairs) - edges)))
     edits = EditSet(frozenset(adds), frozenset(dels))
     assert _outcome(lambda: apply_edits(inst, edits)) == _outcome(lambda: _apply_edits_reference(inst, edits))
+
+
+_ROW_FAULTS = ("none", "row_count", "wide", "present", "absent", "overlap")
+
+
+def _drawn_rows(rng: random.Random, inst: Instance, fault: str):
+    """(student order, question order, addition rows, deletion rows): the
+    rows of a random nested solution, each student's edits to a prefix of
+    the question order, with one fault of the given kind planted."""
+    n, m = inst.num_students, inst.num_questions
+    so = rng.sample(range(1, n + 1), n)
+    qo = rng.sample(range(1, m + 1), m)
+    prefix = [sum(1 << (q - 1) for q in qo[:c]) for c in range(m + 1)]
+    targets = [0] * n
+    for s, c in zip(so, sorted(rng.randint(0, m) for _ in range(n))):
+        targets[s - 1] = prefix[c]
+    adds = [t & ~b for t, b in zip(targets, inst.adj_bits)]
+    dels = [b & ~t for t, b in zip(targets, inst.adj_bits)]
+    s = rng.randrange(n)
+    row = inst.adj_bits[s]
+    if fault == "row_count":
+        rows = rng.choice([adds, dels])
+        how = rng.choice(["drop", "zero", "extra"])
+        if how == "drop":
+            rows.pop()
+        else:
+            rows.append(0 if how == "zero" else rng.randrange(1, 1 << (m + 2)))
+    elif fault == "wide":  # a question at or past m + 1
+        rng.choice([adds, dels])[s] |= 1 << (m + rng.randrange(3))
+    elif fault == "present" and row:
+        adds[s] |= row & -row
+    elif fault == "absent" and row != (1 << m) - 1:
+        gap = ~row & ((1 << m) - 1)
+        dels[s] |= gap & -gap
+    elif fault == "overlap":
+        bit = 1 << rng.randrange(m)
+        adds[s] |= bit
+        dels[s] |= bit
+    return so, qo, adds, dels
+
+
+def _row_and_pair_built(add_rows, del_rows):
+    """The same edits as ``EditSet.from_rows`` and as ``EditSet.of``."""
+    return EditSet.from_rows(add_rows, del_rows), EditSet.of(row_pairs(add_rows), row_pairs(del_rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_row_built_edits_verify_as_their_pairs(data):
+    """The verifier gives a row-built edit set the report of its pair-built
+    twin, check by check and detail by detail: valid rows, and rows of the
+    wrong count, with a question past m, an addition of an edge present, a
+    deletion of one absent, or a pair both added and deleted."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    inst = random_instance(rng, max_side=8, with_orders=rng.random() < 0.8)
+    spec = data.draw(st.sampled_from(_SPECS))
+    fault = data.draw(st.sampled_from(_ROW_FAULTS))
+    so, qo, add_rows, del_rows = _drawn_rows(rng, inst, fault)
+    row_built, pair_built = _row_and_pair_built(add_rows, del_rows)
+    assert row_built == pair_built and hash(row_built) == hash(pair_built)
+    cost = pair_built.size + rng.choice([0, 0, 1])
+    reports = [
+        [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(cost, so, qo, edits, "t")).checks]
+        for edits in (row_built, pair_built)
+    ]
+    assert reports[0] == reports[1]
+    if fault == "none":
+        passed = {name for name, ok, _ in reports[0] if ok}
+        assert {"edit_set_valid", "nested_property", "interval_property"} <= passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_built_edits_apply_as_their_pairs(data):
+    """The same for ``apply_edits``: the edited instance, or the error and
+    its text, of the pair-built twin and of the reference."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    inst = random_instance(rng, max_side=6)
+    fault = data.draw(st.sampled_from(_ROW_FAULTS))
+    _so, _qo, add_rows, del_rows = _drawn_rows(rng, inst, fault)
+    row_built, pair_built = _row_and_pair_built(add_rows, del_rows)
+    got = _outcome(lambda: apply_edits(inst, row_built))
+    assert got == _outcome(lambda: apply_edits(inst, pair_built))
+    assert got == _outcome(lambda: _apply_edits_reference(inst, pair_built))
+
+
+def test_row_built_edits_reject_negative_rows():
+    with pytest.raises(ValueError):
+        EditSet.from_rows([1, -2], [0, 0])
 
 
 def test_verifier_memory_does_not_grow_with_questions_squared():

@@ -696,7 +696,7 @@ class TestTableSizeGuard:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_question_states_are_charged(self, mode):
         """2x20 at k = 19 has few student states but about 10.5M question
-        states, each holding far more than its 8-byte cells."""
+        states, each holding far more than its 4-byte cells."""
         rng = random.Random(20)
         inst = Instance(2, 20, [rng.getrandbits(20) for _ in range(2)], (1, 2), tuple(range(1, 21)))
         start = time.perf_counter()
@@ -716,6 +716,15 @@ class TestTableSizeGuard:
         with pytest.raises(InstanceTooLargeError, match="GiB"):
             dp_engine._check_table_size(n, ks, m, kq)
         assert time.perf_counter() - start < 1.0
+
+    def test_packed_cells_are_charged_four_bytes(self):
+        """A packed cell takes 4 bytes: constrained n = 1500 at k = 3 (0.73
+        GiB) and n = 600 at k = 4 (0.57 GiB) pass the guard, which refused
+        both at 8 bytes a cell; n = 2000 at k = 3 is still refused."""
+        dp_engine._check_table_size(1500, 3, 1500, 0)
+        dp_engine._check_table_size(600, 4, 600, 0)
+        with pytest.raises(InstanceTooLargeError, match="GiB"):
+            dp_engine._check_table_size(2000, 3, 2000, 0)
 
     def test_state_bound_covers_the_families(self):
         from chainrank.dp_engine import _window_state_bound

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate, chain, repeat
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from chainrank import (
     EMPTY_EDITS,
+    EditSet,
     GenConfig,
     Mode,
     NestingCertificate,
@@ -25,6 +28,7 @@ from chainrank import (
     solve_fixed_side,
     verify_solution,
 )
+from chainrank.core_model import bit_ids
 from chainrank.ideal import nested_solution
 from conftest import adjacency, figure_one, random_instance
 
@@ -240,3 +244,50 @@ def test_nested_solution_verifies_and_counts_its_edits(data):
     want = sum((inst.adj_bits[s - 1] ^ prefix[t]).bit_count() for s, t in zip(student_order, lengths))
     assert sol.edits.size == sol.cost == want
     assert (sol.student_order, sol.question_order) == (tuple(student_order), tuple(question_order))
+
+
+def _nested_solution_reference(inst, student_order, question_order, prefix_lengths, solver_tag):
+    """``nested_solution`` as it was when it built the edit pairs from
+    each student's set differences, kept as the reference for the
+    row-built edits."""
+    prefix = list(accumulate((1 << (q - 1) for q in question_order), or_, initial=0))
+    qids = list(range(1, inst.num_questions + 1))
+    additions = []
+    deletions = []
+    for s, t in zip(student_order, prefix_lengths):
+        row, target = inst.adj_bits[s - 1], prefix[t]
+        additions.append(zip(repeat(s), bit_ids(target & ~row, qids)))
+        deletions.append(zip(repeat(s), bit_ids(row & ~target, qids)))
+    edits = EditSet(frozenset(chain.from_iterable(additions)), frozenset(chain.from_iterable(deletions)))
+    return Solution(
+        cost=edits.size,
+        student_order=tuple(student_order),
+        question_order=tuple(question_order),
+        edits=edits,
+        solver_tag=solver_tag,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_built_nested_solution_matches_pair_reference(data):
+    """The row-built Solution equals the pair-built reference, whole, in
+    both directions of ``==`` and under ``hash``, for any prefix lengths
+    and for student orders that repeat a student (their edits unite)."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    inst = random_instance(rng, max_side=10, with_orders=False)
+    n, m = inst.num_students, inst.num_questions
+    if rng.random() < 0.8:
+        student_order = rng.sample(range(1, n + 1), n)
+    else:
+        student_order = [rng.randint(1, n) for _ in range(n)]
+    question_order = rng.sample(range(1, m + 1), m)
+    lengths = [rng.randint(0, m) for _ in range(n)]
+    if rng.random() < 0.5:
+        lengths.sort()
+    got = nested_solution(inst, student_order, question_order, lengths, "test")
+    want = _nested_solution_reference(inst, student_order, question_order, lengths, "test")
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert got.edits.counts == (len(want.edits.additions), len(want.edits.deletions))
+    assert (got.edits.additions, got.edits.deletions) == (want.edits.additions, want.edits.deletions)

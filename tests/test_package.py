@@ -74,3 +74,35 @@ def test_every_module_parses_as_python_3_10():
     root = Path(chainrank.__file__).parent
     for path in sorted(root.rglob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+_EDIT_STORAGE = {"_additions", "_deletions", "_add_rows", "_del_rows", "_pair_rows"}
+
+
+def _edit_storage_reads(path: Path) -> list[str]:
+    """The lines of a module that name ``EditSet``'s storage or
+    ``_pair_rows``: as an attribute, a name or an imported name."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in _EDIT_STORAGE:
+            reads.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    return reads
+
+
+def test_edit_rows_stay_inside_core_model():
+    """Whether an EditSet holds rows or pairs is known to ``core_model``
+    alone: no other module reads its storage or calls ``_pair_rows``.
+    They read edits through ``rows``, ``grouped``, ``counts`` and the
+    pair sets."""
+    root = Path(chainrank.__file__).parent
+    reads = [read for path in sorted(root.rglob("*.py")) if path.name != "core_model.py" for read in _edit_storage_reads(path)]
+    assert not reads, reads
+    assert _edit_storage_reads(root / "core_model.py")  # the guard sees real reads

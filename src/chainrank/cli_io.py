@@ -8,9 +8,12 @@ or easiest first. ``#`` starts a comment line anywhere.
 Solution files list the cost, both orders, then an ``additions: <count>``
 and a ``deletions: <count>`` block of ``student question`` lines, sorted.
 The writer prints each block from ``EditSet.grouped``, which walks a
-solver's per-student rows or groups a parsed set's pairs. The parser builds
-a pair-built EditSet: a file may name any int, such as a negative or huge
-id, which only the verifier judges.
+solver's per-student rows or groups a parsed set's pairs. The parser feeds
+each block, run by run of one student's lines, into per-student rows
+(``core_model.EditRowBuilder``), with no pair tuples. A file may name any
+int, such as a negative or huge id, which only the verifier judges; when
+its ids are past what the rows hold, its blocks are read again into a
+pair-built EditSet.
 
 Exit codes: 0 success, 1 usage or bad input, 2 infeasible or violated check,
 3 internal assertion failure.
@@ -20,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
+from itertools import groupby, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core_model import (
     ChainRankError,
+    EditRowBuilder,
     EditSet,
     Instance,
     Mode,
@@ -191,32 +196,52 @@ class _Lines:
             raise ParseError(f"expected field {key!r}, got {line!r}", line=self.lineno)
         return rest.strip()
 
-    def pairs(self, key: str, count: int) -> frozenset[tuple[int, int]]:
-        """The next ``count`` lines as ``student question`` pairs."""
-        block = self.raw[self.at : self.at + count]
-        # The fast path takes the next count lines when each holds exactly
-        # two tokens and every token is an integer. A blank or comment line
-        # fails one of the two, so the lines are then walked one by one,
-        # which also finds the line of any error.
-        if len(block) == count and set(map(len, map(str.split, block))) <= {2}:
-            ints = map(int, chain.from_iterable(map(str.split, block)))
-            try:
-                pairs = frozenset(list(zip(ints, ints)))  # a sized list fills faster
-            except ValueError:
-                pass
-            else:
-                self.at += count
-                self.lineno = self.at
-                return pairs
-        walked = []
-        for _ in range(count):
+    def runs(self, key: str, count: int) -> Iterator[tuple[int, list[int]]]:
+        """The next ``count`` lines as ``student question`` pairs, in runs
+        of one student: (student, its question ids in file order)."""
+        done = 0
+        # The fast path takes whole runs of lines that each hold two integer
+        # tokens. At the first run with another line (a blank, a comment or
+        # an error) the lines from that run's start on are walked one by
+        # one, which skips blanks and comments and finds the line of any
+        # error.
+        try:
+            for s, run in groupby(map(str.split, islice(self.raw, self.at, self.at + count)), itemgetter(0)):
+                tokens = list(run)
+                if set(map(len, tokens)) != {2}:
+                    break
+                qids = list(map(int, map(itemgetter(1), tokens)))
+                yield int(s), qids
+                done += len(tokens)
+        except (IndexError, ValueError):  # a blank line has no token 0
+            pass
+        if done:
+            self.at += done
+            self.lineno = self.at
+        for _ in range(count - done):
             line = self.next()
             if line is None:
                 raise ParseError(f"missing {key} pair", line=self.lineno)
             if len(line.split()) != 2:
                 raise ParseError(f"expected 'student question', got {line!r}", line=self.lineno)
-            walked.append(_parse_ints(line, self.lineno))
-        return frozenset(walked)
+            s, q = _parse_ints(line, self.lineno)
+            yield s, [q]
+
+
+def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], None]) -> None:
+    """Read the additions and then the deletions block, passing each run
+    of one student's question ids to ``add(block, student, qids)``, block
+    0 for additions and 1 for deletions."""
+    for block, key in enumerate(("additions", "deletions")):
+        count_text = lines.field(key)
+        try:
+            count = int(count_text)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
+        for s, qids in lines.runs(key, count):
+            add(block, s, qids)
 
 
 def parse_solution(text: str) -> tuple[Solution, bool]:
@@ -227,16 +252,15 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
     cost_lineno = lines.lineno
     student_order = _parse_ints(lines.field("student_order"), lines.lineno)
     question_order = _parse_ints(lines.field("question_order"), lines.lineno)
-    pairs = {}
-    for key in ("additions", "deletions"):
-        count_text = lines.field(key)
-        try:
-            count = int(count_text)
-        except ValueError:
-            count = -1
-        if count < 0:
-            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
-        pairs[key] = lines.pairs(key, count)
+    start = lines.at
+    rows = EditRowBuilder()
+    _read_edits(lines, rows.add)
+    edits = rows.edits()
+    if edits is None:  # ids that rows cannot hold: read the blocks again as pairs
+        lines.at = start
+        pairs: tuple[set, set] = (set(), set())
+        _read_edits(lines, lambda block, s, qids: pairs[block].update(zip(repeat(s), qids)))
+        edits = EditSet(frozenset(pairs[0]), frozenset(pairs[1]))
     solver_tag = lines.field("solver_tag")
     verified_text = lines.field("verified")
     if verified_text not in ("true", "false"):
@@ -252,7 +276,7 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
         cost=cost,
         student_order=student_order,
         question_order=question_order,
-        edits=EditSet(pairs["additions"], pairs["deletions"]),
+        edits=edits,
         solver_tag=solver_tag,
     )
     return sol, verified_text == "true"

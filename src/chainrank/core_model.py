@@ -5,11 +5,12 @@ An Instance stores one bitset per student, its neighborhood, and checks its
 sizes, rows and base orders when it is built, so every Instance is valid.
 
 An EditSet built by a solver holds one addition and one deletion bitset per
-student; one parsed from a file holds (student, question) pairs, since a
-file may name any int. This module alone knows which: the verifier and
-``apply_edits`` read per-student rows from ``EditSet.rows``, the solution
-writer reads ``EditSet.grouped``, and the pair sets are derived on demand
-for the callers that want pairs.
+student, and so does one parsed from a file whose ids rows can hold
+(``EditRowBuilder``); a file with other ids, such as a negative or a huge
+one, is held as (student, question) pairs. This module alone knows which:
+the verifier and ``apply_edits`` read per-student rows from
+``EditSet.rows``, the solution writer reads ``EditSet.grouped``, and the
+pair sets are derived on demand for the callers that want pairs.
 
 Students and questions are 1-indexed everywhere. Ordering tuples list the
 entity occupying each position, with position 1 holding the weakest student
@@ -167,12 +168,14 @@ class EditSet:
 
     An EditSet is built in one of two forms. ``EditSet(additions,
     deletions)`` and ``EditSet.of`` take (student, question) pairs, which
-    may be any ints: a parsed file is checked only by the verifier.
-    ``EditSet.from_rows`` takes one addition and one deletion bitset per
-    student (index s-1, bit q-1 for question q), the form the solvers
-    compute. Either form reads as the other: the pair sets of a row-built
-    set are derived on first read and kept. Equality and hashing go by the
-    pairs, so the two forms of the same edits are equal.
+    may be any ints: a parsed file whose ids rows cannot hold is checked
+    only by the verifier. ``EditSet.from_rows`` takes one addition and one
+    deletion bitset per student (index s-1, bit q-1 for question q), the
+    form the solvers compute and ``EditRowBuilder`` parses into. The two
+    lists may hold fewer rows than there are students. Either form reads
+    as the other: the pair sets of a row-built set are derived on first
+    read and kept. Equality and hashing go by the pairs, so the two forms
+    of the same edits are equal.
 
     Only this module reads the storage. The verifier and ``apply_edits``
     take rows from ``rows``, the solution writer takes ``grouped``.
@@ -238,12 +241,12 @@ class EditSet:
         """Per-student addition and deletion bitsets (index s-1) of the
         pairs in range for n students and m questions, and whether every
         pair was in range: an out-of-range id never reaches a bitset."""
-        if self._add_rows is not None and all(
-            len(rows) == n and not max(rows, default=0) >> m for rows in (self._add_rows, self._del_rows)
-        ):
-            return self._add_rows, self._del_rows, True
-        add_rows = _pair_rows(self.additions, n, m)
-        del_rows = _pair_rows(self.deletions, n, m)
+        if self._add_rows is not None:
+            add_rows, add_in = _fitted_rows(self._add_rows, n, m)
+            del_rows, del_in = _fitted_rows(self._del_rows, n, m)
+            return add_rows, del_rows, add_in and del_in
+        add_rows = _pair_rows(self._additions, n, m)
+        del_rows = _pair_rows(self._deletions, n, m)
         # Pairs are distinct, so every pair is in range iff the rows hold
         # one bit per pair.
         return add_rows, del_rows, _bit_total(add_rows) + _bit_total(del_rows) == self.size
@@ -275,6 +278,59 @@ class EditSet:
 
 
 EMPTY_EDITS = EditSet()
+
+# What a parsed file may name and still be held as rows: question ids up to
+# _ROW_WIDTH, so that no row, nor a view derived from it, is wider, and
+# _ROW_BUDGET bytes of rows and row slots.
+_ROW_WIDTH = 1 << 16
+_ROW_BUDGET = 1 << 24
+
+
+class EditRowBuilder:
+    """A parsed file's edits as rows, fed one run of a student's question
+    ids at a time: ``add(block, s, qids)``, block 0 for an addition run and
+    1 for a deletion run, then ``edits()``. Repeated pairs collapse.
+
+    Rows hold a file whose ids are all at least 1 and whose question ids
+    are at most ``_ROW_WIDTH``, within ``_ROW_BUDGET`` bytes: 8 per student
+    slot up to the largest student id, plus the bytes of the row each run
+    writes, so that a student split over many runs pays for each copy of
+    its row. Past that ``edits()`` is None, and the caller holds the file
+    as pairs.
+    """
+
+    __slots__ = ("_run_rows", "_charged")
+
+    def __init__(self) -> None:
+        self._run_rows: tuple[list[int], list[int]] | None = ([], [])
+        self._charged = 0
+
+    def add(self, block: int, s: int, qids: list[int]) -> None:
+        if self._run_rows is None:
+            return
+        rows = self._run_rows[block]
+        top = max(qids)
+        if s < 1 or min(qids) < 1 or top > _ROW_WIDTH:
+            self._run_rows = None
+            return
+        grow = s - len(rows)
+        width = top if grow > 0 else max(top, rows[s - 1].bit_length())
+        self._charged += 8 * max(grow, 0) + width // 8 + 1
+        if self._charged > _ROW_BUDGET:
+            self._run_rows = None
+            return
+        if grow > 0:
+            rows.extend(repeat(0, grow))
+        if len(qids) > 16:
+            rows[s - 1] |= _row_bits(qids, top)
+        else:  # a shift copies top/8 bytes per id, a flag row 3*top bytes per run
+            for q in qids:
+                rows[s - 1] |= 1 << (q - 1)
+
+    def edits(self) -> "EditSet | None":
+        if self._run_rows is None:
+            return None
+        return EditSet.from_rows(*self._run_rows)
 
 
 @dataclass(frozen=True)
@@ -513,6 +569,17 @@ def _pair_rows(pairs: Iterable[tuple[int, int]], n: int, m: int) -> list[int]:
         if 0 < s <= n and 0 < q <= m:
             cols[s - 1].append(q)
     return [_row_bits(col, m) if col else 0 for col in cols]
+
+
+def _fitted_rows(rows: tuple[int, ...], n: int, m: int) -> tuple[Sequence[int], bool]:
+    """Stored rows as n rows of m bits, and whether that kept every bit:
+    missing rows are empty, rows past n and bits past m are cut."""
+    if len(rows) <= n and not max(rows, default=0) >> m:
+        return rows + (0,) * (n - len(rows)), True
+    mask = (1 << m) - 1
+    kept = [row & mask for row in rows[:n]]
+    kept += [0] * (n - len(kept))
+    return kept, _bit_total(kept) == _bit_total(rows)
 
 
 def _row_pairs(rows: Sequence[int]) -> frozenset[tuple[int, int]]:

@@ -354,12 +354,10 @@ def _reconstruct_frontier(
     Solution; raises CorruptTableError if the chain breaks or the result
     disagrees with the table.
 
-    A parent's question state is qi or one that reaches qi. Each step marks
-    them in one backward sweep over the covering edges the fill relaxed, cut
-    at qi: the edges are sorted by child and every parent has a lower index
-    than its child, so a state's mark is final before the sweep reads the
-    edges to its parents. The candidates come ascending, and the first
-    (parent, state) whose cell holds the target is taken.
+    A parent's question state is qi or one that reaches qi. Each step finds
+    a parent row's cells that hold the target with ``array.index``, then
+    asks ``_Reach`` whether each, ascending, reaches qi. The candidates come
+    ascending, and the first (parent, state) that does is taken.
     """
     n, m = inst.num_students, inst.num_questions
     alpha, beta0 = inst.base_student_order, inst.base_question_order
@@ -378,14 +376,10 @@ def _reconstruct_frontier(
         pos = auto[i - 1]
         # An infinite cost makes the target negative, which no cell holds.
         target = value - _unpack(costs[pos.lo + pos.states[sid][0]], nq)[qi]
-        reach = bytearray(qi + 1)
-        reach[qi] = 1
-        for q, p in reversed(edges[: bisect_right(edges, (qi, qi))]):
-            if reach[q]:
-                reach[p] = 1
+        reaches = _Reach(edges, qi, nq)
         found = None
         for p in pos.parents[pos.states[sid][1]]:
-            qp = _first_marked(_unpack(layers[i - 2][p], nq), target, reach)
+            qp = _first_marked(_unpack(layers[i - 2][p], nq), target, qi + 1, reaches)
             if qp is not None:
                 found = (p, qp)
                 break
@@ -424,14 +418,38 @@ def _reconstruct_frontier(
     return sol
 
 
-def _first_marked(cells: array, value: int, marks: bytearray) -> int | None:
-    """The first index i < len(marks) with ``cells[i] == value`` and
-    ``marks[i]`` set, or None; C-level scans from one match to the next."""
+class _Reach:
+    """Which question states reach qi along the covering edges, marked by a
+    backward sweep over the edges the fill relaxed, read only as far down
+    as asked. The edges are sorted by child and every parent has a lower
+    index than its child, so a state's mark is final once every edge whose
+    child lies above it has been read."""
+
+    def __init__(self, edges: list[tuple[int, int]], qi: int, nq: int):
+        self.edges, self.nq = edges, nq
+        self.marks = bytearray(qi + 1)
+        self.marks[qi] = 1
+        self.unread = bisect_right(edges, (qi, qi))  # edges[:unread] are not yet read
+
+    def __call__(self, x: int) -> bool:
+        stop = bisect_right(self.edges, (x, self.nq))  # the first edge whose child lies above x
+        if stop < self.unread:
+            marks = self.marks
+            for q, p in reversed(self.edges[stop : self.unread]):
+                if marks[q]:
+                    marks[p] = 1
+            self.unread = stop
+        return bool(self.marks[x])
+
+
+def _first_marked(cells: array, value: int, end: int, marked) -> int | None:
+    """The first index i < end with ``cells[i] == value`` and ``marked(i)``
+    true, or None; C-level scans from one match to the next."""
     i = 0
     try:
         while True:
-            i = cells.index(value, i, len(marks))
-            if marks[i]:
+            i = cells.index(value, i, end)
+            if marked(i):
                 return i
             i += 1
     except ValueError:

@@ -29,7 +29,9 @@ enumeration and the branch-and-bound follow its forward view by entity,
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial
+from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .core_model import (
@@ -316,6 +318,7 @@ def inner_fixed_orders_cost(
     """
     student_order = tuple(student_order)
     n = inst.num_students
+    targets = [0] * n  # each student's target row: the questions it answers
     if question_order is None:
         group_keys, group_members = _question_groups(inst)
         sizes: list[int] = []
@@ -324,22 +327,24 @@ def inner_fixed_orders_cost(
         )
         size_of = {q: size for ms, size in zip(group_members, sizes) for q in ms}
         order = tuple(sorted(size_of, key=lambda q: (-size_of[q], q)))
-        target = {(s, q) for q, size in size_of.items() for s in student_order[n - size :]}
+        for q, size in size_of.items():
+            for s in student_order[n - size :]:
+                targets[s - 1] |= 1 << (q - 1)
     else:
         nbh_bits = [inst.adj_bits[s - 1] for s in student_order]
         degs = [b.bit_count() for b in nbh_bits]
         order = tuple(question_order)
         rows: list[list[int | float]] = []
         cost = _exact_cost(nbh_bits, degs, order, mode, rows)
+        prefix = list(accumulate((1 << (q - 1) for q in order), or_, initial=0))
         # Prefix-minimum rows are non-increasing, so the first occurrence of
         # row[t] is the smallest optimal threshold <= t for that student.
         t = len(order)
-        target = set()
         for s, row in zip(reversed(student_order), reversed(rows)):
             t = row.index(row[t])
-            target.update((s, q) for q in order[:t])
-    edges = set(inst.edges())
-    edits = EditSet.of(target - edges, edges - target)
+            targets[s - 1] = prefix[t]
+    bits = inst.adj_bits
+    edits = EditSet.from_rows([t & ~b for t, b in zip(targets, bits)], [b & ~t for t, b in zip(targets, bits)])
     assert edits.size == cost
     return int(cost), order, edits
 

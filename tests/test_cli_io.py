@@ -5,6 +5,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,17 @@ from hypothesis import strategies as st
 from chainrank import (
     ChainRankError,
     CorruptTableError,
+    EditConflictError,
     EditSet,
+    Mode,
     ParseError,
+    ProblemSpec,
     Solution,
     Instance,
+    Variant,
+    apply_edits,
     make_instance,
+    verify_solution,
 )
 from chainrank import cli_io
 from chainrank.cli_io import (
@@ -299,6 +306,163 @@ class TestPairBlocks:
         assert sol.edits.additions == {(-1, 3), (1, 10**12)}
 
 
+def _reference_pairs(lines, key: str, count: int) -> frozenset:
+    """``_Lines.pairs`` as it was when every parsed block was pair-built,
+    kept as the reference for the row parse."""
+    block = lines.raw[lines.at : lines.at + count]
+    if len(block) == count and set(map(len, map(str.split, block))) <= {2}:
+        ints = map(int, chain.from_iterable(map(str.split, block)))
+        try:
+            pairs = frozenset(list(zip(ints, ints)))
+        except ValueError:
+            pass
+        else:
+            lines.at += count
+            lines.lineno = lines.at
+            return pairs
+    walked = []
+    for _ in range(count):
+        line = lines.next()
+        if line is None:
+            raise ParseError(f"missing {key} pair", line=lines.lineno)
+        if len(line.split()) != 2:
+            raise ParseError(f"expected 'student question', got {line!r}", line=lines.lineno)
+        walked.append(cli_io._parse_ints(line, lines.lineno))
+    return frozenset(walked)
+
+
+def _pair_parse_reference(text: str) -> tuple[Solution, bool]:
+    """``parse_solution`` as it was when every parsed block was pair-built."""
+    lines = cli_io._Lines(text)
+    if lines.next() != "chainrank-solution v1":
+        raise ParseError("expected header 'chainrank-solution v1'", line=lines.lineno)
+    cost_text = lines.field("cost")
+    cost_lineno = lines.lineno
+    student_order = cli_io._parse_ints(lines.field("student_order"), lines.lineno)
+    question_order = cli_io._parse_ints(lines.field("question_order"), lines.lineno)
+    pairs = {}
+    for key in ("additions", "deletions"):
+        count_text = lines.field(key)
+        try:
+            count = int(count_text)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
+        pairs[key] = _reference_pairs(lines, key, count)
+    solver_tag = lines.field("solver_tag")
+    verified_text = lines.field("verified")
+    if verified_text not in ("true", "false"):
+        raise ParseError(f"verified must be true or false, got {verified_text!r}", line=lines.lineno)
+    trailing = lines.next()
+    if trailing is not None:
+        raise ParseError(f"unexpected trailing content {trailing!r}", line=lines.lineno)
+    try:
+        cost = int(cost_text)
+    except ValueError:
+        raise ParseError(f"bad cost {cost_text!r}", line=cost_lineno) from None
+    edits = EditSet(pairs["additions"], pairs["deletions"])
+    return Solution(cost, student_order, question_order, edits, solver_tag), verified_text == "true"
+
+
+def _parse_outcome(parse, text):
+    """(solution, verified) of a parse, or the (type, message, line) it raised."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _id_token(rng: random.Random, value: int) -> str:
+    """An int token as a file may spell it: plain, zero-padded or signed."""
+    how = rng.choice(["plain", "plain", "padded", "signed"])
+    if how == "padded":
+        return ("-" if value < 0 else "") + "00" + str(abs(value))
+    if how == "signed" and value >= 0:
+        return f"+{value}"
+    return str(value)
+
+
+def _drawn_pair_block(rng: random.Random, inst, pairs: list) -> tuple[int, list[str]]:
+    """(count, lines) of a pair block for ``pairs``: shuffled or sorted,
+    with repeats, some ids past the instance, at most 0, or huge, padded or
+    signed tokens, tabs and spaces, and comment and blank lines between."""
+    n, m = inst.num_students, inst.num_questions
+    pairs = list(pairs)
+    if pairs and rng.random() < 0.5:
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # repeated pairs
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        s, q = rng.randint(1, n), rng.randint(1, m)
+        past = [(n + rng.randint(1, 2), q), (s, m + rng.randint(1, 2)), (s, 1 << 16)]  # rows hold these
+        held_as_pairs = [(0, q), (s, 0), (-1, q), (s, -3), (10**12, q), (s, 10**12), (s, (1 << 16) + 1)]
+        pairs.append(rng.choice(rng.choice([past, past, held_as_pairs])))
+    if rng.random() < 0.5:
+        rng.shuffle(pairs)  # students out of order, split over several runs
+    else:
+        pairs.sort()
+    lines = []
+    for s, q in pairs:
+        while rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# note", "  # 1 2", "\t"]))
+        sep = rng.choice([" ", " ", "\t", "  \t "])
+        lines.append(rng.choice(["", " ", "\t"]) + _id_token(rng, s) + sep + _id_token(rng, q) + rng.choice(["", " ", "\t"]))
+    return len(pairs), lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsed_edits_match_pair_parse_reference(data):
+    """The row parse gives the pair parse's Solution: the edit sets equal,
+    with equal hashes and counts, the same ``verify_solution`` report,
+    check by check, and the same ``apply_edits`` result or error text. A
+    broken line raises the same error at the same line."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    side = rng.choice([8, 24])  # 24 gives runs of more than 16 lines
+    inst = parse_instance(FIG1_TEXT + "students: 1 2 3\nquestions: 1 2 3 4 5\n") if rng.random() < 0.3 else random_instance(rng, max_side=side)
+    n, m = inst.num_students, inst.num_questions
+    edges = set(inst.edges())
+    every = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1)]
+    density = rng.choice([0.1, 0.4, 0.9])
+    chosen = [p for p in every if rng.random() < density]
+    adds = [p for p in chosen if p not in edges or rng.random() < 0.05]
+    dels = [p for p in chosen if p in edges or rng.random() < 0.05]
+    blocks = []
+    for key, pairs in (("additions", adds), ("deletions", dels)):
+        count, lines = _drawn_pair_block(rng, inst, pairs)
+        blocks += [f"{key}: {count}", *lines]
+    if rng.random() < 0.1:  # a broken line somewhere in the blocks
+        at = rng.randrange(1, len(blocks) + 1)
+        blocks.insert(at, rng.choice(["1 x", "2", "1 2 3", "1 1.5", "deletions: 0"]))
+    so = rng.sample(range(1, n + 1), n)
+    qo = rng.sample(range(1, m + 1), m)
+    text = "\n".join([
+        "chainrank-solution v1", f"cost: {rng.randint(0, n * m)}",
+        "student_order: " + " ".join(map(str, so)), "question_order: " + " ".join(map(str, qo)),
+        *blocks, "solver_tag: t", "verified: true",
+    ]) + "\n"
+
+    got, want = _parse_outcome(parse_solution, text), _parse_outcome(_pair_parse_reference, text)
+    assert got == want
+    if isinstance(got[0], type):
+        return
+    got, want = got[0].edits, want[0].edits
+    assert hash(got) == hash(want) and got.counts == want.counts and got.size == want.size
+    for variant, mode, k in (("constrained", "editing", 1), ("both", "addition", 2), ("imo", "editing", 0)):
+        spec = ProblemSpec(Variant(variant), Mode(mode), k)
+        reports = [
+            [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(2, tuple(so), tuple(qo), edits, "t")).checks]
+            for edits in (got, want)
+        ]
+        assert reports[0] == reports[1]
+    outcomes = []
+    for edits in (got, want):
+        try:
+            outcomes.append(apply_edits(inst, edits))
+        except EditConflictError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 _FUZZ_BASES = {
     parse_instance: FIG1_TEXT + "students: 3 1 2\nquestions: 1 2 3 4 5\n",
     parse_solution: format_solution(
@@ -429,6 +593,40 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "FAIL edit_set_valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [f"{s} 1000000" for s in range(1, 20001)],
+            ["1000000000000 1"],
+            ["1 1000000000000"],
+        ],
+        ids=["20000-students-at-question-1000000", "huge-student", "huge-question"],
+    )
+    def test_hostile_ids_check_quickly_in_little_memory(self, fig1_file, tmp_path, capsys, pairs):
+        """Ids past what per-student rows hold are read as pairs: the check
+        fails in under 1 s, and the parse traces a few MB, not a row of a
+        million bits per student."""
+        text = (
+            "chainrank-solution v1\ncost: 1\nstudent_order: 1 2 3\nquestion_order: 1 2 3 4 5\n"
+            f"additions: {len(pairs)}\n" + "\n".join(pairs) + "\ndeletions: 0\nsolver_tag: t\nverified: true\n"
+        )
+        sol_path = tmp_path / "sol.txt"
+        sol_path.write_text(text)
+        start = time.perf_counter()
+        code = main(["check", "--input", str(fig1_file), "--solution", str(sol_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "FAIL edit_set_valid" in capsys.readouterr().out
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sol, _ = parse_solution(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.edits.counts == (len(pairs), 0)
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("role", ["solve --input", "check --input", "check --solution", "reduce --cnf"])
     def test_invalid_utf8_is_a_parse_error(self, fig1_file, tmp_path, capsys, role):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from chainrank import (
     solve_fixed_side,
     verify_solution,
 )
+from chainrank.core_model import EditRowBuilder
 from conftest import adjacency, figure_one, random_instance, row_pairs
 
 
@@ -782,6 +784,101 @@ def test_row_built_edits_apply_as_their_pairs(data):
 def test_row_built_edits_reject_negative_rows():
     with pytest.raises(ValueError):
         EditSet.from_rows([1, -2], [0, 0])
+
+
+def _drawn_runs(rng: random.Random, inst: Instance) -> list[tuple[int, int, list[int]]]:
+    """(block, student, question ids) runs as a parser feeds them: sparse
+    or dense random edits split into runs of one student, students repeated
+    and out of order, repeated pairs, and sometimes a student past n, a
+    question past m, an id of 0, a negative or a huge one."""
+    n, m = inst.num_students, inst.num_questions
+    runs = []
+    for block in (0, 1):
+        density = rng.choice([0.3, 0.9])
+        pairs = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1) if rng.random() < density]
+        pairs += rng.choices(pairs, k=min(len(pairs), rng.randint(0, 2)))
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            s, q = rng.randint(1, n), rng.randint(1, m)
+            pairs.append(rng.choice([
+                (n + 1, q), (s, m + 1), (s, m + 3), (s, 1 << 16), (s, (1 << 16) + 1),
+                (0, q), (s, 0), (-2, q), (s, -1), (10**12, q), (s, 10**12),
+            ]))
+        if rng.random() < 0.5:
+            rng.shuffle(pairs)
+        else:
+            pairs.sort()
+        for s, run in itertools.groupby(pairs, key=lambda p: p[0]):
+            qids = [q for _, q in run]
+            while qids:  # a run split in two, as a blank line splits it
+                cut = rng.randint(1, len(qids))
+                runs.append((block, s, qids[:cut]))
+                qids = qids[cut:]
+    if rng.random() < 0.2:
+        rng.shuffle(runs)  # additions and deletions interleaved
+    return runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_edit_row_builder_matches_pairs(data):
+    """``EditRowBuilder`` holds the runs' pairs as rows, and its edit set
+    is its pair-built twin's: equal, with equal hashes and counts, the same
+    verifier report check by check, and the same ``apply_edits`` result or
+    error text; ids that rows cannot hold leave it None."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    side = rng.choice([8, 24])  # 24 gives runs of more than 16 ids
+    inst = figure_one() if rng.random() < 0.3 else random_instance(rng, max_side=side, with_orders=rng.random() < 0.8)
+    n, m = inst.num_students, inst.num_questions
+    spec = data.draw(st.sampled_from(_SPECS))
+    runs = _drawn_runs(rng, inst)
+    builder = EditRowBuilder()
+    for block, s, qids in runs:
+        builder.add(block, s, qids)
+    row_built = builder.edits()
+    pair_built = EditSet.of(
+        [(s, q) for block, s, qids in runs if block == 0 for q in qids],
+        [(s, q) for block, s, qids in runs if block == 1 for q in qids],
+    )
+    students = [s for _, s, _ in runs]
+    questions = [q for _, _, qids in runs for q in qids]
+    held = min(students + questions, default=1) >= 1 and max(students, default=1) < 10**12 and max(questions, default=1) <= 1 << 16
+    assert (row_built is not None) == held
+    if row_built is None:
+        return
+    assert row_built == pair_built and hash(row_built) == hash(pair_built)
+    assert row_built.counts == pair_built.counts and row_built.size == pair_built.size
+    so, qo = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, m + 1), m))
+    cost = pair_built.size + rng.choice([0, 0, 1])
+    reports = [
+        [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(cost, so, qo, edits, "t")).checks]
+        for edits in (row_built, pair_built)
+    ]
+    assert reports[0] == reports[1]
+    got = _outcome(lambda: apply_edits(inst, row_built))
+    assert got == _outcome(lambda: apply_edits(inst, pair_built))
+    assert got == _outcome(lambda: _apply_edits_reference(inst, pair_built))
+
+
+def test_edit_row_builder_budget():
+    """Rows hold a file within 16 MiB: 8 bytes per student slot up to the
+    largest student id, plus the bytes of each run's row. Past that, or
+    with a question id past 2^16, the builder gives None."""
+
+    def built(runs):
+        builder = EditRowBuilder()
+        for s, qids in runs:
+            builder.add(0, s, qids)
+        return builder.edits()
+
+    wide = 1 << 16  # a row of 8 KiB and one bit
+    assert built([(s, [wide]) for s in range(1, 1901)]) is not None
+    assert built([(s, [wide]) for s in range(1, 2201)]) is None
+    assert built([(1_900_000, [1])]).counts == (1, 0)
+    assert built([(2_200_000, [1])]) is None
+    assert built([(1, [wide + 1])]) is None
+    # A student split over many runs pays for its row at each one.
+    assert built([(1, [wide])] + [(s % 2 + 1, [1]) for s in range(3800)]) is not None
+    assert built([(1, [wide])] + [(s % 2 + 1, [1]) for s in range(4400)]) is None
 
 
 def test_verifier_memory_does_not_grow_with_questions_squared():

@@ -8,12 +8,13 @@ or easiest first. ``#`` starts a comment line anywhere.
 Solution files list the cost, both orders, then an ``additions: <count>``
 and a ``deletions: <count>`` block of ``student question`` lines, sorted.
 The writer prints each block from ``EditSet.grouped``, which walks a
-solver's per-student rows or groups a parsed set's pairs. The parser feeds
-each block, run by run of one student's lines, into per-student rows
-(``core_model.EditRowBuilder``), with no pair tuples. A file may name any
-int, such as a negative or huge id, which only the verifier judges; when
-its ids are past what the rows hold, its blocks are read again into a
-pair-built EditSet.
+solver's per-student rows or groups a parsed set's pairs, one string per
+student's run of lines. The parser feeds each block, run by run of one
+student's lines, into per-student rows (``core_model.EditRowBuilder``),
+with no pair tuples. A file may name any int, such as a negative or huge
+id, which only the verifier judges; at the first run whose ids are past
+what the rows hold, the row parse stops and the blocks are read again into
+a pair-built EditSet.
 
 Exit codes: 0 success, 1 usage or bad input, 2 infeasible or violated check,
 3 internal assertion failure.
@@ -142,29 +143,33 @@ def write_instance(inst: Instance, path: str | Path) -> None:
 
 
 def format_solution(sol: Solution, verified: bool) -> str:
-    additions, deletions = map(_pair_lines, sol.edits.grouped())
+    (additions, add_count), (deletions, del_count) = map(_pair_block, sol.edits.grouped())
     lines = [
         _SOLUTION_HEADER,
         f"cost: {sol.cost}",
         "student_order: " + " ".join(map(str, sol.student_order)),
         "question_order: " + " ".join(map(str, sol.question_order)),
-        f"additions: {len(additions)}",
-        *additions,
-        f"deletions: {len(deletions)}",
-        *deletions,
+        f"additions: {add_count}{additions}",
+        f"deletions: {del_count}{deletions}",
         f"solver_tag: {sol.solver_tag}",
         f"verified: {'true' if verified else 'false'}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _pair_lines(groups) -> list[str]:
-    """One ``s q`` line per pair of a block grouped by student (see
-    ``EditSet.grouped``), with the ``s `` prefix built once per student."""
-    lines: list[str] = []
+def _pair_block(groups) -> tuple[str, int]:
+    """The ``s q`` lines of a block grouped by student (see
+    ``EditSet.grouped``), each after a newline, as one string, and their
+    number. A student's run is one ``lead + lead.join(ids)`` with ``lead``
+    its newline and ``s `` prefix."""
+    runs = []
+    count = 0
     for s, ids in groups:
-        lines += map(f"{s} ".__add__, ids)
-    return lines
+        lead = f"\n{s} "
+        run = lead + lead.join(ids)
+        count += run.count("\n")
+        runs.append(run)
+    return "".join(runs), count
 
 
 class _Lines:
@@ -228,10 +233,11 @@ class _Lines:
             yield s, [q]
 
 
-def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], None]) -> None:
+def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], bool]) -> None:
     """Read the additions and then the deletions block, passing each run
     of one student's question ids to ``add(block, student, qids)``, block
-    0 for additions and 1 for deletions."""
+    0 for additions and 1 for deletions. Stops at once, the rest unread,
+    when ``add`` returns False."""
     for block, key in enumerate(("additions", "deletions")):
         count_text = lines.field(key)
         try:
@@ -241,7 +247,8 @@ def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], None]) -> No
         if count < 0:
             raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
         for s, qids in lines.runs(key, count):
-            add(block, s, qids)
+            if not add(block, s, qids):
+                return
 
 
 def parse_solution(text: str) -> tuple[Solution, bool]:
@@ -259,7 +266,12 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
     if edits is None:  # ids that rows cannot hold: read the blocks again as pairs
         lines.at = start
         pairs: tuple[set, set] = (set(), set())
-        _read_edits(lines, lambda block, s, qids: pairs[block].update(zip(repeat(s), qids)))
+
+        def add_pairs(block: int, s: int, qids: list[int]) -> bool:
+            pairs[block].update(zip(repeat(s), qids))
+            return True
+
+        _read_edits(lines, add_pairs)
         edits = EditSet(frozenset(pairs[0]), frozenset(pairs[1]))
     solver_tag = lines.field("solver_tag")
     verified_text = lines.field("verified")

@@ -295,8 +295,8 @@ class EditRowBuilder:
     are at most ``_ROW_WIDTH``, within ``_ROW_BUDGET`` bytes: 8 per student
     slot up to the largest student id, plus the bytes of the row each run
     writes, so that a student split over many runs pays for each copy of
-    its row. Past that ``edits()`` is None, and the caller holds the file
-    as pairs.
+    its row. Past that ``add`` returns False, and refuses every later run,
+    ``edits()`` is None, and the caller holds the file as pairs.
     """
 
     __slots__ = ("_run_rows", "_charged")
@@ -305,20 +305,22 @@ class EditRowBuilder:
         self._run_rows: tuple[list[int], list[int]] | None = ([], [])
         self._charged = 0
 
-    def add(self, block: int, s: int, qids: list[int]) -> None:
+    def add(self, block: int, s: int, qids: list[int]) -> bool:
+        """Hold one run in the rows; False once the rows cannot hold the
+        file."""
         if self._run_rows is None:
-            return
+            return False
         rows = self._run_rows[block]
         top = max(qids)
         if s < 1 or min(qids) < 1 or top > _ROW_WIDTH:
             self._run_rows = None
-            return
+            return False
         grow = s - len(rows)
         width = top if grow > 0 else max(top, rows[s - 1].bit_length())
         self._charged += 8 * max(grow, 0) + width // 8 + 1
         if self._charged > _ROW_BUDGET:
             self._run_rows = None
-            return
+            return False
         if grow > 0:
             rows.extend(repeat(0, grow))
         if len(qids) > 16:
@@ -326,6 +328,7 @@ class EditRowBuilder:
         else:  # a shift copies top/8 bytes per id, a flag row 3*top bytes per run
             for q in qids:
                 rows[s - 1] |= 1 << (q - 1)
+        return True
 
     def edits(self) -> "EditSet | None":
         if self._run_rows is None:

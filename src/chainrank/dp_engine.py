@@ -40,12 +40,16 @@ size of the union placed so far) to ``ideal.nested_solution``. The
 frontier walk-back finds a step's candidate question states by one
 backward sweep over the covering edges the fill relaxed over.
 
-A frontier row is one int with a 32-bit field per question state, 4 bytes
-a cell: 31 value bits under a guard bit, and the all-ones value
-``_CELL_INF`` for infinity. The fill takes elementwise minima and sums of
-whole rows as big-int arithmetic in C; only the relaxation over the
-covering edges unpacks a row into its cells. Both engines refuse a table
-whose estimated size passes
+A frontier row is banded: an offset, its first possibly finite question
+state, and one int with a 32-bit field per question state from the offset
+to the end, 4 bytes a cell: 31 value bits under a guard bit, and the
+all-ones value ``_CELL_INF`` for infinity. Every state below the offset is
+infinite, so an addition row, finite only from its student's hardest
+question on, holds a few cells; an editing row starts at 0. A layer keeps
+its offsets in a list beside its rows. The fill aligns rows by shifting,
+and takes elementwise minima and sums as big-int arithmetic in C; only
+the relaxation over the covering edges above a row's offset unpacks it
+into its cells. Both engines refuse a table whose estimated size passes
 ``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on the state
 counts of both sides, taken before any state is built.
 """
@@ -232,21 +236,29 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     bound ks < n and question bound kq < m; the callers check the base
     orders.
 
-    Returns (layers, auto, costs, qstates, edges). ``layers[i-1][s]`` holds
-    the costs of student state s of ``auto[i-1]``, position i of the student
-    automaton, as one packed row over the question states (``_pack``): a
-    32-bit field per state, ``_CELL_INF`` where the state is infeasible. The
-    rest is what reconstruction shares with the fill. Each window's parent
-    rows are merged (a packed minimum, then the covering edges relaxed on
-    the unpacked cells) once per layer, and the result is shared by every
+    Returns (layers, auto, costs, qstates, edges). ``layers[i-1]`` is a pair
+    of lists (rows, offsets) for position i of the student automaton,
+    ``auto[i-1]``, indexed by its student states. A state's costs over the
+    question states are banded: every question state below its offset is
+    infeasible, and its row packs (``_pack``) the cells from the offset to
+    nq, one 32-bit field each, field 0 for the offset, ``_CELL_INF`` where
+    the state is infeasible. A stored row's first field is finite; a row
+    with no finite cell has offset nq and is 0. The rest is what
+    reconstruction shares with the fill. Each window's parent rows are
+    merged once per layer (aligned at their smallest offset, a packed
+    minimum, then the covering edges whose child lies above that offset
+    relaxed on the unpacked cells), and the result is shared by every
     occupant with that window.
 
-    ``costs[u]`` is student u's packed cost row over the question states.
-    Editing costs |b ^ t| for neighborhood b and target t. Addition costs
-    the same where b lies inside t and ``_CELL_INF`` where u would lose a
-    question, which covers every state whose frontier lies more than kq
-    below b's hardest question. Both modes fill a state as its window's
-    merged row plus its student's costs, saturated at ``_CELL_INF``. The
+    ``costs`` is the pair (rows, offsets) of per-student cost rows, student
+    u at index u, in the same banded form. Editing costs |b ^ t| for
+    neighborhood b and target t, from offset 0. Addition costs the same
+    where b lies inside t and ``_CELL_INF`` where u would lose a question;
+    its row starts at the first state whose frontier lies at most kq below
+    b's hardest question, as every state before it loses that question.
+    Both modes fill a state as its window's merged row plus its student's
+    costs, saturated at ``_CELL_INF``, from the larger of the two offsets,
+    and raise the offset past any infinite cells at its low end. The
     prefix's neighborhoods need no test of their own: a finite merged cell
     has a parent chain that placed each of them inside a parent target, and
     targets only grow along the covering edges.
@@ -270,40 +282,74 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     first_at = [nq] * (m + 1)  # first question state at frontier position >= j
     for qi in range(nq - 1, -1, -1):
         first_at[qstates[qi][0]] = qi
+    # The relax of a row from offset o reads edges[relax_from[o]:], those
+    # whose child lies above o.
+    relax_from = [bisect_right(edges, (o, nq)) for o in range(nq + 1)]
     guards = _pack([1 << 31] * nq)
     full = _pack([_CELL_INF] * nq)
+    pad = [_CELL_INF] * nq
 
     targets = [st[3] for st in qstates]
-    costs = []
+    cost_rows, cost_offs = [], []
     for b in nb:
         if mode == Mode.EDITING:
-            costs.append(_pack([(b ^ t).bit_count() for t in targets]))
+            skip = 0
+            cost_rows.append(_pack([(b ^ t).bit_count() for t in targets]))
         else:
             skip = first_at[max(0, b.bit_length() - kq)]
-            tail = [(b ^ t).bit_count() if b & t == b else _CELL_INF for t in targets[skip:]]
-            costs.append(_pack([_CELL_INF] * skip + tail))
+            cost_rows.append(_pack([(b ^ t).bit_count() if b & t == b else _CELL_INF for t in targets[skip:]]))
+        cost_offs.append(skip)
 
-    def merge(rows: list[int]) -> int:
-        """Elementwise minimum of the parent rows, relaxed over the covering
-        edges."""
-        merged = rows[0]
-        for row in rows[1:]:
-            merged = _packed_min(merged, row, guards)
-        cells = _unpack(merged, nq).tolist()
-        for qi, p in edges:
+    def merge(rows: list[int], offs: list[int], parents: list[int]) -> tuple[int, int]:
+        """The parent rows' elementwise minimum, relaxed over the covering
+        edges, as (row, offset)."""
+        merged, lo = rows[parents[0]], offs[parents[0]]
+        for p in parents[1:]:
+            merged, lo = _banded_min(merged, lo, rows[p], offs[p], nq, guards, full)
+        start = relax_from[lo]
+        if start == len(edges):
+            return merged, lo
+        # Cells indexed by question state, those below lo infinite. At
+        # offset 0 neither the cells nor the edges are copied.
+        cells, todo = _unpack(merged, nq - lo).tolist(), edges
+        if lo:
+            cells, todo = pad[:lo] + cells, edges[start:]
+        for qi, p in todo:
             if cells[p] < cells[qi]:
                 cells[qi] = cells[p]
-        return _pack(cells)
+        return _pack(cells[lo:] if lo else cells), lo
 
-    layers: list[list[int]] = []
-    prev = [0]  # the start state, parent of position 1: every cell 0
+    layers: list[tuple[list[int], list[int]]] = []
+    rows, offs = [0], [0]  # the start state, parent of position 1: every cell 0
     for pos in auto:
         # The parents depend on the window alone, so the occupants sharing a
         # window share one merged row.
-        merged = [merge([prev[p] for p in parents]) for parents in pos.parents]
-        prev = [_packed_add(merged[w], costs[pos.lo + e], guards, full) for e, w in pos.states]
-        layers.append(prev)
-    return layers, auto, costs, qstates, edges
+        merged = [merge(rows, offs, parents) for parents in pos.parents]
+        rows, offs = [], []
+        for e, w in pos.states:
+            row, lo = merged[w]
+            u = pos.lo + e
+            cost, off = cost_rows[u], cost_offs[u]
+            if lo > off:
+                cost >>= 32 * (lo - off)
+                off = lo
+            elif off > lo:
+                row >>= 32 * (off - lo)
+            if off:
+                row = _packed_add(row, cost, guards >> 32 * off, full >> 32 * off)
+            else:
+                row = _packed_add(row, cost, guards, full)
+            if row & _CELL_INF == _CELL_INF:
+                # Raise the offset past the infinite fields at the low end;
+                # a row with none finite goes to nq.
+                finite = row ^ full >> 32 * off
+                gap = ((finite & -finite).bit_length() - 1) >> 5 if finite else nq - off
+                row >>= 32 * gap
+                off += gap
+            rows.append(row)
+            offs.append(off)
+        layers.append((rows, offs))
+    return layers, auto, (cost_rows, cost_offs), qstates, edges
 
 
 def _pack(cells) -> int:
@@ -328,6 +374,20 @@ def _packed_min(a: int, b: int, guards: int) -> int:
     return a ^ ((a ^ b) & (d - (d >> 31)))
 
 
+def _banded_min(a: int, a_off: int, b: int, b_off: int, nq: int, guards: int, full: int) -> tuple[int, int]:
+    """Elementwise minimum of two banded rows of nq states, as (row,
+    offset) from the lower offset: the row with the higher offset is
+    shifted up by 32 bits per state of difference, the gap filled with
+    ``_CELL_INF`` fields. ``guards`` and ``full`` are the nq-wide rows of
+    guard bits and of ``_CELL_INF`` fields."""
+    if a_off != b_off:
+        if b_off < a_off:
+            a, a_off, b, b_off = b, b_off, a, a_off
+        gap = b_off - a_off
+        b = b << 32 * gap | full >> 32 * (nq - gap)
+    return _packed_min(a, b, guards >> 32 * a_off if a_off else guards), a_off
+
+
 def _packed_add(a: int, b: int, guards: int, full: int) -> int:
     """Elementwise sum of two packed rows of 31-bit values, saturated at
     ``_CELL_INF``: a field's sum stays below 2^32, and one that reaches
@@ -344,9 +404,9 @@ def _reconstruct_frontier(
     inst: Instance,
     kq: int,
     mode: Mode,
-    layers: list[list[int]],
+    layers: list[tuple[list[int], list[int]]],
     auto: list[KnearPosition],
-    costs: list[int],
+    costs: tuple[list[int], list[int]],
     qstates: list[tuple],
     edges: list[tuple[int, int]],
 ) -> Solution:
@@ -354,35 +414,46 @@ def _reconstruct_frontier(
     Solution; raises CorruptTableError if the chain breaks or the result
     disagrees with the table.
 
-    A parent's question state is qi or one that reaches qi. Each step finds
-    a parent row's cells that hold the target with ``array.index``, then
-    asks ``_Reach`` whether each, ascending, reaches qi. The candidates come
-    ascending, and the first (parent, state) that does is taken.
+    A parent's question state is qi or one that reaches qi. Each step reads
+    the student's cost at qi with a shift and a mask (infinite below its
+    cost row's offset), skips the parents whose offset lies above qi, finds
+    the cells from a parent's offset up to qi that hold the target with
+    ``array.index``, then asks ``_Reach`` whether each, ascending, reaches
+    qi. The candidates come ascending, and the first (parent, state) that
+    does is taken.
     """
     n, m = inst.num_students, inst.num_questions
     alpha, beta0 = inst.base_student_order, inst.base_question_order
     nq = len(qstates)
+    cost_rows, cost_offs = costs
 
-    last = [_unpack(row, nq) for row in layers[-1]]
-    terminal_cost = min(map(min, last))
+    rows, offs = layers[-1]
+    last = [_unpack(row, nq - off) for row, off in zip(rows, offs)]
+    terminal_cost = min(map(min, filter(None, last)), default=_CELL_INF)
     if terminal_cost == _CELL_INF:
         raise CorruptTableError("no feasible terminal state")
     sid = next(s for s, row in enumerate(last) if terminal_cost in row)
-    qi = last[sid].index(terminal_cost)
+    qi = offs[sid] + last[sid].index(terminal_cost)
 
     value = terminal_cost
     chain = [(sid, qi)]
     for i in range(n, 1, -1):
         pos = auto[i - 1]
+        e, w = pos.states[sid]
+        u = pos.lo + e
+        field = qi - cost_offs[u]
         # An infinite cost makes the target negative, which no cell holds.
-        target = value - _unpack(costs[pos.lo + pos.states[sid][0]], nq)[qi]
+        target = value - ((cost_rows[u] >> 32 * field) & 0xFFFFFFFF if field >= 0 else _CELL_INF)
         reaches = _Reach(edges, qi, nq)
+        rows, offs = layers[i - 2]
         found = None
-        for p in pos.parents[pos.states[sid][1]]:
-            qp = _first_marked(_unpack(layers[i - 2][p], nq), target, qi + 1, reaches)
-            if qp is not None:
-                found = (p, qp)
-                break
+        for p in pos.parents[w]:
+            off = offs[p]
+            if off <= qi:
+                qp = _first_marked(_unpack(rows[p], nq - off), target, off, qi + 1, reaches)
+                if qp is not None:
+                    found = (p, qp)
+                    break
         if found is None:
             raise CorruptTableError(f"broken parent chain at position {i}")
         sid, qi = found
@@ -442,15 +513,16 @@ class _Reach:
         return bool(self.marks[x])
 
 
-def _first_marked(cells: array, value: int, end: int, marked) -> int | None:
-    """The first index i < end with ``cells[i] == value`` and ``marked(i)``
-    true, or None; C-level scans from one match to the next."""
+def _first_marked(cells: array, value: int, off: int, end: int, marked) -> int | None:
+    """The first question state off <= i < end with ``cells[i - off] ==
+    value`` and ``marked(i)`` true, or None; ``cells`` is a row from offset
+    off. C-level scans from one match to the next."""
     i = 0
     try:
         while True:
-            i = cells.index(value, i, end)
-            if marked(i):
-                return i
+            i = cells.index(value, i, end - off)
+            if marked(i + off):
+                return i + off
             i += 1
     except ValueError:
         return None

@@ -44,23 +44,35 @@ def row_pairs(rows) -> list[tuple[int, int]]:
 CELL_INF = (1 << 31) - 1
 
 
-def fields(row: int, nq: int) -> array:
-    """The nq raw 32-bit fields of a packed frontier row, as the engine
-    lays them out: field i is the i-th 4-byte word of the row's
-    native-order bytes."""
-    return array("I", row.to_bytes(4 * nq, sys.byteorder))
+def fields(row: int, off: int, nq: int) -> array:
+    """The nq raw 32-bit fields of a banded frontier row that starts at
+    question state ``off``, as the engine lays them out: field qi - off is
+    the (qi - off)-th 4-byte word of the row's native-order bytes, and every
+    field below ``off`` is the all-ones field."""
+    return array("I", [CELL_INF] * off) + array("I", row.to_bytes(4 * (nq - off), sys.byteorder))
 
 
-def cells(row: int, nq: int) -> list:
-    """The nq cells of a packed frontier row, the all-ones field as inf."""
-    return [float("inf") if c == CELL_INF else c for c in fields(row, nq)]
+def cells(row: int, off: int, nq: int) -> list:
+    """The nq cells of a banded frontier row, the all-ones field as inf:
+    every cell below ``off`` is inf."""
+    return [float("inf") if c == CELL_INF else c for c in fields(row, off, nq)]
 
 
-def with_cell(row: int, nq: int, qi: int, value) -> int:
-    """``row`` with cell qi set to ``value`` (inf as the all-ones field)."""
-    raw = fields(row, nq)
+def layer_cells(layer, nq: int) -> list[list]:
+    """The cells of every row of a frontier layer, a pair (rows, offsets)."""
+    rows, offs = layer
+    return [cells(row, off, nq) for row, off in zip(rows, offs)]
+
+
+def with_cell(row: int, off: int, nq: int, qi: int, value) -> tuple[int, int]:
+    """(row, offset) for ``row`` with cell qi set to ``value`` (inf as the
+    all-ones field). A finite value below ``off`` moves the offset down to
+    qi, the cells between staying inf."""
+    raw = fields(row, off, nq)
     raw[qi] = CELL_INF if value == float("inf") else value
-    return int.from_bytes(raw.tobytes(), sys.byteorder)
+    if value != float("inf"):
+        off = min(off, qi)
+    return int.from_bytes(raw[off:].tobytes(), sys.byteorder), off
 
 
 @pytest.fixture

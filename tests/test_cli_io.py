@@ -463,6 +463,37 @@ def test_parsed_edits_match_pair_parse_reference(data):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize(
+    "additions, deletions, fed",
+    [
+        (["1 1", "2 70000", "3 1", "3 2"], ["1 2"], [True, False]),
+        (["1 1", "2 -1", "2 x"], ["1 2"], [True, False]),
+        (["1 1", "2 1"], ["3 4", "0 1", "1 5", "2 2"], [True, True, True, False]),
+        (["1 1", "1 2"], ["2 3", "2 4"], [True, True]),
+    ],
+)
+def test_row_parse_stops_at_the_builders_refusal(monkeypatch, additions, deletions, fed):
+    """Once ``EditRowBuilder`` refuses a run, no later run reaches it: the
+    row parse stops there, and the pair pass reads the blocks, with the pair
+    parse's outcome, a broken line past the refusal included."""
+    calls = []
+
+    class Recording(cli_io.EditRowBuilder):
+        def add(self, block, s, qids):
+            held = super().add(block, s, qids)
+            calls.append(held)
+            return held
+
+    monkeypatch.setattr(cli_io, "EditRowBuilder", Recording)
+    text = "\n".join([
+        "chainrank-solution v1", "cost: 1", "student_order: 1 2 3", "question_order: 1 2 3 4 5",
+        f"additions: {len(additions)}", *additions, f"deletions: {len(deletions)}", *deletions,
+        "solver_tag: t", "verified: true",
+    ]) + "\n"
+    assert _parse_outcome(parse_solution, text) == _parse_outcome(_pair_parse_reference, text)
+    assert calls == fed
+
+
 _FUZZ_BASES = {
     parse_instance: FIG1_TEXT + "students: 3 1 2\nquestions: 1 2 3 4 5\n",
     parse_solution: format_solution(

@@ -40,7 +40,17 @@ from chainrank import dp_engine, ideal
 from chainrank.dp_engine import CorruptTableError
 from chainrank.exact_oracle import _knear_shape, _shared_shapes, knear_automaton
 from chainrank.instance_gen import GenConfig, gen_ideal, perturb_edges, perturb_order
-from conftest import CELL_INF, DP_VARIANT_MODES, adjacency, cells, fields, figure_one, random_instance, with_cell
+from conftest import (
+    CELL_INF,
+    DP_VARIANT_MODES,
+    adjacency,
+    cells,
+    fields,
+    figure_one,
+    layer_cells,
+    random_instance,
+    with_cell,
+)
 
 
 def fig1_with_orders():
@@ -383,11 +393,13 @@ def test_reconstruct_rejects_tampered_table():
     inst = make_instance(2, 2, [(1, 1), (1, 2)], (1, 2), (1, 2))
     layers, *shared = _frontier_table(inst, 1, 0, Mode.EDITING)
     nq = len(shared[2])
-    for sid, row in enumerate(layers[0]):
+    rows, offs = layers[0]
+    for sid, row in enumerate(rows):
         assert isinstance(row, int)
+        off = offs[sid]
         for qi in range(nq):
-            row = with_cell(row, nq, qi, cells(row, nq)[qi] + 1)
-        layers[0][sid] = row
+            row, off = with_cell(row, off, nq, qi, cells(row, off, nq)[qi] + 1)
+        rows[sid], offs[sid] = row, off
     with pytest.raises(CorruptTableError):
         _reconstruct_frontier(inst, 0, Mode.EDITING, layers, *shared)
 
@@ -395,24 +407,28 @@ def test_reconstruct_rejects_tampered_table():
 def test_reconstruct_rejects_finite_cell_in_infinite_prefix():
     """A finite addition cell in a last-layer student's infinite prefix,
     where the student would lose a question, is a corrupt table: the
-    reconstruction reads that cell's cost as infinite, not by a negative
-    index into the student's cost row."""
+    reconstruction reads that cell's cost as infinite, below the offset of
+    the student's cost row, not by a negative shift into it."""
     from chainrank.dp_engine import CorruptTableError, _frontier_table, _reconstruct_frontier
 
     inst = make_instance(2, 3, [(1, 3), (2, 2), (2, 3)], (1, 2), (1, 2, 3))
-    _layers, auto, costs, qstates, _edges = _frontier_table(inst, 1, 0, Mode.ADDITION)
+    _layers, auto, (cost_rows, cost_offs), qstates, _edges = _frontier_table(inst, 1, 0, Mode.ADDITION)
     nq = len(qstates)
     last = auto[-1]
     prefix = [
         (sid, qi)
         for sid, (e, _w) in enumerate(last.states)
-        for qi, _c in enumerate(itertools.takewhile(lambda c: c == float("inf"), cells(costs[last.lo + e], nq)))
+        for qi, _c in enumerate(
+            itertools.takewhile(lambda c: c == float("inf"), cells(cost_rows[last.lo + e], cost_offs[last.lo + e], nq))
+        )
     ]
     assert len(prefix) == 6  # both students' hardest question is 3: three states each
+    assert all(qi < cost_offs[last.lo + last.states[sid][0]] for sid, qi in prefix)
     for sid, qi in prefix:
         layers, *shared = _frontier_table(inst, 1, 0, Mode.ADDITION)
-        assert cells(layers[-1][sid], nq)[qi] == float("inf")
-        layers[-1][sid] = with_cell(layers[-1][sid], nq, qi, 0)
+        rows, offs = layers[-1]
+        assert cells(rows[sid], offs[sid], nq)[qi] == float("inf")
+        rows[sid], offs[sid] = with_cell(rows[sid], offs[sid], nq, qi, 0)
         with pytest.raises(CorruptTableError):
             _reconstruct_frontier(inst, 0, Mode.ADDITION, layers, *shared)
 
@@ -420,10 +436,11 @@ def test_reconstruct_rejects_finite_cell_in_infinite_prefix():
 def _reaching_chain(layers, auto, costs, edges, nq):
     """The frontier walk-back's chain as it was found with a depth-first
     search over the covering edges: the terminal (sid, qi) and, per step
-    from position n down, (i, qi, p, qp, target). The packed rows are
+    from position n down, (i, qi, p, qp, target). The banded rows are
     read cell by cell, with ``cells``."""
     inf = float("inf")
-    layers = [[cells(row, nq) for row in layer] for layer in layers]
+    layers = [layer_cells(layer, nq) for layer in layers]
+    cost_rows, cost_offs = costs
     covered_by = [[] for _ in range(nq)]
     for q, p in edges:
         covered_by[q].append(p)
@@ -450,7 +467,8 @@ def _reaching_chain(layers, auto, costs, edges, nq):
     steps = []
     for i in range(len(layers), 1, -1):
         pos = auto[i - 1]
-        target = value - cells(costs[pos.lo + pos.states[sid][0]], nq)[qi]
+        u = pos.lo + pos.states[sid][0]
+        target = value - cells(cost_rows[u], cost_offs[u], nq)[qi]
         found = next(
             ((p, qp) for p in pos.parents[pos.states[sid][1]] for qp in reaching(qi) if layers[i - 2][p][qp] == target),
             None,
@@ -526,11 +544,11 @@ def test_reconstruct_ignores_target_at_a_state_that_does_not_reach(mode):
         for i, qi, p, qp, target in _reaching_chain(layers, auto, costs, edges, len(qstates))[2]:
             for x in range(qp):
                 if x not in reaching[qi]:
-                    layer = layers[i - 2]
-                    saved = layer[p]
-                    layer[p] = with_cell(saved, len(qstates), x, target)
+                    rows, offs = layers[i - 2]
+                    saved = rows[p], offs[p]
+                    rows[p], offs[p] = with_cell(*saved, len(qstates), x, target)
                     got = dp_engine._reconstruct_frontier(inst, kq, mode, layers, auto, costs, qstates, edges)
-                    layer[p] = saved
+                    rows[p], offs[p] = saved
                     assert got == want, (i, qi, p, qp, x)
                     planted += 1
 
@@ -607,27 +625,33 @@ def test_frontier_table_matches_union_band_reference(seed, ks, kq, mode):
     ks, kq = min(ks, n - 1), min(kq, m - 1)
     layers, _auto, _costs, qstates, _edges = dp_engine._frontier_table(inst, ks, kq, mode)
     ref = _union_band_table_reference(inst, ks, kq, mode)
-    assert [[cells(row, len(qstates)) for row in layer] for layer in layers] == ref
+    assert [layer_cells(layer, len(qstates)) for layer in layers] == ref
 
 
 @pytest.mark.parametrize("mode", [Mode.EDITING, Mode.ADDITION])
 @pytest.mark.parametrize("ks, kq", [(1, 0), (2, 0), (1, 1), (2, 2)])
-def test_frontier_rows_are_double_arrays(mode, ks, kq):
-    """Every frontier row is an int of nq 32-bit fields whose guard bits
-    (bit 31 of each field) are clear; the name predates the packed rows."""
+def test_frontier_rows_are_banded_packed_ints(mode, ks, kq):
+    """Every frontier row and cost row is an int of nq - offset 32-bit
+    fields, 0 <= offset <= nq, whose guard bits (bit 31 of each field) are
+    clear. A frontier row's first field is finite, so a row with none
+    finite has offset nq; editing rows all start at 0."""
     from chainrank.dp_engine import _frontier_table
 
     rng = random.Random(29)
     for _ in range(10):
         inst = random_instance(rng, max_side=6)
         n, m = inst.num_students, inst.num_questions
-        layers, auto, _costs, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
+        layers, auto, costs, qstates, _edges = _frontier_table(inst, min(ks, n - 1), min(kq, m - 1), mode)
+        nq = len(qstates)
         assert len(layers) == n
-        for layer, pos in zip(layers, auto):
-            assert len(layer) == len(pos.states)
-            for row in layer:
-                assert isinstance(row, int) and 0 <= row < 1 << 32 * len(qstates)
-                assert all(c < 1 << 31 for c in fields(row, len(qstates)))
+        for (rows, offs), pos in zip([costs, *layers], [None, *auto]):
+            assert len(rows) == len(offs) == (n + 1 if pos is None else len(pos.states))
+            for row, off in zip(rows, offs):
+                assert isinstance(row, int) and 0 <= off <= nq and 0 <= row < 1 << 32 * (nq - off)
+                raw = fields(row, off, nq)
+                assert all(c < 1 << 31 for c in raw)
+                assert pos is None or off == nq or raw[off] != CELL_INF
+                assert mode == Mode.ADDITION or off == 0
 
 
 _packed_rows = st.integers(1, 40).flatmap(
@@ -644,12 +668,32 @@ def test_packed_min_and_saturating_add_match_per_cell(rows):
     nq = len(a)
     pa, pb = dp_engine._pack(a), dp_engine._pack(b)
     guards, full = dp_engine._pack([1 << 31] * nq), dp_engine._pack([CELL_INF] * nq)
-    assert list(fields(pa, nq)) == a
+    assert list(fields(pa, 0, nq)) == a
     assert list(dp_engine._unpack(pa, nq)) == a
     low = dp_engine._packed_min(pa, pb, guards)
-    assert list(fields(low, nq)) == [min(x, y) for x, y in zip(a, b)]
+    assert list(fields(low, 0, nq)) == [min(x, y) for x, y in zip(a, b)]
     total = dp_engine._packed_add(pa, pb, guards, full)
-    assert list(fields(total, nq)) == [min(x + y, CELL_INF) for x, y in zip(a, b)]
+    assert list(fields(total, 0, nq)) == [min(x + y, CELL_INF) for x, y in zip(a, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_banded_min_aligns_rows_at_the_lower_offset(data):
+    """The minimum of two banded rows starts at the lower offset, and every
+    cell, those in the gap below the higher offset included, is the per-cell
+    minimum of the decoded rows. The fill's parents of one window share
+    their offset, so this is where a gap is tested."""
+    nq = data.draw(st.integers(1, 30))
+    cell = st.one_of(st.just(CELL_INF), st.integers(0, CELL_INF))
+    rows = []
+    for _ in range(2):
+        off = data.draw(st.integers(0, nq))
+        rows.append((dp_engine._pack(data.draw(st.lists(cell, min_size=nq - off, max_size=nq - off))), off))
+    guards, full = dp_engine._pack([1 << 31] * nq), dp_engine._pack([CELL_INF] * nq)
+    (a, a_off), (b, b_off) = rows
+    low, off = dp_engine._banded_min(a, a_off, b, b_off, nq, guards, full)
+    assert off == min(a_off, b_off) and 0 <= low < 1 << 32 * (nq - off)
+    assert cells(low, off, nq) == [min(x, y) for x, y in zip(cells(a, a_off, nq), cells(b, b_off, nq))]
 
 
 def _noisy_instance(n: int, k: int, seed: int):
@@ -659,21 +703,39 @@ def _noisy_instance(n: int, k: int, seed: int):
     return make_instance(n, n, list(noisy.edges()), perturb_order(true_s, k, seed), true_q)
 
 
-def test_frontier_table_peak_memory():
-    """Rows are packed ints, 4 bytes a cell. The 120x120 k=2 constrained
-    table peaks at 0.87 MB; the bound leaves 1.6x headroom, and the same
-    table with rows of ``array('d')`` (1.70 MB) fails it."""
+def _frontier_table_peak(mode: Mode):
+    """The tracemalloc peak of the 120x120 k=2 constrained table, and the
+    table."""
     from chainrank.dp_engine import _frontier_table
 
     inst = _noisy_instance(120, 2, 5)
     tracemalloc.start()
     try:
-        table = _frontier_table(inst, 2, 0, Mode.EDITING)
+        table = _frontier_table(inst, 2, 0, mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, table[0])) > 1000
+    assert sum(len(rows) for rows, _offs in table[0]) > 1000
+    return peak, table
+
+
+def test_frontier_table_peak_memory():
+    """Rows are packed ints, 4 bytes a cell. The 120x120 k=2 constrained
+    editing table, all of whose rows start at offset 0, peaks at 0.89 MB;
+    the bound leaves 1.6x headroom, and the same table with rows of
+    ``array('d')`` (1.70 MB) fails it."""
+    peak, _table = _frontier_table_peak(Mode.EDITING)
     assert peak < 1.4 * 2**20, peak
+
+
+def test_frontier_addition_table_peak_memory():
+    """Addition rows are banded: each holds the cells from its first finite
+    question state on. The 120x120 k=2 constrained addition table peaks at
+    0.14 MB, against 0.86 MB with every row nq cells wide, which fails the
+    bound."""
+    peak, (layers, *_shared) = _frontier_table_peak(Mode.ADDITION)
+    assert any(off for _rows, offs in layers for off in offs)
+    assert peak < 0.3 * 2**20, peak
 
 
 class TestTableSizeGuard:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import groupby, islice, repeat
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core_model import (
     ChainRankError,
@@ -223,14 +223,52 @@ class _Lines:
         if done:
             self.at += done
             self.lineno = self.at
-        for _ in range(count - done):
+        for s, q in self.walk(key, count - done):
+            yield s, [q]
+
+    def pairs(self, key: str, count: int) -> Iterable[tuple[int, int]]:
+        """The next ``count`` lines as ``student question`` pairs. A block
+        whose every line is two integer tokens and one space, as the writer
+        prints them, is read whole, with no work per line in Python; any
+        other line sends the whole block to ``walk``."""
+        block = "\n".join(self.raw[self.at : self.at + count])
+        tokens = block.split()
+        students, qids = tokens[::2], tokens[1::2]
+        if len(tokens) == 2 * count and block == "\n".join(map(" ".join, zip(students, qids))):
+            try:
+                pairs = list(zip(map(int, students), map(int, qids)))
+            except ValueError:
+                pass
+            else:
+                if count:
+                    self.at += count
+                    self.lineno = self.at
+                return pairs
+        return self.walk(key, count)
+
+    def walk(self, key: str, count: int) -> Iterator[tuple[int, int]]:
+        """The next ``count`` significant lines as ``student question``
+        pairs, read one by one: blanks and comments are skipped, and an
+        error names its line."""
+        for _ in range(count):
             line = self.next()
             if line is None:
                 raise ParseError(f"missing {key} pair", line=self.lineno)
             if len(line.split()) != 2:
                 raise ParseError(f"expected 'student question', got {line!r}", line=self.lineno)
-            s, q = _parse_ints(line, self.lineno)
-            yield s, [q]
+            yield _parse_ints(line, self.lineno)
+
+
+def _block_count(lines: _Lines, key: str) -> int:
+    """The count of the ``key: <count>`` line that must come next."""
+    count_text = lines.field(key)
+    try:
+        count = int(count_text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
+    return count
 
 
 def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], bool]) -> None:
@@ -239,14 +277,7 @@ def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], bool]) -> No
     0 for additions and 1 for deletions. Stops at once, the rest unread,
     when ``add`` returns False."""
     for block, key in enumerate(("additions", "deletions")):
-        count_text = lines.field(key)
-        try:
-            count = int(count_text)
-        except ValueError:
-            count = -1
-        if count < 0:
-            raise ParseError(f"bad count for {key}: {count_text!r}", line=lines.lineno)
-        for s, qids in lines.runs(key, count):
+        for s, qids in lines.runs(key, _block_count(lines, key)):
             if not add(block, s, qids):
                 return
 
@@ -265,14 +296,10 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
     edits = rows.edits()
     if edits is None:  # ids that rows cannot hold: read the blocks again as pairs
         lines.at = start
-        pairs: tuple[set, set] = (set(), set())
-
-        def add_pairs(block: int, s: int, qids: list[int]) -> bool:
-            pairs[block].update(zip(repeat(s), qids))
-            return True
-
-        _read_edits(lines, add_pairs)
-        edits = EditSet(frozenset(pairs[0]), frozenset(pairs[1]))
+        additions, deletions = (
+            frozenset(lines.pairs(key, _block_count(lines, key))) for key in ("additions", "deletions")
+        )
+        edits = EditSet(additions, deletions)
     solver_tag = lines.field("solver_tag")
     verified_text = lines.field("verified")
     if verified_text not in ("true", "false"):

@@ -43,15 +43,20 @@ backward sweep over the covering edges the fill relaxed over.
 A frontier row is banded: an offset, its first possibly finite question
 state, and one int with a 32-bit field per question state from the offset
 to the end, 4 bytes a cell: 31 value bits under a guard bit, and the
-all-ones value ``_CELL_INF`` for infinity. Every state below the offset is
+all-ones value ``_CELL_INF`` for infinity. Cell i sits in bits 32i to
+32i+31 on every host (``_pack``). Every state below the offset is
 infinite, so an addition row, finite only from its student's hardest
 question on, holds a few cells; an editing row starts at 0. A layer keeps
 its offsets in a list beside its rows. The fill aligns rows by shifting,
 and takes elementwise minima and sums as big-int arithmetic in C; only
 the relaxation over the covering edges above a row's offset unpacks it
-into its cells. Both engines refuse a table whose estimated size passes
-``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on the state
-counts of both sides, taken before any state is built.
+into its cells. The students' cost rows come from one sweep over the
+question states in automaton order: a state's column, one field per
+student, is its covering parent's plus one precomputed column for its
+frontier question, and the rows are read back as strided slices of the
+columns (``_cost_rows``). Both engines refuse a table whose estimated
+size passes ``_TABLE_BYTES_LIMIT``; the estimate is a binomial bound on
+the state counts of both sides, taken before any state is built.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import replace
 from math import comb
-from operator import itemgetter, or_
+from operator import or_
 
 from . import ideal
 from .core_model import (
@@ -87,6 +92,10 @@ _INF = float("inf")
 # The infinite cell of a packed frontier row: every value bit of its 32-bit
 # field set, the guard bit (bit 31) clear.
 _CELL_INF = (1 << 31) - 1
+# Packed rows are little-endian words, and ``array('I')`` holds native ones.
+_BIG_ENDIAN = sys.byteorder == "big"
+# bytes.translate table from the characters "0" and "1" to the bytes 0 and 2.
+_TWICE = bytes.maketrans(b"01", b"\0\2")
 # The largest DP table a solve may allocate, by ``_check_table_size``.
 _TABLE_BYTES_LIMIT = 1 << 30
 # Bytes a student state holds besides its cost row: its layer slot, row
@@ -151,12 +160,14 @@ def _check_table_size(n: int, ks: int, m: int = 0, kq: int = 0) -> None:
     bound kq; m = 0 is a table with one cost per state. The estimate is the
     question-state bound times ``_QSTATE_BYTES``, plus the student-state
     bound times ``_STATE_BYTES`` and 4 bytes (one packed cell) per question
-    state. The sums stop past the limit, so a refused estimate is a lower
-    bound.
+    state. The n+1 cost rows (``_cost_rows``) add 4 bytes per label and
+    question state, and so does the column buffer they are read from. The
+    sums stop past the limit, so a refused estimate is a lower bound.
     """
     cells = 1 + _window_state_bound(kq, m, _TABLE_BYTES_LIMIT // _QSTATE_BYTES) if m else 0
     per_state = _STATE_BYTES + 4 * cells
-    estimate = _QSTATE_BYTES * cells + per_state * _window_state_bound(ks, n, _TABLE_BYTES_LIMIT // per_state)
+    estimate = (_QSTATE_BYTES + 8 * (n + 1)) * cells
+    estimate += per_state * _window_state_bound(ks, n, _TABLE_BYTES_LIMIT // per_state)
     if estimate > _TABLE_BYTES_LIMIT:
         raise InstanceTooLargeError(
             f"the DP table needs an estimated {estimate / 2**30:.3g} GiB or more, "
@@ -254,12 +265,13 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     u at index u, in the same banded form. Editing costs |b ^ t| for
     neighborhood b and target t, from offset 0. Addition costs the same
     where b lies inside t and ``_CELL_INF`` where u would lose a question;
-    its row starts at the first state whose frontier lies at most kq below
-    b's hardest question, as every state before it loses that question.
-    Both modes fill a state as its window's merged row plus its student's
-    costs, saturated at ``_CELL_INF``, from the larger of the two offsets,
-    and raise the offset past any infinite cells at its low end. The
-    prefix's neighborhoods need no test of their own: a finite merged cell
+    its row starts at its first finite state. ``_cost_rows`` builds them
+    from one packed column per question state, each its covering parent's
+    plus one addition, instead of a popcount per cell. Both modes fill a
+    state as its window's merged row plus its student's costs, saturated
+    at ``_CELL_INF``, from the larger of the two offsets, and raise the
+    offset past any infinite cells at its low end. The prefix's
+    neighborhoods need no test of their own: a finite merged cell
     has a parent chain that placed each of them inside a parent target, and
     targets only grow along the covering edges.
 
@@ -267,38 +279,16 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     and ``_check_table_size`` charges more than 4*n*(m+1) bytes, so it
     refuses every table with n*m >= 2^28 before this fill runs.
     """
-    n, m = inst.num_students, inst.num_questions
-    alpha = inst.base_student_order
-    beta0 = inst.base_question_order
-    # Row bits in question-position space: bit p-1 for the question at base
-    # position p. Reading bin() backwards gives question q at index q-1, and
-    # pick lists those characters from the last position to the first.
-    pick = itemgetter(*[q - 1 for q in reversed(beta0)])
-    nb = [0] + [int("".join(pick(bin(inst.adj_bits[s - 1])[:1:-1].ljust(m, "0"))), 2) for s in alpha]
-
-    auto = knear_automaton(n, ks)
-    qstates, edges = _question_states(m, kq)
+    auto = knear_automaton(inst.num_students, ks)
+    qstates, edges = _question_states(inst.num_questions, kq)
     nq = len(qstates)
-    first_at = [nq] * (m + 1)  # first question state at frontier position >= j
-    for qi in range(nq - 1, -1, -1):
-        first_at[qstates[qi][0]] = qi
     # The relax of a row from offset o reads edges[relax_from[o]:], those
     # whose child lies above o.
     relax_from = [bisect_right(edges, (o, nq)) for o in range(nq + 1)]
     guards = _pack([1 << 31] * nq)
     full = _pack([_CELL_INF] * nq)
     pad = [_CELL_INF] * nq
-
-    targets = [st[3] for st in qstates]
-    cost_rows, cost_offs = [], []
-    for b in nb:
-        if mode == Mode.EDITING:
-            skip = 0
-            cost_rows.append(_pack([(b ^ t).bit_count() for t in targets]))
-        else:
-            skip = first_at[max(0, b.bit_length() - kq)]
-            cost_rows.append(_pack([(b ^ t).bit_count() if b & t == b else _CELL_INF for t in targets[skip:]]))
-        cost_offs.append(skip)
+    cost_rows, cost_offs = _cost_rows(inst, qstates, edges, mode)
 
     def merge(rows: list[int], offs: list[int], parents: list[int]) -> tuple[int, int]:
         """The parent rows' elementwise minimum, relaxed over the covering
@@ -352,16 +342,101 @@ def _frontier_table(inst: Instance, ks: int, kq: int, mode: Mode):
     return layers, auto, (cost_rows, cost_offs), qstates, edges
 
 
+def _cost_rows(
+    inst: Instance, qstates: list[tuple[int, int, int, int]], edges: list[tuple[int, int]], mode: Mode
+) -> tuple[list[int], list[int]]:
+    """The per-student cost rows of ``_frontier_table``, as (rows, offsets),
+    student label u at index u and label 0 answering nothing.
+
+    They are built as columns, one per question state: one int with a
+    32-bit field per label, the editing cost |b ^ t| of each neighborhood b
+    at the state's target t. A state's covering parent has the state's
+    prefix set as its target, one question v short, so the state's column
+    is the parent's plus 1 in every field and minus 2 where b holds v: one
+    addition of ``deltas[v]``, an indicator column cut from the label by
+    question matrix with a strided slice. The sentinel's column holds the
+    degrees. The sweep goes over the states in order, keeps only the
+    previous frontier position's columns, and writes each, as
+    little-endian words, into one preallocated ``array('I')`` (growing it
+    column by column left more RSS behind); a row is then one strided slice
+    of that array, its label's field in every column from its offset on,
+    read with one ``int.from_bytes``. The array is freed on return.
+
+    In addition a cost |b ^ t| is kept where b lies inside t, which is
+    where it plus |b| equals the state's frontier position j (their
+    difference is 2|b - t|). A row starts at its label's first finite
+    state, found as the column sweep first sees the label finite, and a
+    field that is infinite above that offset, which kq > 0 allows, is set
+    to ``_CELL_INF`` before its column is stored.
+    """
+    n, m = inst.num_students, inst.num_questions
+    alpha = inst.base_student_order
+    nq = len(qstates)
+    width = 4 * (n + 1)  # the bytes of a column
+    # The matrix: m bytes per label, byte q-1 for question q, 2 where the
+    # label answers it and 0 elsewhere.
+    matrix = ("0" * m + "".join([bin(inst.adj_bits[s - 1])[:1:-1].ljust(m, "0") for s in alpha])).encode()
+    matrix = matrix.translate(_TWICE)
+    ones = int.from_bytes(b"\1\0\0\0" * (n + 1), "little")
+    field = bytearray(width)
+    deltas = [0]  # deltas[v] for the question at base position v
+    for q in inst.base_question_order:
+        field[::4] = matrix[q - 1 :: m]
+        deltas.append(ones - int.from_bytes(field, "little"))
+    degrees = _pack([0] + [inst.adj_bits[s - 1].bit_count() for s in alpha])
+
+    addition = mode == Mode.ADDITION
+    guards = ones << 31
+    pending = guards  # the guard bits of the labels with no finite cell yet
+    offs = [nq if addition else 0] * (n + 1)
+    parent = dict(edges)  # one covering parent of each state
+    stored = array("I", [0]) * ((n + 1) * nq)
+    view = memoryview(stored).cast("B")
+    prev, cols, at = {}, {}, -1
+    for qi, (j, v, _prefix, _target) in enumerate(qstates):
+        if j != at:
+            prev, cols, at = cols, {}, j
+            # A column plus this holds 2|b - t| + _CELL_INF per field, so
+            # its guard bit is set where b does not lie inside t.
+            excess = degrees + (_CELL_INF - j) * ones
+        col = cols[qi] = prev[parent[qi]] + deltas[v] if qi else degrees
+        if addition:
+            lost = (col + excess) & guards
+            if lost != pending:
+                # Some label is finite here for the first time, or infinite
+                # after a finite cell, which only kq > 0 allows. A label
+                # still pending is infinite below its offset, unread.
+                late = lost & ~pending
+                if late:
+                    col |= late - (late >> 31)
+                found = pending & ~lost
+                pending ^= found
+                while found:
+                    low = found & -found
+                    offs[(low.bit_length() - 1) >> 5] = qi
+                    found ^= low
+        view[qi * width : (qi + 1) * width] = col.to_bytes(width, "little")
+    view.release()
+    return [int.from_bytes(stored[u + off * (n + 1) :: n + 1], "little") for u, off in enumerate(offs)], offs
+
+
 def _pack(cells) -> int:
     """One int holding ``cells`` (each below 2^32) in 32-bit fields, cell i
-    in the i-th 4-byte word of its native-order bytes; ``_unpack`` inverts
-    it."""
-    return int.from_bytes(array("I", cells).tobytes(), sys.byteorder)
+    in bits 32i to 32i+31 on every host: the words are written
+    little-endian, byteswapped from ``array('I')`` only on a big-endian
+    host. ``_unpack`` inverts it."""
+    words = array("I", cells)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
 
 
 def _unpack(row: int, nq: int) -> array:
     """The nq cells of a packed row, as ``array('I')``."""
-    return array("I", row.to_bytes(4 * nq, sys.byteorder))
+    words = array("I", row.to_bytes(4 * nq, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
 
 
 def _packed_min(a: int, b: int, guards: int) -> int:

@@ -1,8 +1,7 @@
 from __future__ import annotations
 
 import random
-import sys
-from array import array
+import struct
 
 import pytest
 
@@ -44,12 +43,13 @@ def row_pairs(rows) -> list[tuple[int, int]]:
 CELL_INF = (1 << 31) - 1
 
 
-def fields(row: int, off: int, nq: int) -> array:
+def fields(row: int, off: int, nq: int) -> list[int]:
     """The nq raw 32-bit fields of a banded frontier row that starts at
-    question state ``off``, as the engine lays them out: field qi - off is
-    the (qi - off)-th 4-byte word of the row's native-order bytes, and every
-    field below ``off`` is the all-ones field."""
-    return array("I", [CELL_INF] * off) + array("I", row.to_bytes(4 * (nq - off), sys.byteorder))
+    question state ``off``, as the engine lays them out on every host:
+    field qi - off is bits 32(qi - off) to 32(qi - off) + 31, the
+    (qi - off)-th little-endian word of the row's bytes, and every field
+    below ``off`` is the all-ones field."""
+    return [CELL_INF] * off + list(struct.unpack(f"<{nq - off}I", row.to_bytes(4 * (nq - off), "little")))
 
 
 def cells(row: int, off: int, nq: int) -> list:
@@ -72,7 +72,22 @@ def with_cell(row: int, off: int, nq: int, qi: int, value) -> tuple[int, int]:
     raw[qi] = CELL_INF if value == float("inf") else value
     if value != float("inf"):
         off = min(off, qi)
-    return int.from_bytes(raw[off:].tobytes(), sys.byteorder), off
+    return int.from_bytes(struct.pack(f"<{nq - off}I", *raw[off:]), "little"), off
+
+
+def cost_cells_reference(inst: Instance, qstates, mode: Mode) -> list[list]:
+    """The frontier engine's per-student cost cells, one popcount per cell:
+    label u (the student at base position u; label 0 answers nothing) at a
+    question state with target t costs |b ^ t| in editing, b its
+    neighborhood in the same question-position bits, and in addition the
+    same where b lies inside t and inf elsewhere."""
+    position = {q: p for p, q in enumerate(inst.base_question_order)}
+    rows = adjacency(inst)
+    nb = [0] + [sum(1 << position[q] for q in rows[s - 1]) for s in inst.base_student_order]
+    targets = [st[3] for st in qstates]
+    if mode == Mode.EDITING:
+        return [[(b ^ t).bit_count() for t in targets] for b in nb]
+    return [[(b ^ t).bit_count() if b & t == b else float("inf") for t in targets] for b in nb]
 
 
 @pytest.fixture

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import random
+import tempfile
 import time
 import tracemalloc
 from itertools import chain
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chainrank import (
@@ -470,6 +474,7 @@ def test_parsed_edits_match_pair_parse_reference(data):
         (["1 1", "2 -1", "2 x"], ["1 2"], [True, False]),
         (["1 1", "2 1"], ["3 4", "0 1", "1 5", "2 2"], [True, True, True, False]),
         (["1 1", "1 2"], ["2 3", "2 4"], [True, True]),
+        (["1 70000", "2 1 3", "3"], ["1 2"], [False]),  # as many tokens as pairs, on irregular lines
     ],
 )
 def test_row_parse_stops_at_the_builders_refusal(monkeypatch, additions, deletions, fed):
@@ -530,6 +535,71 @@ def test_parsers_raise_only_usage_errors(parse, edits):
         parse(text)
     except ChainRankError as exc:
         assert not isinstance(exc, CorruptTableError)  # the one subclass that exits 3
+
+
+_SWEEP_BASE = "chainrank v1 4 5\n11000\n10110\n11101\n11111\nstudents: 2 1 4 3\nquestions: 1 3 2 5 4\n"
+_SWEEP_TOKENS = (
+    "0", "1", "-1", "3", "4", "5", "6", "x", "00000", "11111", "01110", "1011", "111111",
+    "students:", "questions:", "#", "chainrank", "v1", "1" + "0" * 30,
+)
+
+
+def _run_main(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)`` in this process, as (exit code, standard error)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@seed(24)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(["swap", "replace", "delete", "insert", "drop line", "repeat line"]),
+            st.integers(0, 99),
+            st.integers(0, 99),
+            st.integers(0, 99),
+            st.integers(0, 99),
+            st.sampled_from(_SWEEP_TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    variant=st.sampled_from(["constrained", "both"]),
+    mode=st.sampled_from(["editing", "addition"]),
+    k=st.sampled_from([0, 3, 4, 10**30]),  # 0, n-1, n and far past n for the 4 students
+)
+def test_solve_survives_token_mutations(mutations, variant, mode, k):
+    """``chainrank solve`` on a small instance file with tokens swapped,
+    replaced, deleted or inserted, or lines dropped or repeated, exits 0, 1
+    or 2 with no traceback, and a solution it writes passes ``chainrank
+    check``."""
+    lines = [line.split() for line in _SWEEP_BASE.splitlines()]
+    for op, at, pos, other_at, other_pos, token in mutations:
+        i, other = at % len(lines), other_at % len(lines)
+        if op == "drop line" and len(lines) > 1:
+            del lines[i]
+        elif op == "repeat line":
+            lines.insert(i, list(lines[i]))
+        elif op == "insert" or not lines[i]:
+            lines[i].insert(pos % (len(lines[i]) + 1), token)
+        elif op == "swap" and lines[other]:
+            pos, other_pos = pos % len(lines[i]), other_pos % len(lines[other])
+            lines[i][pos], lines[other][other_pos] = lines[other][other_pos], lines[i][pos]
+        elif op == "replace":
+            lines[i][pos % len(lines[i])] = token
+        else:
+            del lines[i][pos % len(lines[i])]
+    flags = ["--variant", variant, "--mode", mode, "--k", str(k)]
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp, "in.txt"), Path(tmp, "out.sol")
+        inp.write_text("\n".join(map(" ".join, lines)) + "\n")
+        code, err = _run_main(["solve", *flags, "--input", str(inp), "--output", str(out)])
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        if code == 0:
+            assert _run_main(["check", *flags, "--input", str(inp), "--solution", str(out)]) == (0, "")
 
 
 @pytest.fixture

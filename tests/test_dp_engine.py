@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from array import array
 from dataclasses import replace
 from functools import partial
 from operator import add, itemgetter, or_
@@ -45,6 +46,7 @@ from conftest import (
     DP_VARIANT_MODES,
     adjacency,
     cells,
+    cost_cells_reference,
     fields,
     figure_one,
     layer_cells,
@@ -676,6 +678,71 @@ def test_packed_min_and_saturating_add_match_per_cell(rows):
     assert list(fields(total, 0, nq)) == [min(x + y, CELL_INF) for x, y in zip(a, b)]
 
 
+class _BigEndianWords(array):
+    """``array('I')`` as a big-endian host holds it: the same values, with
+    each word's bytes reversed in ``tobytes`` and when read from bytes."""
+
+    def __new__(cls, typecode, init=()):
+        words = super().__new__(cls, typecode, init)
+        if isinstance(init, (bytes, bytearray)):
+            words.byteswap()
+        return words
+
+    def tobytes(self):
+        native = array(self.typecode, self)
+        native.byteswap()
+        return native.tobytes()
+
+
+def test_packed_rows_are_little_endian_words():
+    """Cell i of a packed row is bits 32i to 32i+31, which every shift and
+    offset of the fill assumes."""
+    assert dp_engine._pack([1, 2]) == 1 | 2 << 32
+    assert list(dp_engine._unpack(1 | 2 << 32, 2)) == [1, 2]
+
+
+def test_packed_rows_keep_their_layout_on_a_big_endian_host(monkeypatch):
+    """On an emulated big-endian host, where reading the native words with
+    ``sys.byteorder`` would put cell 0 in the high word (0x100000002 for
+    [1, 2]), the rows, the tables and the solutions are the same."""
+    rng = random.Random(24)
+    cases = []
+    for _ in range(20):
+        inst = random_instance(rng, max_side=6)
+        n, m = inst.num_students, inst.num_questions
+        ks, kq, mode = min(rng.randint(0, 2), n - 1), min(rng.randint(0, 2), m - 1), rng.choice(list(Mode))
+        table = dp_engine._frontier_table(inst, ks, kq, mode)
+        cases.append((inst, ks, kq, mode, table, dp_engine._reconstruct_frontier(inst, kq, mode, *table)))
+    monkeypatch.setattr(dp_engine, "array", _BigEndianWords)
+    monkeypatch.setattr(dp_engine, "_BIG_ENDIAN", True)
+    assert dp_engine._pack([1, 2]) == 1 | 2 << 32
+    assert list(dp_engine._unpack(1 | 2 << 32, 2)) == [1, 2]
+    for inst, ks, kq, mode, table, sol in cases:
+        got = dp_engine._frontier_table(inst, ks, kq, mode)
+        assert got[0] == table[0] and got[2] == table[2]
+        assert dp_engine._reconstruct_frontier(inst, kq, mode, *got) == sol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cost_rows_match_per_cell_reference(data):
+    """The column-built cost rows decode to one popcount per cell (see
+    ``cost_cells_reference``), in both modes, for any neighborhoods, the
+    empty and the full one included, and any base orders."""
+    n, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    kq = min(data.draw(st.integers(0, 3)), m - 1)
+    mode = data.draw(st.sampled_from(list(Mode)))
+    every = (1 << m) - 1
+    bits = data.draw(st.lists(st.just(0) | st.just(every) | st.integers(0, every), min_size=n, max_size=n))
+    inst = Instance(
+        n, m, bits, tuple(data.draw(st.permutations(range(1, n + 1)))), tuple(data.draw(st.permutations(range(1, m + 1))))
+    )
+    qstates, edges = dp_engine._question_states(m, kq)
+    rows, offs = dp_engine._cost_rows(inst, qstates, edges, mode)
+    nq = len(qstates)
+    assert [cells(row, off, nq) for row, off in zip(rows, offs)] == cost_cells_reference(inst, qstates, mode)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_banded_min_aligns_rows_at_the_lower_offset(data):
@@ -787,6 +854,15 @@ class TestTableSizeGuard:
         dp_engine._check_table_size(600, 4, 600, 0)
         with pytest.raises(InstanceTooLargeError, match="GiB"):
             dp_engine._check_table_size(2000, 3, 2000, 0)
+
+    def test_cost_rows_are_charged(self):
+        """Constrained k = 0 at n = m = 15,000 has a 0.86 GiB table besides
+        its n+1 cost rows of 0.84 GiB and the column buffer they are read
+        from, which the estimate charges; nothing is allocated."""
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError, match="GiB"):
+            dp_engine._check_table_size(15000, 0, 15000, 0)
+        assert time.perf_counter() - start < 1.0
 
     def test_state_bound_covers_the_families(self):
         from chainrank.dp_engine import _window_state_bound

@@ -8,13 +8,12 @@ or easiest first. ``#`` starts a comment line anywhere.
 Solution files list the cost, both orders, then an ``additions: <count>``
 and a ``deletions: <count>`` block of ``student question`` lines, sorted.
 The writer prints each block from ``EditSet.grouped``, which walks a
-solver's per-student rows or groups a parsed set's pairs, one string per
-student's run of lines. The parser feeds each block, run by run of one
+solver's per-student rows, one string per student's run of lines. The
+parser reads each file once and feeds each block, run by run of one
 student's lines, into per-student rows (``core_model.EditRowBuilder``),
 with no pair tuples. A file may name any int, such as a negative or huge
-id, which only the verifier judges; at the first run whose ids are past
-what the rows hold, the row parse stops and the blocks are read again into
-a pair-built EditSet.
+id, which only the verifier judges; the builder keeps each pair the rows
+cannot hold as a stray pair beside them.
 
 Exit codes: 0 success, 1 usage or bad input, 2 infeasible or violated check,
 3 internal assertion failure.
@@ -27,7 +26,7 @@ import sys
 from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core_model import (
     ChainRankError,
@@ -226,26 +225,6 @@ class _Lines:
         for s, q in self.walk(key, count - done):
             yield s, [q]
 
-    def pairs(self, key: str, count: int) -> Iterable[tuple[int, int]]:
-        """The next ``count`` lines as ``student question`` pairs. A block
-        whose every line is two integer tokens and one space, as the writer
-        prints them, is read whole, with no work per line in Python; any
-        other line sends the whole block to ``walk``."""
-        block = "\n".join(self.raw[self.at : self.at + count])
-        tokens = block.split()
-        students, qids = tokens[::2], tokens[1::2]
-        if len(tokens) == 2 * count and block == "\n".join(map(" ".join, zip(students, qids))):
-            try:
-                pairs = list(zip(map(int, students), map(int, qids)))
-            except ValueError:
-                pass
-            else:
-                if count:
-                    self.at += count
-                    self.lineno = self.at
-                return pairs
-        return self.walk(key, count)
-
     def walk(self, key: str, count: int) -> Iterator[tuple[int, int]]:
         """The next ``count`` significant lines as ``student question``
         pairs, read one by one: blanks and comments are skipped, and an
@@ -271,15 +250,15 @@ def _block_count(lines: _Lines, key: str) -> int:
     return count
 
 
-def _read_edits(lines: _Lines, add: Callable[[int, int, list[int]], bool]) -> None:
-    """Read the additions and then the deletions block, passing each run
-    of one student's question ids to ``add(block, student, qids)``, block
-    0 for additions and 1 for deletions. Stops at once, the rest unread,
-    when ``add`` returns False."""
+def _read_edits(lines: _Lines) -> EditSet:
+    """The edits of the additions and then the deletions block: each run
+    of one student's question ids goes to ``EditRowBuilder.add``, block 0
+    for additions and 1 for deletions, in one reading."""
+    rows = EditRowBuilder()
     for block, key in enumerate(("additions", "deletions")):
         for s, qids in lines.runs(key, _block_count(lines, key)):
-            if not add(block, s, qids):
-                return
+            rows.add(block, s, qids)
+    return rows.edits()
 
 
 def parse_solution(text: str) -> tuple[Solution, bool]:
@@ -290,16 +269,7 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
     cost_lineno = lines.lineno
     student_order = _parse_ints(lines.field("student_order"), lines.lineno)
     question_order = _parse_ints(lines.field("question_order"), lines.lineno)
-    start = lines.at
-    rows = EditRowBuilder()
-    _read_edits(lines, rows.add)
-    edits = rows.edits()
-    if edits is None:  # ids that rows cannot hold: read the blocks again as pairs
-        lines.at = start
-        additions, deletions = (
-            frozenset(lines.pairs(key, _block_count(lines, key))) for key in ("additions", "deletions")
-        )
-        edits = EditSet(additions, deletions)
+    edits = _read_edits(lines)
     solver_tag = lines.field("solver_tag")
     verified_text = lines.field("verified")
     if verified_text not in ("true", "false"):

@@ -4,11 +4,11 @@ solutions, and the solver-independent feasibility verifier.
 An Instance stores one bitset per student, its neighborhood, and checks its
 sizes, rows and base orders when it is built, so every Instance is valid.
 
-An EditSet built by a solver holds one addition and one deletion bitset per
-student, and so does one parsed from a file whose ids rows can hold
-(``EditRowBuilder``); a file with other ids, such as a negative or a huge
-one, is held as (student, question) pairs. This module alone knows which:
-the verifier and ``apply_edits`` read per-student rows from
+An EditSet holds one addition and one deletion bitset per student, whether
+a solver built it or a file was parsed into it (``EditRowBuilder``), plus a
+side list of the pairs that rows cannot hold, such as a negative or a huge
+id, which only a parsed file may name. This module alone reads that
+storage: the verifier and ``apply_edits`` read per-student rows from
 ``EditSet.rows``, the solution writer reads ``EditSet.grouped``, and the
 pair sets are derived on demand for the callers that want pairs.
 
@@ -166,31 +166,40 @@ class Instance:
 class EditSet:
     """Disjoint sets of edge additions and deletions.
 
-    An EditSet is built in one of two forms. ``EditSet(additions,
-    deletions)`` and ``EditSet.of`` take (student, question) pairs, which
-    may be any ints: a parsed file whose ids rows cannot hold is checked
-    only by the verifier. ``EditSet.from_rows`` takes one addition and one
-    deletion bitset per student (index s-1, bit q-1 for question q), the
-    form the solvers compute and ``EditRowBuilder`` parses into. The two
-    lists may hold fewer rows than there are students. Either form reads
-    as the other: the pair sets of a row-built set are derived on first
-    read and kept. Equality and hashing go by the pairs, so the two forms
-    of the same edits are equal.
+    An EditSet holds one addition and one deletion bitset per student
+    (index s-1, bit q-1 for question q), the form the solvers compute;
+    the two lists may hold fewer rows than there are students. Beside the
+    rows it keeps ``_strays``, the addition and the deletion pairs that
+    rows do not hold (see ``EditRowBuilder``), which only a parsed file
+    may give: a pair with an id below 1 or a question id past
+    ``_ROW_WIDTH``, or any pair read after the rows' budget ran out. A
+    solver-built set has none. The pair sets are derived on first read
+    and kept; equality and hashing go by them.
 
-    Only this module reads the storage. The verifier and ``apply_edits``
-    take rows from ``rows``, the solution writer takes ``grouped``.
+    ``EditSet.from_rows`` takes the rows. ``EditSet(additions,
+    deletions)`` and ``EditSet.of`` take (student, question) pairs, which
+    may be any ints, and hold them as a parsed file is held. Only this
+    module reads the storage. The verifier and ``apply_edits`` take rows
+    from ``rows``, the solution writer takes ``grouped``.
     """
 
-    __slots__ = ("_additions", "_deletions", "_add_rows", "_del_rows")
+    __slots__ = ("_add_rows", "_del_rows", "_strays", "_additions", "_deletions")
 
     def __init__(
         self,
-        additions: frozenset[tuple[int, int]] = frozenset(),
-        deletions: frozenset[tuple[int, int]] = frozenset(),
+        additions: Iterable[tuple[int, int]] = frozenset(),
+        deletions: Iterable[tuple[int, int]] = frozenset(),
     ):
-        self._additions = additions
-        self._deletions = deletions
-        self._add_rows = self._del_rows = None
+        builder = EditRowBuilder()
+        for block, pairs in enumerate((additions, deletions)):
+            for s, qids in _by_student(pairs).items():
+                builder.add(block, s, qids)
+        built = builder.edits()
+        self._hold(built._add_rows, built._del_rows, built._strays)
+
+    def _hold(self, add_rows: tuple[int, ...], del_rows: tuple[int, ...], strays: tuple[frozenset, ...]) -> None:
+        self._add_rows, self._del_rows, self._strays = add_rows, del_rows, strays
+        self._additions = self._deletions = None
 
     @classmethod
     def of(
@@ -199,8 +208,8 @@ class EditSet:
         deletions: Iterable[tuple[int, int]] = (),
     ) -> "EditSet":
         return cls(
-            frozenset((int(s), int(q)) for s, q in additions),
-            frozenset((int(s), int(q)) for s, q in deletions),
+            [(int(s), int(q)) for s, q in additions],
+            [(int(s), int(q)) for s, q in deletions],
         )
 
     @classmethod
@@ -208,8 +217,7 @@ class EditSet:
         """The edits whose student s adds the questions of ``add_rows[s-1]``
         and deletes those of ``del_rows[s-1]``; rows are non-negative ints."""
         edits = cls.__new__(cls)
-        edits._additions = edits._deletions = None
-        edits._add_rows, edits._del_rows = tuple(add_rows), tuple(del_rows)
+        edits._hold(tuple(add_rows), tuple(del_rows), (frozenset(), frozenset()))
         if min(edits._add_rows + edits._del_rows, default=0) < 0:
             raise ValueError("edit rows must be non-negative")
         return edits
@@ -217,21 +225,21 @@ class EditSet:
     @property
     def additions(self) -> frozenset[tuple[int, int]]:
         if self._additions is None:
-            self._additions = _row_pairs(self._add_rows)
+            self._additions = _row_pairs(self._add_rows) | self._strays[0]
         return self._additions
 
     @property
     def deletions(self) -> frozenset[tuple[int, int]]:
         if self._deletions is None:
-            self._deletions = _row_pairs(self._del_rows)
+            self._deletions = _row_pairs(self._del_rows) | self._strays[1]
         return self._deletions
 
     @property
     def counts(self) -> tuple[int, int]:
-        """(number of additions, number of deletions)."""
-        if self._add_rows is None:
-            return len(self._additions), len(self._deletions)
-        return _bit_total(self._add_rows), _bit_total(self._del_rows)
+        """(number of additions, number of deletions): rows and strays never
+        hold the same pair."""
+        add_strays, del_strays = self._strays
+        return _bit_total(self._add_rows) + len(add_strays), _bit_total(self._del_rows) + len(del_strays)
 
     @property
     def size(self) -> int:
@@ -241,23 +249,25 @@ class EditSet:
         """Per-student addition and deletion bitsets (index s-1) of the
         pairs in range for n students and m questions, and whether every
         pair was in range: an out-of-range id never reaches a bitset."""
-        if self._add_rows is not None:
-            add_rows, add_in = _fitted_rows(self._add_rows, n, m)
-            del_rows, del_in = _fitted_rows(self._del_rows, n, m)
-            return add_rows, del_rows, add_in and del_in
-        add_rows = _pair_rows(self._additions, n, m)
-        del_rows = _pair_rows(self._deletions, n, m)
-        # Pairs are distinct, so every pair is in range iff the rows hold
-        # one bit per pair.
-        return add_rows, del_rows, _bit_total(add_rows) + _bit_total(del_rows) == self.size
+        fitted = []
+        in_range = True
+        for rows, strays in zip((self._add_rows, self._del_rows), self._strays):
+            kept, kept_all = _fitted_rows(rows, n, m)
+            if strays:  # only a parsed file has strays; each is a distinct pair
+                stray_rows = _pair_rows(strays, n, m)
+                kept_all = kept_all and _bit_total(stray_rows) == len(strays)
+                kept = [row | stray for row, stray in zip(kept, stray_rows)]
+            fitted.append(kept)
+            in_range = in_range and kept_all
+        return fitted[0], fitted[1], in_range
 
     def grouped(self) -> tuple[list[tuple[int, Iterable[str]]], list[tuple[int, Iterable[str]]]]:
         """The additions and the deletions, each grouped by student: one
         (student, question ids as decimal strings) entry per student with a
         pair, students ascending and each student's ids ascending. Each
         entry's ids can be read once."""
-        if self._add_rows is None:
-            return _pair_groups(self._additions), _pair_groups(self._deletions)
+        if any(self._strays):  # only a parsed file, which no command writes back
+            return _pair_groups(self.additions), _pair_groups(self.deletions)
         width = max(self._add_rows + self._del_rows, default=0).bit_length()
         qids = list(map(str, range(1, width + 1)))  # one str per question id
         return tuple(
@@ -277,7 +287,7 @@ class EditSet:
         return f"EditSet(additions={self.additions!r}, deletions={self.deletions!r})"
 
 
-EMPTY_EDITS = EditSet()
+EMPTY_EDITS = EditSet.from_rows((), ())
 
 # What a parsed file may name and still be held as rows: question ids up to
 # _ROW_WIDTH, so that no row, nor a view derived from it, is wider, and
@@ -287,40 +297,45 @@ _ROW_BUDGET = 1 << 24
 
 
 class EditRowBuilder:
-    """A parsed file's edits as rows, fed one run of a student's question
-    ids at a time: ``add(block, s, qids)``, block 0 for an addition run and
-    1 for a deletion run, then ``edits()``. Repeated pairs collapse.
+    """A parsed file's edits, fed one run of a student's question ids at a
+    time: ``add(block, s, qids)``, block 0 for an addition run and 1 for a
+    deletion run, then ``edits()``. Repeated pairs collapse.
 
-    Rows hold a file whose ids are all at least 1 and whose question ids
-    are at most ``_ROW_WIDTH``, within ``_ROW_BUDGET`` bytes: 8 per student
-    slot up to the largest student id, plus the bytes of the row each run
-    writes, so that a student split over many runs pays for each copy of
-    its row. Past that ``add`` returns False, and refuses every later run,
-    ``edits()`` is None, and the caller holds the file as pairs.
+    Rows hold the pairs whose ids are all at least 1 and whose question
+    ids are at most ``_ROW_WIDTH``, within ``_ROW_BUDGET`` bytes: 8 per
+    student slot up to the largest student id, plus the bytes of the row
+    each run writes, so that a student split over many runs pays for each
+    copy of its row. Every other pair is a stray, kept as a (student,
+    question) pair: one with another id, and, from the run that spends the
+    budget on, every pair the rows do not already hold.
     """
 
-    __slots__ = ("_run_rows", "_charged")
+    __slots__ = ("_run_rows", "_strays", "_charged")
 
     def __init__(self) -> None:
-        self._run_rows: tuple[list[int], list[int]] | None = ([], [])
+        self._run_rows: tuple[list[int], list[int]] = ([], [])
+        self._strays: tuple[set[tuple[int, int]], set[tuple[int, int]]] = (set(), set())
         self._charged = 0
 
-    def add(self, block: int, s: int, qids: list[int]) -> bool:
-        """Hold one run in the rows; False once the rows cannot hold the
-        file."""
-        if self._run_rows is None:
-            return False
+    def add(self, block: int, s: int, qids: list[int]) -> None:
+        """Hold one run in the rows, and what they cannot hold as strays."""
         rows = self._run_rows[block]
         top = max(qids)
-        if s < 1 or min(qids) < 1 or top > _ROW_WIDTH:
-            self._run_rows = None
-            return False
+        if s < 1 or min(qids) < 1 or top > _ROW_WIDTH:  # ids that no row holds
+            held = [q for q in qids if 0 < q <= _ROW_WIDTH] if s > 0 else []
+            self._strays[block].update((s, q) for q in qids if not 0 < q <= _ROW_WIDTH or s < 1)
+            if not held:
+                return
+            qids, top = held, max(held)
         grow = s - len(rows)
         width = top if grow > 0 else max(top, rows[s - 1].bit_length())
+        # The charge only grows, so once it passes the budget every later
+        # run lands here too.
         self._charged += 8 * max(grow, 0) + width // 8 + 1
         if self._charged > _ROW_BUDGET:
-            self._run_rows = None
-            return False
+            row = 0 if grow > 0 else rows[s - 1]
+            self._strays[block].update((s, q) for q in qids if not row >> (q - 1) & 1)
+            return
         if grow > 0:
             rows.extend(repeat(0, grow))
         if len(qids) > 16:
@@ -328,12 +343,11 @@ class EditRowBuilder:
         else:  # a shift copies top/8 bytes per id, a flag row 3*top bytes per run
             for q in qids:
                 rows[s - 1] |= 1 << (q - 1)
-        return True
 
-    def edits(self) -> "EditSet | None":
-        if self._run_rows is None:
-            return None
-        return EditSet.from_rows(*self._run_rows)
+    def edits(self) -> EditSet:
+        edits = EditSet.__new__(EditSet)
+        edits._hold(*map(tuple, self._run_rows), tuple(map(frozenset, self._strays)))
+        return edits
 
 
 @dataclass(frozen=True)
@@ -593,11 +607,17 @@ def _row_pairs(rows: Sequence[int]) -> frozenset[tuple[int, int]]:
     )
 
 
-def _pair_groups(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, Iterable[str]]]:
-    """``EditSet.grouped`` for one set of pairs: grouped by student."""
+def _by_student(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Each student's question ids among the pairs, in the pairs' order."""
     by_student: dict[int, list[int]] = {}
     for s, q in pairs:
         by_student.setdefault(s, []).append(q)
+    return by_student
+
+
+def _pair_groups(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, Iterable[str]]]:
+    """``EditSet.grouped`` for one set of pairs: grouped by student."""
+    by_student = _by_student(pairs)
     return [(s, map(str, sorted(by_student[s]))) for s in sorted(by_student)]
 
 

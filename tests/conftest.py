@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from chainrank import Instance, Mode, Variant, make_instance
+from chainrank import EditSet, Instance, Mode, Variant, make_instance
 
 # The (variant, mode) pairs that a polynomial dynamic program solves.
 DP_VARIANT_MODES = (
@@ -33,10 +33,48 @@ def adjacency(inst) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(q for q in qids if b >> (q - 1) & 1) for b in inst.adj_bits)
 
 
+class PairEdits(EditSet):
+    """An edit set held as two bare pair sets, as every parsed file was
+    held before EditSet took one form: the kept references build and read
+    it, so that a reference never shares the rows or strays of the set it
+    is compared against. It answers the pair sets, ``counts`` and ``rows``
+    from its pairs alone; equality and hashing are EditSet's, by the
+    pairs."""
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, additions=frozenset(), deletions=frozenset()):
+        self._pairs = (frozenset(additions), frozenset(deletions))
+
+    additions = property(lambda self: self._pairs[0])
+    deletions = property(lambda self: self._pairs[1])
+    counts = property(lambda self: tuple(map(len, self._pairs)))
+
+    def rows(self, n, m):
+        """The in-range pairs as bitsets, one shift per pair, and whether
+        every pair was in range."""
+        rows = ([0] * n, [0] * n)
+        in_range = True
+        for block, pairs in zip(rows, self._pairs):
+            for s, q in pairs:
+                if 0 < s <= n and 0 < q <= m:
+                    block[s - 1] |= 1 << (q - 1)
+                else:
+                    in_range = False
+        return rows[0], rows[1], in_range
+
+
 def row_pairs(rows) -> list[tuple[int, int]]:
     """The (student, question) pairs of per-student bitsets (index s-1),
-    read bit by bit."""
-    return [(s, q) for s, row in enumerate(rows, start=1) for q in range(1, row.bit_length() + 1) if row >> (q - 1) & 1]
+    read one lowest set bit at a time, so a wide sparse row costs a step
+    per pair."""
+    pairs = []
+    for s, row in enumerate(rows, start=1):
+        while row:
+            low = row & -row
+            pairs.append((s, low.bit_length()))
+            row ^= low
+    return pairs
 
 
 # The infinite cell of a packed frontier row: all 31 value bits set.

@@ -29,8 +29,9 @@ from chainrank import (
     apply_edits,
     make_instance,
     verify_solution,
+    with_base_orders,
 )
-from chainrank import cli_io
+from chainrank import cli_io, core_model
 from chainrank.cli_io import (
     format_instance,
     format_solution,
@@ -39,7 +40,8 @@ from chainrank.cli_io import (
     parse_solution,
     read_solution,
 )
-from conftest import adjacency, random_instance, row_pairs
+from conftest import PairEdits, adjacency, random_instance, row_pairs
+from test_core_model import _apply_edits_reference, _outcome, _reference_verify
 
 FIG1_TEXT = """chainrank v1 3 5
 11000
@@ -243,13 +245,13 @@ _rows = st.lists(st.just(0) | st.integers(0, 2**12 - 1) | st.integers(0, 2**70),
 def test_row_writer_matches_sorted_tuples(add_rows, del_rows, verified):
     """A row-built edit set (``EditSet.from_rows``) writes the bytes of its
     pairs' sorted tuples; the rows may differ in count and width."""
-    row_built = EditSet.from_rows(add_rows, del_rows)
-    pair_built = EditSet.of(row_pairs(add_rows), row_pairs(del_rows))
+    pairs = PairEdits(frozenset(row_pairs(add_rows)), frozenset(row_pairs(del_rows)))
 
     def solution(edits):
-        return Solution(edits.size, (2, 1), (1,), edits, "t")
+        return Solution(len(pairs.additions) + len(pairs.deletions), (2, 1), (1,), edits, "t")
 
-    assert format_solution(solution(row_built), verified) == _sorted_tuple_writer(solution(pair_built), verified)
+    got = format_solution(solution(EditSet.from_rows(add_rows, del_rows)), verified)
+    assert got == _sorted_tuple_writer(solution(pairs), verified)
 
 
 _SOLUTION_HEAD = "chainrank-solution v1\ncost: 2\nstudent_order: 1 2 3\nquestion_order: 1 2 3 4 5\n"
@@ -365,7 +367,7 @@ def _pair_parse_reference(text: str) -> tuple[Solution, bool]:
         cost = int(cost_text)
     except ValueError:
         raise ParseError(f"bad cost {cost_text!r}", line=cost_lineno) from None
-    edits = EditSet(pairs["additions"], pairs["deletions"])
+    edits = PairEdits(pairs["additions"], pairs["deletions"])
     return Solution(cost, student_order, question_order, edits, solver_tag), verified_text == "true"
 
 
@@ -470,24 +472,28 @@ def test_parsed_edits_match_pair_parse_reference(data):
 @pytest.mark.parametrize(
     "additions, deletions, fed",
     [
-        (["1 1", "2 70000", "3 1", "3 2"], ["1 2"], [True, False]),
-        (["1 1", "2 -1", "2 x"], ["1 2"], [True, False]),
-        (["1 1", "2 1"], ["3 4", "0 1", "1 5", "2 2"], [True, True, True, False]),
-        (["1 1", "1 2"], ["2 3", "2 4"], [True, True]),
-        (["1 70000", "2 1 3", "3"], ["1 2"], [False]),  # as many tokens as pairs, on irregular lines
+        (["1 1", "2 70000", "3 1", "3 2"], ["1 2"], [(0, 1, [1]), (0, 2, [70000]), (0, 3, [1, 2]), (1, 1, [2])]),
+        (["1 1", "2 -1", "2 x"], ["1 2"], [(0, 1, [1]), (0, 2, [-1])]),
+        (
+            ["1 1", "2 1"],
+            ["3 4", "0 1", "1 5", "2 2"],
+            [(0, 1, [1]), (0, 2, [1]), (1, 3, [4]), (1, 0, [1]), (1, 1, [5]), (1, 2, [2])],
+        ),
+        (["1 1", "1 2"], ["2 3", "2 4"], [(0, 1, [1, 2]), (1, 2, [3, 4])]),
+        (["1 70000", "2 1 3", "3"], ["1 2"], [(0, 1, [70000])]),  # as many tokens as pairs, on irregular lines
     ],
 )
 def test_row_parse_stops_at_the_builders_refusal(monkeypatch, additions, deletions, fed):
-    """Once ``EditRowBuilder`` refuses a run, no later run reaches it: the
-    row parse stops there, and the pair pass reads the blocks, with the pair
-    parse's outcome, a broken line past the refusal included."""
+    """The builder refuses no run: ids that rows cannot hold, such as
+    70000 or -1, become its strays, and the parse reads on. So each run
+    reaches ``EditRowBuilder`` exactly once, in file order, up to a broken
+    line, and the outcome is the pair parse's, that broken line included."""
     calls = []
 
     class Recording(cli_io.EditRowBuilder):
         def add(self, block, s, qids):
-            held = super().add(block, s, qids)
-            calls.append(held)
-            return held
+            calls.append((block, s, list(qids)))
+            super().add(block, s, qids)
 
     monkeypatch.setattr(cli_io, "EditRowBuilder", Recording)
     text = "\n".join([
@@ -497,6 +503,74 @@ def test_row_parse_stops_at_the_builders_refusal(monkeypatch, additions, deletio
     ]) + "\n"
     assert _parse_outcome(parse_solution, text) == _parse_outcome(_pair_parse_reference, text)
     assert calls == fed
+
+
+_HOSTILE_IDS = (-1, 0, (1 << 16) + 1, 10**12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rows_and_strays_match_the_references(data):
+    """With the row budget cut to a few hundred bytes it runs out in the
+    middle of the additions block, so a parsed set holds rows and strays
+    side by side: pairs after that point, repeats of pairs the rows already
+    hold among them, and ids of -1, 0, 2^16 + 1 and 10^12 anywhere. The
+    parse gives the pair parse's outcome, and its edits are the drawn
+    pairs, with exact counts, the set reference's verifier report, the
+    reference's ``apply_edits`` result or error text, and the sorted-tuple
+    writer's bytes."""
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    n, m = rng.randint(6, 24), rng.randint(6, 24)
+    inst = Instance(n, m, [rng.getrandbits(m) for _ in range(n)])
+    edges = set(inst.edges())
+    density = rng.choice([0.4, 0.9])
+    chosen = [(s, q) for s in range(1, n + 1) for q in range(1, m + 1) if rng.random() < density]
+    blocks = {
+        "additions": [p for p in chosen if p not in edges or rng.random() < 0.05],
+        "deletions": [p for p in chosen if p in edges or rng.random() < 0.05],
+    }
+    adds = blocks["additions"]
+    if len({s for s, _ in adds}) < 2:
+        adds[:] = sorted({*adds, (1, 1), (n, m)})
+    # The slots up to the last student cost the whole budget, so the rows
+    # fill up by that student's run at the latest, and the first run fits.
+    budget = 8 * adds[-1][0]
+    for pairs in blocks.values():
+        pairs += rng.choices(pairs, k=rng.randint(1, 4)) if pairs else []  # repeats past the budget
+        for _ in range(rng.randint(1, 3)):
+            hostile = rng.choice(_HOSTILE_IDS)
+            pair = rng.choice([(hostile, rng.randint(1, m)), (rng.randint(1, n), hostile)])
+            pairs.insert(rng.randint(1, max(len(pairs), 1)), pair)  # after the first run's first pair
+    lines = ["chainrank-solution v1", "cost: 0", "student_order: 1", "question_order: 1"]
+    for key, pairs in blocks.items():
+        lines.append(f"{key}: {len(pairs)}")
+        for s, q in pairs:
+            if rng.random() < 0.05:
+                lines.append(rng.choice(["", "# note"]))
+            lines.append(_id_token(rng, s) + rng.choice([" ", "\t"]) + _id_token(rng, q))
+    text = "\n".join([*lines, "solver_tag: t", "verified: false"]) + "\n"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_model, "_ROW_BUDGET", budget)
+        got = _parse_outcome(parse_solution, text)
+        assert got == _parse_outcome(_pair_parse_reference, text)
+    edits = got[0].edits
+    pairs = PairEdits(frozenset(blocks["additions"]), frozenset(blocks["deletions"]))
+    assert (edits.additions, edits.deletions) == (pairs.additions, pairs.deletions)
+    assert edits.counts == (len(pairs.additions), len(pairs.deletions))
+    row_held = [pair for rows in (edits._add_rows, edits._del_rows) for pair in row_pairs(rows)]
+    assert row_held and all(edits._strays)
+    assert any(0 < s <= n and 0 < q <= m for s, q in edits._strays[0])  # strays past the budget
+    so, qo = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, m + 1), m))
+    spec_inst = with_base_orders(inst, so, qo)
+    for spec in (ProblemSpec(Variant.CONSTRAINED_KNEAR, Mode.EDITING, 1), ProblemSpec(Variant.IMO_RECOGNIZE)):
+        cost = edits.size + rng.choice([0, 0, 1])
+        report = verify_solution(spec_inst, spec, Solution(cost, so, qo, edits, "t"))
+        want = _reference_verify(spec_inst, spec, Solution(cost, so, qo, pairs, "t"))
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == want
+    assert _outcome(lambda: apply_edits(inst, edits)) == _outcome(lambda: _apply_edits_reference(inst, pairs))
+    sol = Solution(edits.size, so, qo, edits, "t")
+    assert format_solution(sol, True) == _sorted_tuple_writer(Solution(sol.cost, so, qo, pairs, "t"), True)
 
 
 _FUZZ_BASES = {
@@ -552,31 +626,27 @@ def _run_main(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@seed(24)
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    mutations=st.lists(
+def _mutations(tokens: tuple[str, ...]):
+    """Up to three edits of a file for ``_mutated``, inserting or replacing
+    with one of ``tokens``."""
+    return st.lists(
         st.tuples(
             st.sampled_from(["swap", "replace", "delete", "insert", "drop line", "repeat line"]),
             st.integers(0, 99),
             st.integers(0, 99),
             st.integers(0, 99),
             st.integers(0, 99),
-            st.sampled_from(_SWEEP_TOKENS),
+            st.sampled_from(tokens),
         ),
         min_size=1,
         max_size=3,
-    ),
-    variant=st.sampled_from(["constrained", "both"]),
-    mode=st.sampled_from(["editing", "addition"]),
-    k=st.sampled_from([0, 3, 4, 10**30]),  # 0, n-1, n and far past n for the 4 students
-)
-def test_solve_survives_token_mutations(mutations, variant, mode, k):
-    """``chainrank solve`` on a small instance file with tokens swapped,
-    replaced, deleted or inserted, or lines dropped or repeated, exits 0, 1
-    or 2 with no traceback, and a solution it writes passes ``chainrank
-    check``."""
-    lines = [line.split() for line in _SWEEP_BASE.splitlines()]
+    )
+
+
+def _mutated(text: str, mutations) -> str:
+    """``text`` with tokens swapped, replaced, deleted or inserted, or lines
+    dropped or repeated."""
+    lines = [line.split() for line in text.splitlines()]
     for op, at, pos, other_at, other_pos, token in mutations:
         i, other = at % len(lines), other_at % len(lines)
         if op == "drop line" and len(lines) > 1:
@@ -592,14 +662,69 @@ def test_solve_survives_token_mutations(mutations, variant, mode, k):
             lines[i][pos % len(lines[i])] = token
         else:
             del lines[i][pos % len(lines[i])]
+    return "\n".join(map(" ".join, lines)) + "\n"
+
+
+@seed(24)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    mutations=_mutations(_SWEEP_TOKENS),
+    variant=st.sampled_from(["constrained", "both"]),
+    mode=st.sampled_from(["editing", "addition"]),
+    k=st.sampled_from([0, 3, 4, 10**30]),  # 0, n-1, n and far past n for the 4 students
+)
+def test_solve_survives_token_mutations(mutations, variant, mode, k):
+    """``chainrank solve`` on a small instance file with tokens swapped,
+    replaced, deleted or inserted, or lines dropped or repeated, exits 0, 1
+    or 2 with no traceback, and a solution it writes passes ``chainrank
+    check``."""
     flags = ["--variant", variant, "--mode", mode, "--k", str(k)]
     with tempfile.TemporaryDirectory() as tmp:
         inp, out = Path(tmp, "in.txt"), Path(tmp, "out.sol")
-        inp.write_text("\n".join(map(" ".join, lines)) + "\n")
+        inp.write_text(_mutated(_SWEEP_BASE, mutations))
         code, err = _run_main(["solve", *flags, "--input", str(inp), "--output", str(out)])
         assert code in (0, 1, 2) and "Traceback" not in err, err
         if code == 0:
             assert _run_main(["check", *flags, "--input", str(inp), "--solution", str(out)]) == (0, "")
+
+
+# A solution of constrained editing at k = 0 on _SWEEP_BASE, as ``solve``
+# writes it, and ids at and past what per-student rows hold.
+_SWEEP_SOLUTION = """chainrank-solution v1
+cost: 3
+student_order: 2 1 4 3
+question_order: 1 3 2 5 4
+additions: 1
+1 3
+deletions: 2
+2 4
+4 4
+solver_tag: dp.constrained_knear.editing
+verified: true
+"""
+_SWEEP_IDS = ("-1", "0", str(1 << 16), str((1 << 16) + 1), str(10**12), str(10**30))
+
+
+@seed(25)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    mutations=_mutations(_SWEEP_IDS),
+    variant=st.sampled_from(["constrained", "both"]),
+    mode=st.sampled_from(["editing", "addition"]),
+    k=st.sampled_from([0, 1, 10**30]),
+)
+def test_check_survives_token_mutations(mutations, variant, mode, k):
+    """``chainrank check`` on a small solution file whose tokens are
+    replaced or joined by ids of -1, 0, 2^16, 2^16 + 1, 10^12 and 10^30,
+    swapped or deleted, or whose lines are dropped or repeated, exits 0, 1
+    or 2 with no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, sol = Path(tmp, "in.txt"), Path(tmp, "sol.txt")
+        inp.write_text(_SWEEP_BASE)
+        sol.write_text(_mutated(_SWEEP_SOLUTION, mutations))
+        flags = ["--variant", variant, "--mode", mode, "--k", str(k)]
+        code, err = _run_main(["check", *flags, "--input", str(inp), "--solution", str(sol)])
+        assert code in (0, 1, 2) and "Traceback" not in err, err
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from chainrank import (
     verify_solution,
 )
 from chainrank.core_model import EditRowBuilder
-from conftest import adjacency, figure_one, random_instance, row_pairs
+from conftest import PairEdits, adjacency, figure_one, random_instance, row_pairs
 
 
 class TestValidateInstance:
@@ -736,33 +736,34 @@ def _drawn_rows(rng: random.Random, inst: Instance, fault: str):
     return so, qo, adds, dels
 
 
-def _row_and_pair_built(add_rows, del_rows):
-    """The same edits as ``EditSet.from_rows`` and as ``EditSet.of``."""
-    return EditSet.from_rows(add_rows, del_rows), EditSet.of(row_pairs(add_rows), row_pairs(del_rows))
+def _row_built_and_pairs(add_rows, del_rows):
+    """The same edits as ``EditSet.from_rows`` and as bare pair sets read
+    bit by bit; the row-built set derives those pairs."""
+    row_built = EditSet.from_rows(add_rows, del_rows)
+    pairs = PairEdits(frozenset(row_pairs(add_rows)), frozenset(row_pairs(del_rows)))
+    assert (row_built.additions, row_built.deletions) == (pairs.additions, pairs.deletions)
+    assert row_built.counts == (len(pairs.additions), len(pairs.deletions))
+    return row_built, pairs
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_row_built_edits_verify_as_their_pairs(data):
-    """The verifier gives a row-built edit set the report of its pair-built
-    twin, check by check and detail by detail: valid rows, and rows of the
-    wrong count, with a question past m, an addition of an edge present, a
-    deletion of one absent, or a pair both added and deleted."""
+    """The verifier gives a row-built edit set the set reference's report
+    on its pairs, check by check and detail by detail: valid rows, and rows
+    of the wrong count, with a question past m, an addition of an edge
+    present, a deletion of one absent, or a pair both added and deleted."""
     rng = random.Random(data.draw(st.integers(0, 10**9)))
     inst = random_instance(rng, max_side=8, with_orders=rng.random() < 0.8)
     spec = data.draw(st.sampled_from(_SPECS))
     fault = data.draw(st.sampled_from(_ROW_FAULTS))
     so, qo, add_rows, del_rows = _drawn_rows(rng, inst, fault)
-    row_built, pair_built = _row_and_pair_built(add_rows, del_rows)
-    assert row_built == pair_built and hash(row_built) == hash(pair_built)
-    cost = pair_built.size + rng.choice([0, 0, 1])
-    reports = [
-        [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(cost, so, qo, edits, "t")).checks]
-        for edits in (row_built, pair_built)
-    ]
-    assert reports[0] == reports[1]
+    row_built, pairs = _row_built_and_pairs(add_rows, del_rows)
+    cost = row_built.size + rng.choice([0, 0, 1])
+    report = [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(cost, so, qo, row_built, "t")).checks]
+    assert report == _reference_verify(inst, spec, Solution(cost, so, qo, pairs, "t"))
     if fault == "none":
-        passed = {name for name, ok, _ in reports[0] if ok}
+        passed = {name for name, ok, _ in report if ok}
         assert {"edit_set_valid", "nested_property", "interval_property"} <= passed
 
 
@@ -770,15 +771,13 @@ def test_row_built_edits_verify_as_their_pairs(data):
 @given(data=st.data())
 def test_row_built_edits_apply_as_their_pairs(data):
     """The same for ``apply_edits``: the edited instance, or the error and
-    its text, of the pair-built twin and of the reference."""
+    its text, of the reference on the pairs."""
     rng = random.Random(data.draw(st.integers(0, 10**9)))
     inst = random_instance(rng, max_side=6)
     fault = data.draw(st.sampled_from(_ROW_FAULTS))
     _so, _qo, add_rows, del_rows = _drawn_rows(rng, inst, fault)
-    row_built, pair_built = _row_and_pair_built(add_rows, del_rows)
-    got = _outcome(lambda: apply_edits(inst, row_built))
-    assert got == _outcome(lambda: apply_edits(inst, pair_built))
-    assert got == _outcome(lambda: _apply_edits_reference(inst, pair_built))
+    row_built, pairs = _row_built_and_pairs(add_rows, del_rows)
+    assert _outcome(lambda: apply_edits(inst, row_built)) == _outcome(lambda: _apply_edits_reference(inst, pairs))
 
 
 def test_row_built_edits_reject_negative_rows():
@@ -818,13 +817,34 @@ def _drawn_runs(rng: random.Random, inst: Instance) -> list[tuple[int, int, list
     return runs
 
 
+def _held_in_rows(pair: tuple[int, int]) -> bool:
+    s, q = pair
+    return s >= 1 and 1 <= q <= 1 << 16
+
+
+def _storage(edits: EditSet):
+    """(pairs in the rows, stray pairs) of each block of an edit set."""
+    return [
+        (frozenset(row_pairs(rows)), strays)
+        for rows, strays in zip((edits._add_rows, edits._del_rows), edits._strays)
+    ]
+
+
+def _row_bytes(edits: EditSet) -> int:
+    """What the budget charges for rows of this size and width, at least:
+    8 bytes per student slot and each row's bytes once."""
+    rows = edits._add_rows + edits._del_rows
+    return 8 * len(rows) + sum(row.bit_length() // 8 + 1 for row in rows if row)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_edit_row_builder_matches_pairs(data):
-    """``EditRowBuilder`` holds the runs' pairs as rows, and its edit set
-    is its pair-built twin's: equal, with equal hashes and counts, the same
-    verifier report check by check, and the same ``apply_edits`` result or
-    error text; ids that rows cannot hold leave it None."""
+    """``EditRowBuilder`` holds the runs' pairs: its edit set has exactly
+    the drawn pairs, with exact counts, the rows holding every pair whose
+    ids are at least 1 with a question at most 2^16 and the strays every
+    other pair; the verifier gives the set reference's report check by
+    check, and ``apply_edits`` the reference's result or error text."""
     rng = random.Random(data.draw(st.integers(0, 10**9)))
     side = rng.choice([8, 24])  # 24 gives runs of more than 16 ids
     inst = figure_one() if rng.random() < 0.3 else random_instance(rng, max_side=side, with_orders=rng.random() < 0.8)
@@ -834,51 +854,66 @@ def test_edit_row_builder_matches_pairs(data):
     builder = EditRowBuilder()
     for block, s, qids in runs:
         builder.add(block, s, qids)
-    row_built = builder.edits()
-    pair_built = EditSet.of(
-        [(s, q) for block, s, qids in runs if block == 0 for q in qids],
-        [(s, q) for block, s, qids in runs if block == 1 for q in qids],
-    )
-    students = [s for _, s, _ in runs]
-    questions = [q for _, _, qids in runs for q in qids]
-    held = min(students + questions, default=1) >= 1 and max(students, default=1) < 10**12 and max(questions, default=1) <= 1 << 16
-    assert (row_built is not None) == held
-    if row_built is None:
-        return
-    assert row_built == pair_built and hash(row_built) == hash(pair_built)
-    assert row_built.counts == pair_built.counts and row_built.size == pair_built.size
+    edits = builder.edits()
+    pairs = PairEdits(*(frozenset((s, q) for b, s, qids in runs if b == block for q in qids) for block in (0, 1)))
+    assert (edits.additions, edits.deletions) == (pairs.additions, pairs.deletions)
+    assert edits.counts == (len(pairs.additions), len(pairs.deletions))
+    if max((s for _, s, _ in runs), default=1) < 10**12:  # a huge student spends the budget
+        for (held, strays), block_pairs in zip(_storage(edits), (pairs.additions, pairs.deletions)):
+            assert held == {p for p in block_pairs if _held_in_rows(p)}
+            assert strays == {p for p in block_pairs if not _held_in_rows(p)}
     so, qo = tuple(rng.sample(range(1, n + 1), n)), tuple(rng.sample(range(1, m + 1), m))
-    cost = pair_built.size + rng.choice([0, 0, 1])
-    reports = [
-        [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(cost, so, qo, edits, "t")).checks]
-        for edits in (row_built, pair_built)
-    ]
-    assert reports[0] == reports[1]
-    got = _outcome(lambda: apply_edits(inst, row_built))
-    assert got == _outcome(lambda: apply_edits(inst, pair_built))
-    assert got == _outcome(lambda: _apply_edits_reference(inst, pair_built))
+    cost = edits.size + rng.choice([0, 0, 1])
+    report = [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, Solution(cost, so, qo, edits, "t")).checks]
+    assert report == _reference_verify(inst, spec, Solution(cost, so, qo, pairs, "t"))
+    assert _outcome(lambda: apply_edits(inst, edits)) == _outcome(lambda: _apply_edits_reference(inst, pairs))
 
 
 def test_edit_row_builder_budget():
     """Rows hold a file within 16 MiB: 8 bytes per student slot up to the
     largest student id, plus the bytes of each run's row. Past that, or
-    with a question id past 2^16, the builder gives None."""
+    with a question id past 2^16, the builder keeps the pairs as strays:
+    the edits are the runs' pairs, and the rows they hold stay within the
+    budget."""
 
     def built(runs):
         builder = EditRowBuilder()
         for s, qids in runs:
             builder.add(0, s, qids)
-        return builder.edits()
+        edits = builder.edits()
+        (held, strays), _ = _storage(edits)
+        pairs = {(s, q) for s, qids in runs for q in qids}
+        assert held | strays == pairs and edits.counts == (len(pairs), 0)
+        assert _row_bytes(edits) <= 1 << 24
+        return held, strays
 
     wide = 1 << 16  # a row of 8 KiB and one bit
-    assert built([(s, [wide]) for s in range(1, 1901)]) is not None
-    assert built([(s, [wide]) for s in range(1, 2201)]) is None
-    assert built([(1_900_000, [1])]).counts == (1, 0)
-    assert built([(2_200_000, [1])]) is None
-    assert built([(1, [wide + 1])]) is None
+    assert not built([(s, [wide]) for s in range(1, 1901)])[1]
+    held, strays = built([(s, [wide]) for s in range(1, 2201)])
+    assert held and strays and max(held) < min(strays)  # from the run that spends the budget on
+    assert built([(1_900_000, [1])]) == ({(1_900_000, 1)}, frozenset())
+    assert built([(2_200_000, [1])]) == (frozenset(), {(2_200_000, 1)})
+    assert built([(1, [wide + 1])]) == (frozenset(), {(1, wide + 1)})
     # A student split over many runs pays for its row at each one.
-    assert built([(1, [wide])] + [(s % 2 + 1, [1]) for s in range(3800)]) is not None
-    assert built([(1, [wide])] + [(s % 2 + 1, [1]) for s in range(4400)]) is None
+    assert not built([(1, [wide])] + [(s % 2 + 1, [1]) for s in range(3800)])[1]
+    held, strays = built([(1, [wide])] + [(s % 2 + 1, [1]) for s in range(4400)])
+    assert held == {(1, wide), (1, 1), (2, 1)} and not strays  # repeats the rows hold never stray
+
+
+def test_strays_in_range_reach_the_rows():
+    """A question id past 2^16 is a stray, and still in range for an
+    instance with more questions: the verifier and ``apply_edits`` read it
+    as the set reference does."""
+    m = (1 << 16) + 3
+    inst = Instance(2, m, [1, 1 << (m - 1)])
+    spec = ProblemSpec(Variant.IMO_RECOGNIZE)  # no base order: the reference's displacement is quadratic
+    for adds, dels in (([(1, m), (2, 1)], [(2, m)]), ([(1, m), (3, m)], [(1, m)])):
+        edits, pairs = EditSet.of(adds, dels), PairEdits(frozenset(adds), frozenset(dels))
+        assert any(edits._strays) and (edits.additions, edits.deletions) == (pairs.additions, pairs.deletions)
+        sol = Solution(edits.size, (1, 2), tuple(range(1, m + 1)), edits, "t")
+        report = [(c.name, c.passed, c.detail) for c in verify_solution(inst, spec, sol).checks]
+        assert report == _reference_verify(inst, spec, Solution(sol.cost, sol.student_order, sol.question_order, pairs, "t"))
+        assert _outcome(lambda: apply_edits(inst, edits)) == _outcome(lambda: _apply_edits_reference(inst, pairs))
 
 
 def test_verifier_memory_does_not_grow_with_questions_squared():

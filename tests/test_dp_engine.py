@@ -530,8 +530,11 @@ def test_reconstruct_ignores_target_at_a_state_that_does_not_reach(mode):
     the chosen one that does not reach the current state, leaves the
     Solution as it is: the walk-back looks only at the reaching states."""
     rng = random.Random(41)
-    planted = 0
+    planted = drawn = 0
     while planted < 20:
+        # A fault that leaves no state to plant at must fail, not hang.
+        assert drawn < 3000, f"{planted} targets planted in {drawn} instances"
+        drawn += 1
         inst = random_instance(rng, max_side=7)
         n, m = inst.num_students, inst.num_questions
         kq = min(rng.randint(1, 3), m - 1)

@@ -30,7 +30,7 @@ from chainrank import (
 )
 from chainrank.core_model import bit_ids
 from chainrank.ideal import nested_solution
-from conftest import adjacency, figure_one, random_instance
+from conftest import PairEdits, adjacency, figure_one, random_instance
 
 
 class TestRecognizeIdeal:
@@ -258,7 +258,7 @@ def _nested_solution_reference(inst, student_order, question_order, prefix_lengt
         row, target = inst.adj_bits[s - 1], prefix[t]
         additions.append(zip(repeat(s), bit_ids(target & ~row, qids)))
         deletions.append(zip(repeat(s), bit_ids(row & ~target, qids)))
-    edits = EditSet(frozenset(chain.from_iterable(additions)), frozenset(chain.from_iterable(deletions)))
+    edits = PairEdits(chain.from_iterable(additions), chain.from_iterable(deletions))
     return Solution(
         cost=edits.size,
         student_order=tuple(student_order),

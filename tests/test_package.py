@@ -76,13 +76,16 @@ def test_every_module_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-_EDIT_STORAGE = {"_additions", "_deletions", "_add_rows", "_del_rows", "_pair_rows", "_run_rows", "_fitted_rows"}
+_EDIT_STORAGE = {
+    "_additions", "_deletions", "_add_rows", "_del_rows", "_strays", "_pair_rows", "_run_rows", "_fitted_rows",
+}
 
 
 def _edit_storage_reads(path: Path) -> list[str]:
-    """The lines of a module that name ``EditSet``'s storage,
-    ``EditRowBuilder``'s rows, ``_pair_rows`` or ``_fitted_rows``: as an
-    attribute, a name or an imported name."""
+    """The lines of a module that name ``EditSet``'s storage (its rows,
+    its strays and its derived pair sets), ``EditRowBuilder``'s rows or strays,
+    ``_pair_rows`` or ``_fitted_rows``: as an attribute, a name or an
+    imported name."""
     reads = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Attribute):
@@ -99,11 +102,12 @@ def _edit_storage_reads(path: Path) -> list[str]:
 
 
 def test_edit_rows_stay_inside_core_model():
-    """Whether an EditSet holds rows or pairs is known to ``core_model``
-    alone: no other module reads its storage, the rows of an
-    ``EditRowBuilder``, or calls ``_pair_rows`` or ``_fitted_rows``. They
-    read edits through ``rows``, ``grouped``, ``counts`` and the pair sets,
-    and the parser feeds runs to ``EditRowBuilder.add``."""
+    """How an EditSet holds its edits, as rows and strays, is known to
+    ``core_model`` alone: no other module reads its storage, the rows or
+    strays of an ``EditRowBuilder``, or calls ``_pair_rows`` or
+    ``_fitted_rows``. They read edits through ``rows``, ``grouped``,
+    ``counts`` and the pair sets, and the parser feeds runs to
+    ``EditRowBuilder.add``."""
     root = Path(chainrank.__file__).parent
     reads = [read for path in sorted(root.rglob("*.py")) if path.name != "core_model.py" for read in _edit_storage_reads(path)]
     assert not reads, reads
